@@ -1,0 +1,7 @@
+"""Self-tests of the benchmark harness: python3 -m pytest perfbench/tests -q"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
