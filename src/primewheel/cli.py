@@ -239,6 +239,8 @@ def cmd_oracle(args) -> int:
         interval = IntervalSpec(args.lo, args.hi)
         if args.moduli:
             moduli = [int(q) for q in args.moduli.split(",")]
+            if any(q < 2 for q in moduli):
+                raise ValueError("every modulus must be at least 2")
         else:
             moduli = PrimeBasis.first(args.r).primes
         for m in oracle.coprime_scan(interval, moduli, budget=budget):

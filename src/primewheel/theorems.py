@@ -113,9 +113,9 @@ def _interval_report(
     With gate_all False only (a) decides the verdict and (b)/(c) are
     reported informationally.
     """
-    form = build_canonical(basis)
-    got = list(enumerate_interval(form, interval))
+    # The scan checks its budget first, so a refused window is never enumerated.
     want = oracle.coprime_scan(interval, basis, budget=budget)
+    got = list(enumerate_interval(build_canonical(basis), interval))
     counterexamples: list[Counterexample] = []
     details: dict = dict(extra_details)
 

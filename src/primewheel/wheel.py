@@ -389,7 +389,10 @@ def decompose(form, z: int) -> tuple[int, dict[int, int]]:
     h = {j: z % modulus for j, modulus, _ in axes}
     body = z - form.constant - sum(a * h[j] for j, _, a in axes)
     t, rem = divmod(body, form.period)
-    assert rem == 0, "idempotent congruences guarantee exact division"
+    if rem:
+        raise ValueError(
+            f"{z} leaves remainder {rem} mod {form.period}, so the form is inconsistent"
+        )
     return t, h
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from primewheel import oracle
 from primewheel.cli import SCAN_BUDGET_ENV, main
+from primewheel.enumeration import IntervalSpec
 from primewheel.theorems import VerificationReport, verify_theorem1
 from primewheel.wheel import PrimeBasis, build_canonical, evaluate, form_from_json
 
@@ -148,6 +150,15 @@ def test_count_interval_golden(capsys):
     assert out == "48\n"
 
 
+@pytest.mark.parametrize("r", [9, 10])
+def test_count_interval_past_the_table_cap(capsys, r):
+    basis = PrimeBasis.first(r)
+    for lo, hi in ((0, 1000), (10**7, 10**7 + 5000), (basis.primorial - 700, basis.primorial + 900)):
+        code, out, err = run(capsys, "count", "--r", str(r), "--lo", str(lo), "--hi", str(hi))
+        assert (code, err) == (0, "")
+        assert int(out) == len(oracle.coprime_scan(IntervalSpec(lo, hi), basis))
+
+
 def test_count_modes_are_exclusive(capsys):
     code, _, _ = run(capsys, "count", "--r", "3", "--block", "--pi-approx")
     assert code == 2
@@ -220,6 +231,13 @@ def test_oracle_probes(capsys):
     code, out, _ = run(capsys, "oracle", "scan", "--lo", "0", "--hi", "10", "--moduli", "4,9")
     assert code == 0
     assert [int(v) for v in out.split()] == [1, 2, 3, 5, 6, 7]
+
+
+@pytest.mark.parametrize("moduli", ["4,0", "1,9", "4,-3"])
+def test_oracle_scan_rejects_moduli_below_two(capsys, moduli):
+    code, out, err = run(capsys, "oracle", "scan", "--lo", "0", "--hi", "10", "--moduli", moduli)
+    assert (code, out) == (2, "")
+    assert err == "error: every modulus must be at least 2\n"
 
 
 def test_budget_env_var_limits_scans(capsys, monkeypatch):

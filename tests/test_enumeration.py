@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from primewheel import enumeration, oracle
 from primewheel.enumeration import (
     MAX_BLOCK_RESIDUES,
     BlockCount,
@@ -159,3 +160,89 @@ def test_enumeration_works_for_coprime_wheels():
         if n % 4 and n % 9 and n % 5 and n % 7
     ]
     assert values == naive
+
+
+COPRIME_WHEELS = [
+    build_coprime_wheel(moduli, h1=h1)
+    for moduli in ([4, 9, 5, 7], [9, 4, 25])
+    for h1 in (None, 1, 2)
+]
+
+
+def _oracle_count(form, spec):
+    """Count of the form's values in spec, from the brute-force divisibility scan."""
+    values = oracle.coprime_scan(spec, form.divisors)
+    if getattr(form, "pinned_h1", None) is not None:
+        values = [x for x in values if x % form.moduli[0] == form.pinned_h1]
+    return len(values)
+
+
+def _walk_and_sort_table(form):
+    """The residue table as first built: every assignment evaluated, then sorted."""
+    period = form.period
+    residues = [form.constant % period]
+    for _, modulus, coeff in form.residue_axes():
+        steps = [(coeff * h) % period for h in range(1, modulus)]
+        residues = [(base + step) % period for base in residues for step in steps]
+    return tuple(sorted(residues))
+
+
+def test_count_interval_matches_oracle_scan():
+    rng = random.Random(1959)
+    forms = [build_canonical(PrimeBasis.first(r)) for r in range(1, 9)] + COPRIME_WHEELS
+    for form in forms:
+        period = form.period
+        windows = [IntervalSpec(0, rng.randrange(1, 3000)), IntervalSpec(0, min(period, 10**5))]
+        straddle = rng.randrange(1, 4) * period
+        windows.append(
+            IntervalSpec(max(0, straddle - rng.randrange(1, 1500)), straddle + rng.randrange(1, 1500))
+        )
+        for _ in range(20):
+            lo = rng.randrange(0, 10**9)
+            windows.append(IntervalSpec(lo, lo + rng.randrange(1, 3000)))
+        for spec in windows:
+            assert count_interval(form, spec) == _oracle_count(form, spec), (form, spec)
+
+
+def test_count_interval_is_additive_past_two_to_the_64():
+    rng = random.Random(1982)
+    for form in [build_canonical(PrimeBasis.first(r)) for r in (3, 8, 12)] + COPRIME_WHEELS:
+        for _ in range(20):
+            lo = 2**64 + rng.randrange(0, 10**30)
+            mid = lo + rng.randrange(1, 10**12)
+            hi = mid + rng.randrange(1, 10**12)
+            whole = count_interval(form, IntervalSpec(lo, hi))
+            parts = count_interval(form, IntervalSpec(lo, mid)) + count_interval(
+                form, IntervalSpec(mid, hi)
+            )
+            assert whole == parts
+        spec = IntervalSpec(2**64 + 12345, 2**64 + 12345 + form.period)
+        assert count_interval(form, spec) == math.prod(m - 1 for _, m, _ in form.residue_axes())
+
+
+def test_count_interval_refuses_too_many_terms_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("counting started before the term budget was checked")
+
+    monkeypatch.setattr(enumeration, "_legendre", no_work)
+    form = build_canonical(PrimeBasis.first(23))
+    with pytest.raises(BudgetExceeded) as info:
+        count_interval(form, IntervalSpec(0, 10))
+    assert info.value.required == 2**22
+    assert info.value.budget == MAX_BLOCK_RESIDUES
+
+
+def test_residue_table_equals_walk_and_sort_table():
+    forms = [build_canonical(PrimeBasis.first(r)) for r in range(1, 8)] + COPRIME_WHEELS
+    for form in forms:
+        table = sorted_block_residues(form)
+        assert type(table) is tuple
+        assert table == _walk_and_sort_table(form), form
+
+
+def test_residue_table_refusal_names_the_fixed_cap():
+    with pytest.raises(BudgetExceeded) as info:
+        sorted_block_residues(build_canonical(PrimeBasis.first(9)))
+    message = str(info.value)
+    assert "budget" in message and "36495360" in message
+    assert "fixed" in message and "count" in message

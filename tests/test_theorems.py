@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from primewheel import theorems
 from primewheel.enumeration import IntervalSpec
+from primewheel.errors import BudgetExceeded
 from primewheel.theorems import (
     VerificationReport,
     bertrand_condition,
@@ -182,3 +184,13 @@ def test_report_json_round_trip():
     ):
         blob = json.dumps(report.to_json())
         assert VerificationReport.from_json(json.loads(blob)) == report
+
+
+def test_scan_budget_refuses_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before the scan budget was checked")
+
+    monkeypatch.setattr(theorems, "enumerate_interval", no_enumeration)
+    with pytest.raises(BudgetExceeded) as info:
+        verify_theorem1(PrimeBasis.first(3), 8)
+    assert info.value.required == 7**9 - 7**8

@@ -157,6 +157,13 @@ def test_decompose_names_the_offending_divisor():
         decompose(form, 35)
 
 
+def test_decompose_rejects_an_inconsistent_form_without_assert():
+    form = build_canonical(PrimeBasis.first(3))
+    object.__setattr__(form, "constant", 16)  # bypasses construction checks
+    with pytest.raises(ValueError, match="remainder"):
+        decompose(form, 31)
+
+
 def test_round_trip_random():
     rng = random.Random(271828)
     for _ in range(500):
