@@ -204,7 +204,7 @@ def cmd_bench(args) -> int:
     print("method,interval_width,values_emitted,wall_time")
     for _ in range(args.reps):
         start = time.perf_counter()
-        emitted = sum(1 for _ in enumerate_interval(form, interval))
+        emitted = len(list(enumerate_interval(form, interval)))
         elapsed = time.perf_counter() - start
         print(f"wheel,{interval.width},{emitted},{elapsed:.6f}")
         start = time.perf_counter()

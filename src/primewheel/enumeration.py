@@ -1,9 +1,20 @@
 """Sorted streaming and counting of wheel-form values over intervals.
 
-One primorial block contains every residue the form can take. Streaming
-walks blocks over the sorted table of those residues, built once per
-form (and cached) by incremental wheel extension. Counting needs no
-table: it is Legendre's inclusion-exclusion over the residue-axis moduli.
+The form's values are the x = constant (mod Q), Q the period over the
+residue-axis moduli, that avoid the classes each axis never takes.
+enumerate_interval streams them by one of two paths, picked by size:
+
+- a window holding fewer candidates x than one period holds residues
+  (width // Q < prod(m - 1)) is sieved directly, segmented-sieve style
+  (Bays & Hudson 1977): one byte per candidate, with every class outside
+  the form's admissible set struck out per axis, and no residue table;
+- a wider window walks blocks over the sorted table of one period's
+  residues, built once per form (and cached) by incremental wheel
+  extension (Pritchard 1982).
+
+Both paths refuse a form whose table would pass MAX_BLOCK_RESIDUES
+before any value is produced. Counting needs no table: it is Legendre's
+inclusion-exclusion over the residue-axis moduli.
 """
 
 from __future__ import annotations
@@ -60,18 +71,11 @@ def sorted_block_residues(form) -> tuple[int, ...]:
     variables and is budget-guarded.
     """
     axes = form.residue_axes()
-    size = math.prod(m - 1 for _, m, _ in axes)
-    if size > MAX_BLOCK_RESIDUES:
-        raise BudgetExceeded(
-            required=size,
-            budget=MAX_BLOCK_RESIDUES,
-            what="residue table",
-            remedy=_FIXED_CAP + "; count --lo/--hi needs no table",
-        )
+    _table_size(axes)
     modulus = form.period // math.prod(m for _, m, _ in axes)
     residues = (form.constant % modulus,)
     for _, m, a in axes:
-        admissible = {(form.constant + a * h) % m for h in range(1, m)}
+        admissible = _admissible(form, m, a)
         classes = list(map(m.__rmod__, residues))
         residues = tuple(_lift(residues, classes, modulus, m, admissible))
         modulus *= m
@@ -89,8 +93,59 @@ def _lift(residues, classes, modulus, m, admissible) -> Iterator[int]:
     return chain.from_iterable(map(lifted, range(m)))
 
 
+def _table_size(axes) -> int:
+    """Residues per period, prod(m - 1) over the axes; refused past the cap."""
+    size = math.prod(m - 1 for _, m, _ in axes)
+    if size > MAX_BLOCK_RESIDUES:
+        raise BudgetExceeded(
+            required=size,
+            budget=MAX_BLOCK_RESIDUES,
+            what="residue table",
+            remedy=_FIXED_CAP + "; count --lo/--hi needs no table",
+        )
+    return size
+
+
+def _admissible(form, m: int, a: int) -> set[int]:
+    """The classes mod m that the axis with modulus m and coefficient a lets values take."""
+    return {(form.constant + a * h) % m for h in range(1, m)}
+
+
 def enumerate_interval(form, interval: IntervalSpec) -> Iterator[int]:
-    """Yield exactly the form's values in [lo, hi), in ascending order."""
+    """An iterator over exactly the form's values in [lo, hi), in ascending order.
+
+    The table cap is checked before the iterator is returned, so a refused
+    form yields nothing. A window with fewer candidates than the table has
+    entries is sieved; a wider one walks the cached table.
+    """
+    axes = form.residue_axes()
+    size = _table_size(axes)
+    pin = form.period // math.prod(m for _, m, _ in axes)
+    if interval.width // pin < size:
+        return _sieve(form, axes, pin, interval)
+    return _walk(form, interval)
+
+
+def _sieve(form, axes, pin: int, interval: IntervalSpec) -> Iterator[int]:
+    """The form's values in [lo, hi) among the candidates x = constant (mod pin).
+
+    Candidate i is first + pin*i, whose class mod an axis modulus m is c
+    exactly when i = (c - first) * pin^-1 (mod m); every m-th candidate
+    from there is struck out for each class c the axis never takes.
+    """
+    first = interval.lo + (form.constant - interval.lo) % pin
+    candidates = range(first, interval.hi, pin)
+    mask = bytearray(b"\x01") * len(candidates)
+    for _, m, a in axes:
+        inverse = pow(pin, -1, m)
+        for c in set(range(m)) - _admissible(form, m, a):
+            start = (c - first) * inverse % m
+            mask[start::m] = bytes(len(range(start, len(mask), m)))
+    yield from compress(candidates, mask)
+
+
+def _walk(form, interval: IntervalSpec) -> Iterator[int]:
+    """The form's values in [lo, hi), block by block over the sorted residue table."""
     period = form.period
     table = sorted_block_residues(form)
     for t in range(interval.lo // period, (interval.hi - 1) // period + 1):

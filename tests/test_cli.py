@@ -132,6 +132,14 @@ def test_gen_large_r_exceeds_budget(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json-lines"])
+def test_gen_refuses_large_r_before_any_output(capsys, fmt):
+    code, out, err = run(capsys, "gen", "--r", "12", "--lo", "0", "--hi", "100", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_count_block_golden(capsys):
     code, out, _ = run(capsys, "count", "--r", "3", "--block")
     assert code == 0

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from primewheel import enumeration, oracle
+from primewheel import enumeration, oracle, theorems
 from primewheel.enumeration import (
     MAX_BLOCK_RESIDUES,
     BlockCount,
@@ -246,3 +246,69 @@ def test_residue_table_refusal_names_the_fixed_cap():
     message = str(info.value)
     assert "budget" in message and "36495360" in message
     assert "fixed" in message and "count" in message
+
+
+def _switch_width(form):
+    """The narrowest window width that walks the table instead of sieving."""
+    axes = form.residue_axes()
+    pin = form.period // math.prod(m for _, m, _ in axes)
+    return pin * math.prod(m - 1 for _, m, _ in axes)
+
+
+def test_sieve_path_equals_table_walk():
+    rng = random.Random(1977)
+    forms = [build_canonical(PrimeBasis.first(r)) for r in range(1, 9)] + COPRIME_WHEELS
+    for form in forms:
+        axes = form.residue_axes()
+        pin = form.period // math.prod(m for _, m, _ in axes)
+        switch = _switch_width(form)
+        widths = [1, 2, rng.randrange(1, 3000)]
+        if switch <= 10**6:
+            widths += [switch - 1, switch, switch + 1]
+        straddle = rng.randrange(1, 4) * form.period
+        los = [0, max(0, straddle - rng.randrange(0, 1000)), rng.randrange(0, 10**9)]
+        los += [2**64 + rng.randrange(0, 10**20) for _ in range(2)]
+        for lo in los:
+            for width in widths:
+                spec = IntervalSpec(lo, lo + width)
+                sieved = list(enumeration._sieve(form, axes, pin, spec))
+                assert sieved == list(enumeration._walk(form, spec)), (form, spec)
+
+
+def test_enumerate_picks_the_path_by_candidate_count(monkeypatch):
+    calls = []
+    monkeypatch.setattr(enumeration, "_sieve", lambda *args: calls.append("sieve") or iter(()))
+    monkeypatch.setattr(enumeration, "_walk", lambda *args: calls.append("walk") or iter(()))
+    for form in [build_canonical(PrimeBasis.first(r)) for r in (1, 4, 8)] + COPRIME_WHEELS:
+        switch = _switch_width(form)
+        for width, path in ((switch - 1, "sieve"), (switch, "walk"), (switch + 1, "walk")):
+            if width < 1:
+                continue
+            calls.clear()
+            enumerate_interval(form, IntervalSpec(10**12, 10**12 + width))
+            assert calls == [path], (form, width)
+
+
+def test_narrow_window_builds_no_table(monkeypatch):
+    def no_table(form):
+        raise AssertionError("a narrow window built the residue table")
+
+    monkeypatch.setattr(enumeration, "sorted_block_residues", no_table)
+    form = build_canonical(PrimeBasis.first(8))
+    spec = IntervalSpec(10**9, 10**9 + 1000)
+    values = list(enumerate_interval(form, spec))
+    assert values == oracle.coprime_scan(spec, form.divisors)
+    assert theorems.verify_theorem1(PrimeBasis.first(8), 1).verdict == "pass"
+
+
+def test_enumerate_refuses_oversized_tables_before_iterating(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("enumeration started before the table cap was checked")
+
+    monkeypatch.setattr(enumeration, "_sieve", no_work)
+    monkeypatch.setattr(enumeration, "_walk", no_work)
+    for width in (10, 10**12):
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_interval(build_canonical(PrimeBasis.first(9)), IntervalSpec(0, width))
+        assert info.value.required == 36495360
+        assert "fixed" in str(info.value)
