@@ -5,7 +5,9 @@ count (block/interval/prime-count figures), verify (claim checkers),
 bench (wheel vs sieve timing), oracle (brute-force spot checks).
 
 Exit codes: 0 success/pass, 1 verification failure or witness not found,
-2 usage error, 3 budget exceeded. Output is deterministic for fixed
+2 usage error, 3 budget exceeded. A reader that closes stdout early (as
+`| head` does) ends the command quietly with exit 0. gen and oracle write
+their lines in chunks of CHUNK_LINES. Output is deterministic for fixed
 arguments; only bench timing columns vary run to run. The scan budget can
 be overridden with --budget or the PRIMEWHEEL_SCAN_BUDGET environment
 variable.
@@ -18,6 +20,8 @@ import json
 import os
 import sys
 import time
+from itertools import chain, islice, starmap
+from typing import Iterable, Iterator
 
 from . import oracle, theorems
 from .enumeration import IntervalSpec, count_block, count_interval, enumerate_interval
@@ -32,6 +36,9 @@ from .wheel import (
 
 SCAN_BUDGET_ENV = "PRIMEWHEEL_SCAN_BUDGET"
 FORMATS = ("text", "csv", "json-lines")
+# Lines per stdout write for gen and oracle. Larger chunks buy no speed
+# and raise a gen process's peak RSS.
+CHUNK_LINES = 256
 
 
 def render_canonical_text(form) -> str:
@@ -99,30 +106,51 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
+def write_lines(lines: Iterable[str]) -> None:
+    """Write each line and a newline to stdout, CHUNK_LINES lines per write call."""
+    lines = iter(lines)
+    write = sys.stdout.write
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        chunk.append("")
+        write("\n".join(chunk))
+
+
+def _explained(form, stream: Iterable[int]) -> Iterator[tuple]:
+    """(z, t, h) per value, h ordered by variable index; decompose checks each value."""
+    for z in stream:
+        t, h = decompose(form, z)
+        yield z, t, [h[j] for j in sorted(h)]
+
+
+def _explain_text(z: int, t: int, h: list[int]) -> str:
+    return f"{z} t={t} h=[{','.join(map(str, h))}]"
+
+
+def _explain_csv(z: int, t: int, h: list[int]) -> str:
+    return ",".join(map(str, (z, t, *h)))
+
+
+def _explain_json(z: int, t: int, h: list[int]) -> str:
+    return json.dumps({"z": str(z), "t": t, "h": h})
+
+
+_EXPLAIN_LINE = {"text": _explain_text, "csv": _explain_csv, "json-lines": _explain_json}
+
+
 def cmd_gen(args) -> int:
     interval = IntervalSpec(args.lo, args.hi)
     form = build_canonical(_basis(args))
     stream = enumerate_interval(form, interval)
-    if args.format == "csv":
-        if args.explain:
-            print("z,t," + ",".join(f"h{j}" for j in range(2, args.r + 1)))
-        else:
-            print("z")
-    for z in stream:
-        if args.explain:
-            t, h = decompose(form, z)
-            ordered = [h[j] for j in sorted(h)]
-            if args.format == "json-lines":
-                print(json.dumps({"z": str(z), "t": t, "h": ordered}))
-            elif args.format == "csv":
-                print(",".join([str(z), str(t)] + [str(v) for v in ordered]))
-            else:
-                print(f"{z} t={t} h=[{','.join(str(v) for v in ordered)}]")
-        else:
-            if args.format == "json-lines":
-                print(json.dumps({"z": str(z)}))
-            else:
-                print(z)
+    header = "z"
+    if args.explain:
+        lines = starmap(_EXPLAIN_LINE[args.format], _explained(form, stream))
+        header = "z,t," + ",".join(f"h{j}" for j in range(2, args.r + 1))
+    elif args.format == "json-lines":
+        # Exactly json.dumps({"z": str(z)}): a decimal string needs no escaping.
+        lines = map('{{"z": "{}"}}'.format, stream)
+    else:
+        lines = map(str, stream)
+    write_lines(chain([header], lines) if args.format == "csv" else lines)
     return 0
 
 
@@ -233,8 +261,7 @@ def cmd_oracle(args) -> int:
             )
         )
     elif args.probe == "primes":
-        for p in oracle.primes_in(IntervalSpec(args.lo, args.hi), budget=budget):
-            print(p)
+        write_lines(map(str, oracle.primes_in(IntervalSpec(args.lo, args.hi), budget=budget)))
     else:
         interval = IntervalSpec(args.lo, args.hi)
         if args.moduli:
@@ -243,8 +270,7 @@ def cmd_oracle(args) -> int:
                 raise ValueError("every modulus must be at least 2")
         else:
             moduli = PrimeBasis.first(args.r).primes
-        for m in oracle.coprime_scan(interval, moduli, budget=budget):
-            print(m)
+        write_lines(map(str, oracle.coprime_scan(interval, moduli, budget=budget)))
     return 0
 
 
@@ -338,7 +364,16 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`). Point stdout at os.devnull
+        # so the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

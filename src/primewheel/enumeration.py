@@ -75,22 +75,33 @@ def sorted_block_residues(form) -> tuple[int, ...]:
     modulus = form.period // math.prod(m for _, m, _ in axes)
     residues = (form.constant % modulus,)
     for _, m, a in axes:
-        admissible = _admissible(form, m, a)
         classes = list(map(m.__rmod__, residues))
-        residues = tuple(_lift(residues, classes, modulus, m, admissible))
+        residues = tuple(_lift(residues, classes, modulus, m, _excluded(form, m, a)))
         modulus *= m
     return residues
 
 
-def _lift(residues, classes, modulus, m, admissible) -> Iterator[int]:
-    """residues (mod modulus) lifted to the admissible ones mod modulus*m, ascending."""
+def _lift(residues, classes, modulus, m, excluded) -> Iterator[int]:
+    """residues (mod modulus) lifted to the admissible ones mod modulus*m, ascending.
 
-    def lifted(i: int) -> Iterator[int]:
-        offset = i * modulus
-        keep = {(c - offset) % m for c in admissible}
-        return map(offset.__add__, compress(residues, map(keep.__contains__, classes)))
+    The lift y + i*modulus has class (c + i*modulus) mod m for c = y mod m,
+    so lift i drops the residues whose class is (e - i*modulus) mod m for
+    an excluded class e. Only those few classes are shifted per lift, which
+    keeps an axis linear in m.
+    """
 
-    return chain.from_iterable(map(lifted, range(m)))
+    def lifts() -> Iterator[Iterator[int]]:
+        # One `keep` set is edited between lifts; chain() exhausts each
+        # lift before it asks for the next, so no lift sees another's edit.
+        keep = set(range(m))
+        for i in range(m):
+            offset = i * modulus
+            drop = {(e - offset) % m for e in excluded}
+            keep -= drop
+            yield map(offset.__add__, compress(residues, map(keep.__contains__, classes)))
+            keep |= drop
+
+    return chain.from_iterable(lifts())
 
 
 def _table_size(axes) -> int:
@@ -106,9 +117,10 @@ def _table_size(axes) -> int:
     return size
 
 
-def _admissible(form, m: int, a: int) -> set[int]:
-    """The classes mod m that the axis with modulus m and coefficient a lets values take."""
-    return {(form.constant + a * h) % m for h in range(1, m)}
+def _excluded(form, m: int, a: int) -> set[int]:
+    """The classes mod m that the axis with modulus m and coefficient a never lets
+    values take: all but (constant + a*h) mod m for h in 1..m-1."""
+    return set(range(m)) - {(form.constant + a * h) % m for h in range(1, m)}
 
 
 def enumerate_interval(form, interval: IntervalSpec) -> Iterator[int]:
@@ -138,7 +150,7 @@ def _sieve(form, axes, pin: int, interval: IntervalSpec) -> Iterator[int]:
     mask = bytearray(b"\x01") * len(candidates)
     for _, m, a in axes:
         inverse = pow(pin, -1, m)
-        for c in set(range(m)) - _admissible(form, m, a):
+        for c in _excluded(form, m, a):
             start = (c - first) * inverse % m
             mask[start::m] = bytes(len(range(start, len(mask), m)))
     yield from compress(candidates, mask)

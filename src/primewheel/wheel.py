@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .diophantine import nth_solution, solve_unit
@@ -53,9 +53,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=16)
+def _first_primes(r: int) -> tuple[int, ...]:
+    """The first r primes, each proved by trial division."""
+    primes = []
+    n = 2
+    while len(primes) < r:
+        if _is_prime(n):
+            primes.append(n)
+        n += 1
+    return tuple(primes)
+
+
 @dataclass(frozen=True)
 class PrimeBasis:
-    """The first r primes, in order. Construction re-proves each by trial division."""
+    """The first r primes, in order. Construction checks them against the
+    first r primes by trial division, proved once per r and cached, so
+    first(r) does not prove them twice."""
 
     primes: tuple[int, ...]
 
@@ -63,28 +77,18 @@ class PrimeBasis:
         object.__setattr__(self, "primes", tuple(int(p) for p in self.primes))
         if not self.primes:
             raise ValueError("a basis needs at least one prime")
-        expect = 2
-        for p in self.primes:
-            while not _is_prime(expect):
-                expect += 1
+        for p, expect in zip(self.primes, _first_primes(len(self.primes))):
             if p != expect:
                 raise ValueError(
                     f"basis must be the first primes in order; expected {expect}, got {p}"
                 )
-            expect += 1
 
     @classmethod
     def first(cls, r: int) -> "PrimeBasis":
         """Basis of the first r primes."""
         if r < 1:
             raise ValueError("r must be at least 1")
-        primes = []
-        n = 2
-        while len(primes) < r:
-            if _is_prime(n):
-                primes.append(n)
-            n += 1
-        return cls(tuple(primes))
+        return cls(_first_primes(r))
 
     @property
     def r(self) -> int:

@@ -312,3 +312,12 @@ def test_enumerate_refuses_oversized_tables_before_iterating(monkeypatch):
             enumerate_interval(build_canonical(PrimeBasis.first(9)), IntervalSpec(0, width))
         assert info.value.required == 36495360
         assert "fixed" in str(info.value)
+
+
+def test_residue_table_for_a_large_axis_modulus():
+    # One lift per class of a 100003-class axis: shifting every admissible
+    # class per lift made this quadratic in the modulus.
+    form = build_coprime_wheel([3, 100003], h1=1)
+    table = sorted_block_residues(form)
+    assert len(table) == 100002
+    assert table == _walk_and_sort_table(form)

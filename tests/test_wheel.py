@@ -312,3 +312,22 @@ def test_form_constructors_reject_tampered_coefficients():
             constant=0,
             pinned_h1=None,
         )
+
+
+def test_prime_basis_first_proves_each_candidate_once(monkeypatch):
+    from primewheel import wheel
+
+    tested = []
+
+    def counting_is_prime(n):
+        tested.append(n)
+        return is_prime(n)
+
+    is_prime = wheel._is_prime
+    monkeypatch.setattr(wheel, "_is_prime", counting_is_prime)
+    wheel._first_primes.cache_clear()
+    try:
+        assert PrimeBasis.first(8).primes == (2, 3, 5, 7, 11, 13, 17, 19)
+    finally:
+        wheel._first_primes.cache_clear()
+    assert tested == list(range(2, 20))
