@@ -8,9 +8,9 @@ Exit codes: 0 success/pass, 1 verification failure or witness not found,
 2 usage error, 3 budget exceeded. A reader that closes stdout early (as
 `| head` does) ends the command quietly with exit 0. gen and oracle write
 their lines in chunks of CHUNK_LINES. Output is deterministic for fixed
-arguments; only bench timing columns vary run to run. The scan budget can
-be overridden with --budget or the PRIMEWHEEL_SCAN_BUDGET environment
-variable.
+arguments; only bench timing columns vary run to run. The scan budget of
+count, verify, bench and oracle can be overridden with --budget or the
+PRIMEWHEEL_SCAN_BUDGET environment variable, as an integer of at least 1.
 """
 
 from __future__ import annotations
@@ -76,10 +76,20 @@ def render_report_text(report) -> str:
 
 
 def _budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(SCAN_BUDGET_ENV)
-    return int(env) if env else None
+    """The scan budget from --budget, else the environment, else None (the default)."""
+    if args.budget is not None:
+        knob, raw = "--budget", args.budget
+    elif os.environ.get(SCAN_BUDGET_ENV):
+        knob, raw = SCAN_BUDGET_ENV, os.environ[SCAN_BUDGET_ENV]
+    else:
+        return None
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"{knob} must be an integer of at least 1, got {raw!r}")
+    return budget
 
 
 def _basis(args) -> PrimeBasis:
@@ -155,6 +165,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_count(args) -> int:
+    budget = _budget(args)
     basis = _basis(args)
     if args.block:
         counts = count_block(basis)
@@ -167,7 +178,7 @@ def cmd_count(args) -> int:
             print(f"phi={counts.phi} interior={counts.interior}")
         return 0
     if args.pi_approx:
-        approx, exact, rel = theorems.compare_pi(basis, budget=_budget(args))
+        approx, exact, rel = theorems.compare_pi(basis, budget=budget)
         if args.format == "json-lines":
             print(
                 json.dumps(
@@ -219,8 +230,9 @@ def cmd_bench(args) -> int:
     basis = _basis(args)
     form = build_canonical(basis)
     interval = IntervalSpec(args.lo, args.lo + args.width)
-    wheel_values = list(enumerate_interval(form, interval))
+    # The sieve checks its budget first, so a refused window is never enumerated.
     sieve_values = oracle.rough_sieve(interval, basis, budget=budget)
+    wheel_values = list(enumerate_interval(form, interval))
     if wheel_values != sieve_values:
         wheel_set, sieve_set = set(wheel_values), set(sieve_values)
         print(
@@ -307,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--explain", action="store_true", help="print (t, h) per value")
     _add_format(p)
-    _add_budget(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("count", help="count values per block or interval")

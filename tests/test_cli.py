@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from primewheel import oracle
+from primewheel import cli, oracle
 from primewheel.cli import SCAN_BUDGET_ENV, main
 from primewheel.enumeration import IntervalSpec
 from primewheel.theorems import VerificationReport, verify_theorem1
@@ -260,6 +260,36 @@ def test_budget_flag_beats_env_var(capsys, monkeypatch):
     code, out, _ = run(capsys, "count", "--r", "3", "--pi-approx", "--budget", "1000")
     assert code == 0
     assert out.startswith("approx=")
+
+
+def test_bench_checks_its_budget_before_enumerating(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("bench enumerated before the sieve budget was checked")
+
+    monkeypatch.setattr(cli, "enumerate_interval", no_work)
+    code, out, err = run(capsys, "bench", "--r", "3", "--width", "1000", "--budget", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_flag_below_one_is_usage_error(capsys, budget):
+    code, out, err = run(capsys, "count", "--r", "3", "--pi-approx", "--budget", budget)
+    assert (code, out) == (2, "")
+    assert err == f"error: --budget must be an integer of at least 1, got {budget}\n"
+
+
+@pytest.mark.parametrize("value", ["-5", "ten"])
+def test_budget_env_var_must_be_a_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv(SCAN_BUDGET_ENV, value)
+    code, out, err = run(capsys, "verify", "theorem1", "--r", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {SCAN_BUDGET_ENV} must be") and err.count("\n") == 1
+
+
+def test_gen_takes_no_budget(capsys):
+    code, out, _ = run(capsys, "gen", "--r", "3", "--lo", "0", "--hi", "10", "--budget", "5")
+    assert (code, out) == (2, "")
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -248,45 +249,40 @@ def test_residue_table_refusal_names_the_fixed_cap():
     assert "fixed" in message and "count" in message
 
 
-def _switch_width(form):
-    """The narrowest window width that walks the table instead of sieving."""
-    axes = form.residue_axes()
-    pin = form.period // math.prod(m for _, m, _ in axes)
-    return pin * math.prod(m - 1 for _, m, _ in axes)
+def _table_walk(table, period, spec):
+    """The values in spec, block by block over one period's sorted table."""
+    values = []
+    for base in range(spec.lo - spec.lo % period, spec.hi, period):
+        start = bisect_left(table, spec.lo - base)
+        stop = bisect_left(table, spec.hi - base)
+        values += map(base.__add__, table[start:stop])
+    return values
 
 
-def test_sieve_path_equals_table_walk():
+def test_sieve_path_equals_table_walk(monkeypatch):
+    # A small segment puts many seams inside every window; the widths
+    # pin*segment - 1, pin*segment and pin*segment + 1 end one at a seam.
+    segment = 61
+    monkeypatch.setattr(enumeration, "SEGMENT", segment)
     rng = random.Random(1977)
     forms = [build_canonical(PrimeBasis.first(r)) for r in range(1, 9)] + COPRIME_WHEELS
     for form in forms:
+        table = _walk_and_sort_table(form)
         axes = form.residue_axes()
         pin = form.period // math.prod(m for _, m, _ in axes)
-        switch = _switch_width(form)
+        size = pin * math.prod(m - 1 for _, m, _ in axes)
         widths = [1, 2, rng.randrange(1, 3000)]
-        if switch <= 10**6:
-            widths += [switch - 1, switch, switch + 1]
+        if size <= 10**6:
+            widths += [size - 1, size, size + 1]
+        widths += [pin * segment - 1, pin * segment, pin * segment + 1]
         straddle = rng.randrange(1, 4) * form.period
         los = [0, max(0, straddle - rng.randrange(0, 1000)), rng.randrange(0, 10**9)]
         los += [2**64 + rng.randrange(0, 10**20) for _ in range(2)]
         for lo in los:
             for width in widths:
                 spec = IntervalSpec(lo, lo + width)
-                sieved = list(enumeration._sieve(form, axes, pin, spec))
-                assert sieved == list(enumeration._walk(form, spec)), (form, spec)
-
-
-def test_enumerate_picks_the_path_by_candidate_count(monkeypatch):
-    calls = []
-    monkeypatch.setattr(enumeration, "_sieve", lambda *args: calls.append("sieve") or iter(()))
-    monkeypatch.setattr(enumeration, "_walk", lambda *args: calls.append("walk") or iter(()))
-    for form in [build_canonical(PrimeBasis.first(r)) for r in (1, 4, 8)] + COPRIME_WHEELS:
-        switch = _switch_width(form)
-        for width, path in ((switch - 1, "sieve"), (switch, "walk"), (switch + 1, "walk")):
-            if width < 1:
-                continue
-            calls.clear()
-            enumerate_interval(form, IntervalSpec(10**12, 10**12 + width))
-            assert calls == [path], (form, width)
+                walked = _table_walk(table, form.period, spec)
+                assert list(enumerate_interval(form, spec)) == walked, (form, spec)
 
 
 def test_narrow_window_builds_no_table(monkeypatch):
@@ -306,7 +302,6 @@ def test_enumerate_refuses_oversized_tables_before_iterating(monkeypatch):
         raise AssertionError("enumeration started before the table cap was checked")
 
     monkeypatch.setattr(enumeration, "_sieve", no_work)
-    monkeypatch.setattr(enumeration, "_walk", no_work)
     for width in (10, 10**12):
         with pytest.raises(BudgetExceeded) as info:
             enumerate_interval(build_canonical(PrimeBasis.first(9)), IntervalSpec(0, width))
@@ -321,3 +316,19 @@ def test_residue_table_for_a_large_axis_modulus():
     table = sorted_block_residues(form)
     assert len(table) == 100002
     assert table == _walk_and_sort_table(form)
+
+
+def test_wide_r8_window_builds_no_table(monkeypatch):
+    def no_table(form):
+        raise AssertionError("a wide window built the residue table")
+
+    monkeypatch.setattr(enumeration, "sorted_block_residues", no_table)
+    form = build_canonical(PrimeBasis.first(8))
+    spec = IntervalSpec(10**12 + 1, 10**12 + 4 * 10**6)
+    values = list(enumerate_interval(form, spec))
+    assert len(values) == count_interval(form, spec)
+    assert values == sorted(set(values))
+    # The window spans 2e6 candidates, so one segment seam lies inside it.
+    seam = spec.lo + 2 * enumeration.SEGMENT
+    near = IntervalSpec(seam - 1000, seam + 1000)
+    assert [v for v in values if near.lo <= v < near.hi] == oracle.coprime_scan(near, form.divisors)
