@@ -22,6 +22,7 @@ from .oracle import (
     factor_profile,
     is_k_almost,
     omega,
+    omega_sieve,
     primes_in,
     rough_sieve,
     spf,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -26,6 +27,7 @@ from typing import Iterable, Iterator
 from . import oracle, theorems
 from .enumeration import IntervalSpec, count_block, count_interval, enumerate_interval
 from .errors import BudgetExceeded
+from .oracle import SCAN_BUDGET_ENV
 from .wheel import (
     PrimeBasis,
     build_canonical,
@@ -34,7 +36,6 @@ from .wheel import (
     form_to_json,
 )
 
-SCAN_BUDGET_ENV = "PRIMEWHEEL_SCAN_BUDGET"
 FORMATS = ("text", "csv", "json-lines")
 # Lines per stdout write for gen and oracle. Larger chunks buy no speed
 # and raise a gen process's peak RSS.
@@ -211,7 +212,7 @@ def cmd_verify(args) -> int:
     elif args.claim == "corollary2":
         report = theorems.verify_corollary2(_basis(args), args.s, args.n, budget=budget)
     elif args.claim == "identity25":
-        report = theorems.search_identity25(_basis(args), args.bound)
+        report = theorems.search_identity25(_basis(args), args.bound, budget=budget)
     else:
         report = theorems.check_identity26(_basis(args), args.e, representative=args.k)
     if args.format == "json-lines":
@@ -256,6 +257,10 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle(args) -> int:
     budget = _budget(args)
+    if args.probe in ("omega", "spf", "factor"):
+        # Trial division tries divisors up to sqrt(n).
+        root = math.isqrt(max(args.n, 0))
+        oracle.check_budget(root, budget, "trial division", oracle.knob_remedy(root))
     if args.probe == "omega":
         print(oracle.omega(args.n))
     elif args.probe == "spf":

@@ -8,10 +8,12 @@ identity25, identity26) which also name the CLI verify subcommands.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator, NamedTuple
 
 from . import oracle
 from .diophantine import nth_solution, solve_unit
@@ -92,8 +94,158 @@ def theorem1_interval(basis: PrimeBasis, n: int) -> IntervalSpec:
     return IntervalSpec(p**n, p ** (n + 1))
 
 
-def _capped(values, fmt) -> list:
-    return [fmt(v) for v in values[:COUNTEREXAMPLE_CAP]]
+class _Segment(NamedTuple):
+    """The oracle's view of one segment [lo, lo + len(omegas)) of a window."""
+
+    lo: int
+    want: list[int]  # divisible by no basis prime, by the striking scan
+    omegas: list[int]  # Omega of every integer in the segment
+    primes: list[int] | None  # the primes in the segment, for n = 1 only
+
+
+def _oracle_segments(basis, interval, n, budget, omegas) -> Iterator[_Segment]:
+    """The window's segments from lo up, one for each list `omegas` yields."""
+    starts = range(interval.lo, interval.hi, oracle.OMEGA_SEGMENT)
+    for seg_lo, seg_omegas in zip(starts, omegas):
+        span = IntervalSpec(seg_lo, seg_lo + len(seg_omegas))
+        primes = oracle.primes_in(span, budget) if n == 1 else None
+        yield _Segment(seg_lo, oracle.coprime_scan(span, basis, budget), seg_omegas, primes)
+
+
+def _fill(capped: list, values: list) -> None:
+    capped.extend(values[: COUNTEREXAMPLE_CAP - len(capped)])
+
+
+def _compare(values: list[int], want: list[int], missing: list, extra: list) -> None:
+    """Fill missing with the values of want not enumerated and extra with the others."""
+    got = set(values)
+    _fill(missing, sorted(set(want) - got))
+    _fill(extra, sorted(got - set(want)))
+
+
+class _Tally:
+    """Counts and capped counterexamples of one streamed interval report.
+
+    Each fault list holds at most COUNTEREXAMPLE_CAP entries, and a list
+    that is not empty fails its subcheck. `mult` counts how often each
+    enumerated value on a fault list was enumerated, so witnesses_pass
+    leaves every counterexample out as often as it occurs.
+    """
+
+    def __init__(self, interval: IntervalSpec, n: int) -> None:
+        self.interval, self.n = interval, n
+        self.checked = 0
+        self.missing: list[int] = []  # in the scan but never enumerated, ascending
+        self.extra: list[int] = []  # enumerated in the window but not in the scan, ascending
+        self.pe_missing: list[int] = []  # n = 1: primes never enumerated
+        self.pe_extra: list[int] = []  # n = 1: enumerated in the window but not prime
+        self.outliers: list[int] = []  # the smallest distinct values enumerated off the window
+        self.omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
+        self.disorder: list[int] = []  # enumerated after a larger value of the window
+        self.mult: dict[int, int] = {}
+
+    def factors(self, seg: _Segment, values: list[int]) -> None:
+        """Check the factor counts of values inside seg, read from its Omega sieve."""
+        if len(self.omega_bad) == COUNTEREXAMPLE_CAP:
+            return
+        oms = list(map(seg.omegas.__getitem__, map((-seg.lo).__add__, values)))
+        if oms and (min(oms) < 1 or max(oms) > self.n):
+            for value, om in zip(values, oms):
+                self._factor_count(value, om)
+
+    def close(self, seg: _Segment, values: list[int]) -> None:
+        """Compare all values enumerated inside seg, in order, with the oracle's."""
+        if values != seg.want:
+            top = values[0] if values else 0
+            for value in values:
+                if value < top:
+                    self._out_of_order(value)
+                top = max(top, value)
+            _compare(values, seg.want, self.missing, self.extra)
+        if seg.primes is not None and values != seg.primes:
+            _compare(values, seg.primes, self.pe_missing, self.pe_extra)
+        seg_hi = seg.lo + len(seg.omegas)
+        faults = {*self.extra, *self.pe_extra, *self.disorder, *(v for v, _ in self.omega_bad)}
+        for value in faults:
+            if seg.lo <= value < seg_hi:
+                self.mult[value] = values.count(value)
+
+    def outside(self, value: int) -> None:
+        """A value enumerated outside the window: extra, not a prime of it,
+        and factored by trial division."""
+        if value in self.mult:
+            self.mult[value] += 1
+        elif len(self.outliers) < COUNTEREXAMPLE_CAP or value < self.outliers[-1]:
+            bisect.insort(self.outliers, value)
+            self.mult[value] = 1
+            if len(self.outliers) > COUNTEREXAMPLE_CAP:
+                dropped = self.outliers.pop()
+                if all(v != dropped for v, _ in self.omega_bad):
+                    del self.mult[dropped]
+        if len(self.omega_bad) < COUNTEREXAMPLE_CAP:
+            self._factor_count(value, oracle.omega(value))
+
+    def behind(self, value: int) -> None:
+        """A value of a segment already closed: the enumeration stepped back."""
+        if value in self.mult:
+            self.mult[value] += 1
+        elif self._out_of_order(value):
+            self.mult[value] = 1
+
+    def _factor_count(self, value: int, om: int) -> None:
+        if not 1 <= om <= self.n and len(self.omega_bad) < COUNTEREXAMPLE_CAP:
+            self.omega_bad.append((value, om))
+            self.mult.setdefault(value, 1)
+
+    def _out_of_order(self, value: int) -> bool:
+        if len(self.disorder) < COUNTEREXAMPLE_CAP and value not in self.disorder:
+            self.disorder.append(value)
+        return value in self.disorder
+
+    def report(self, claim: str, gate_all: bool, details: dict) -> VerificationReport:
+        n = self.n
+        extra = sorted(self.outliers + self.extra)[:COUNTEREXAMPLE_CAP]
+        found = [(m, "in the oracle scan but never enumerated") for m in self.missing]
+        found += [(m, "enumerated but rejected by the oracle scan") for m in extra]
+        found += [(m, "enumerated after a larger value") for m in self.disorder]
+        details["set_equality"] = {
+            "pass": not found,
+            "missing": [str(m) for m in self.missing],
+            "extra": [str(m) for m in extra],
+        }
+        if self.disorder:
+            details["set_equality"]["out_of_order"] = [str(m) for m in self.disorder]
+
+        details["omega_bound"] = {
+            "pass": not self.omega_bad,
+            "n": n,
+            "violations": [{"value": str(m), "omega": om} for m, om in self.omega_bad],
+        }
+        if gate_all:
+            found += [(m, f"has {om} prime factors, outside 1..{n}") for m, om in self.omega_bad]
+
+        if n == 1:
+            pe_extra = sorted(self.outliers + self.pe_extra)[:COUNTEREXAMPLE_CAP]
+            details["prime_equality"] = {
+                "pass": not self.pe_missing and not pe_extra,
+                "missing": [str(m) for m in self.pe_missing],
+                "extra": [str(m) for m in pe_extra],
+            }
+            if gate_all:
+                found += [(m, "prime in the window but never enumerated") for m in self.pe_missing]
+                found += [(m, "enumerated in the n = 1 window but not prime") for m in pe_extra]
+
+        bad_values = {m for m, _ in found}
+        checked = self.checked
+        return VerificationReport(
+            claim=claim,
+            verdict="pass" if not found and checked > 0 else "fail",
+            checked=checked,
+            witnesses_pass=checked - sum(self.mult.get(m, 0) for m in bad_values),
+            interval=self.interval,
+            counterexamples=tuple(itertools.starmap(Counterexample, found)),
+            details=details,
+        )
 
 
 def _interval_report(
@@ -112,67 +264,48 @@ def _interval_report(
     (c) for n = 1, the enumeration is exactly the primes in the window.
     With gate_all False only (a) decides the verdict and (b)/(c) are
     reported informationally.
+
+    The window is walked one segment of oracle.OMEGA_SEGMENT integers at
+    a time. The enumerated values that fall in a segment are compared with
+    the oracle's striking scan, Omega sieve and, for n = 1, primes of the
+    same segment; only counts and the capped counterexamples are kept.
+    An enumerated value outside the window is extra and is factored by
+    trial division. The enumeration must ascend, so a value below an
+    earlier value of the window fails (a). Budgets are checked before the
+    first value is enumerated: the scan width, then the residue-table
+    cap, then for n = 1 the prime sieve's hi, then the Omega sieve's.
     """
-    # The scan checks its budget first, so a refused window is never enumerated.
-    want = oracle.coprime_scan(interval, basis, budget=budget)
-    got = list(enumerate_interval(build_canonical(basis), interval))
-    counterexamples: list[Counterexample] = []
-    details: dict = dict(extra_details)
-
-    missing = sorted(set(want) - set(got))
-    extra = sorted(set(got) - set(want))
-    set_ok = not missing and not extra
-    details["set_equality"] = {
-        "pass": set_ok,
-        "missing": _capped(missing, str),
-        "extra": _capped(extra, str),
-    }
-    for m in missing[:COUNTEREXAMPLE_CAP]:
-        counterexamples.append(Counterexample(m, "in the oracle scan but never enumerated"))
-    for m in extra[:COUNTEREXAMPLE_CAP]:
-        counterexamples.append(Counterexample(m, "enumerated but rejected by the oracle scan"))
-
-    omega_bad = [(m, oracle.omega(m)) for m in got]
-    omega_bad = [(m, om) for m, om in omega_bad if not 1 <= om <= n]
-    details["omega_bound"] = {
-        "pass": not omega_bad,
-        "n": n,
-        "violations": _capped(omega_bad, lambda v: {"value": str(v[0]), "omega": v[1]}),
-    }
-    if gate_all:
-        for m, om in omega_bad[:COUNTEREXAMPLE_CAP]:
-            counterexamples.append(
-                Counterexample(m, f"has {om} prime factors, outside 1..{n}")
-            )
-
+    oracle.check_budget(interval.width, budget, "coprime scan")
+    got = enumerate_interval(build_canonical(basis), interval)
     if n == 1:
-        primes = oracle.primes_in(interval, budget=budget)
-        pe_missing = sorted(set(primes) - set(got))
-        pe_extra = sorted(set(got) - set(primes))
-        pe_ok = not pe_missing and not pe_extra
-        details["prime_equality"] = {
-            "pass": pe_ok,
-            "missing": _capped(pe_missing, str),
-            "extra": _capped(pe_extra, str),
-        }
-        if gate_all:
-            for m in pe_missing[:COUNTEREXAMPLE_CAP]:
-                counterexamples.append(Counterexample(m, "prime in the window but never enumerated"))
-            for m in pe_extra[:COUNTEREXAMPLE_CAP]:
-                counterexamples.append(Counterexample(m, "enumerated in the n = 1 window but not prime"))
-
-    bad_values = {c.value for c in counterexamples}
-    checked = len(got)
-    verdict = "pass" if not counterexamples and checked > 0 else "fail"
-    return VerificationReport(
-        claim=claim,
-        verdict=verdict,
-        checked=checked,
-        witnesses_pass=sum(1 for m in got if m not in bad_values),
-        interval=interval,
-        counterexamples=tuple(counterexamples),
-        details=details,
-    )
+        oracle.check_budget(interval.hi, budget, "prime sieve")
+    segments = _oracle_segments(basis, interval, n, budget, oracle.omega_sieve(interval, budget))
+    tally = _Tally(interval, n)
+    lo, hi, size = interval.lo, interval.hi, oracle.OMEGA_SEGMENT
+    # Runs of enumerated values by segment index, -1 outside the window;
+    # seg is the open segment, number index, and inside its values so far.
+    index, seg, inside = -1, None, []
+    for key, run in itertools.groupby(got, lambda v: (v - lo) // size if lo <= v < hi else -1):
+        run = list(run)
+        tally.checked += len(run)
+        if key < 0:
+            for value in run:
+                tally.outside(value)
+        elif key < index:
+            for value in run:
+                tally.behind(value)
+        else:
+            while index < key:
+                if seg is not None:
+                    tally.close(seg, inside)
+                seg, inside, index = next(segments), [], index + 1
+            tally.factors(seg, run)
+            inside += run
+    if seg is not None:
+        tally.close(seg, inside)
+    for seg in segments:
+        tally.close(seg, [])
+    return tally.report(claim, gate_all, dict(extra_details))
 
 
 def verify_theorem1(basis: PrimeBasis, n: int, budget: int | None = None) -> VerificationReport:
@@ -294,7 +427,9 @@ def check_identity26(basis: PrimeBasis, e: int, representative: int = 0) -> Veri
     )
 
 
-def search_identity25(basis: PrimeBasis, bound: int) -> VerificationReport:
+def search_identity25(
+    basis: PrimeBasis, bound: int, budget: int | None = None
+) -> VerificationReport:
     """Bounded witness search for the product identity
     (2s - 1) * prod(p_i, i = 2..r-1) = x'_r * S, where S is the raw
     coefficient sum built from x'_2..x'_{r-1}.
@@ -302,25 +437,27 @@ def search_identity25(basis: PrimeBasis, bound: int) -> VerificationReport:
     Representative indices range over 0..bound for every x'_i and a
     witness must also have |s| <= bound. A not-found outcome never claims
     the statement false, only that no witness exists inside the grid.
+    The (bound + 1)^(r - 2) grid rows are checked against the scan budget
+    before the search starts.
     """
     r = basis.r
     if r < 3:
         raise ValueError("the identity needs r >= 3")
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    rows = (bound + 1) ** (r - 2)
+    oracle.check_budget(rows, budget, "identity25 grid", oracle.knob_remedy(rows))
     primes = basis.primes
     modulus = math.prod(primes[1 : r - 1])  # p_2 * ... * p_{r-1}
     families = {i: solve_unit(i, basis) for i in range(2, r + 1)}
-
-    def x_of(i: int, k: int) -> int:
-        return nth_solution(families[i], k)[0]
-
-    xr_base = x_of(r, 0)
+    # reps[i][k] is x'_i of representative k, worked out once per (i, k).
+    reps = {i: [nth_solution(f, k)[0] for k in range(bound + 1)] for i, f in families.items()}
+    xr_base = reps[r][0]
     witness = None
     rows_scanned = 0
     for ks in itertools.product(range(bound + 1), repeat=r - 2):
         rows_scanned += 1
-        xs = {i: x_of(i, ks[i - 2]) for i in range(2, r)}
+        xs = {i: reps[i][ks[i - 2]] for i in range(2, r)}
         total = 0
         tail = 1
         for i in range(r - 1, 1, -1):
@@ -331,8 +468,8 @@ def search_identity25(basis: PrimeBasis, bound: int) -> VerificationReport:
         # k_r; one test covers the whole row of the grid.
         if (xr_base * total) % modulus:
             continue
-        for kr in range(bound + 1):
-            quotient = (x_of(r, kr) * total) // modulus
+        for kr, xr in enumerate(reps[r]):
+            quotient = (xr * total) // modulus
             if quotient % 2:
                 s = (quotient + 1) // 2
                 if abs(s) <= bound:

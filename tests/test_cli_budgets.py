@@ -1,0 +1,78 @@
+"""Budget refusals of identity25 and the trial-division oracle probes."""
+
+import json
+
+import pytest
+
+from primewheel import oracle, theorems
+from primewheel.cli import SCAN_BUDGET_ENV, main
+from primewheel.errors import BudgetExceeded
+from primewheel.theorems import search_identity25
+from primewheel.wheel import PrimeBasis
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _assert_one_knob_error(err):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--budget" in err and SCAN_BUDGET_ENV in err
+
+
+def test_identity25_refuses_its_grid_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("solved unit equations before the grid was checked")
+
+    monkeypatch.setattr(theorems, "solve_unit", no_work)
+    code, out, err = run(capsys, "verify", "identity25", "--r", "10", "--bound", "50")
+    assert (code, out) == (3, "")
+    _assert_one_knob_error(err)
+    assert str(51**8) in err
+
+
+def test_identity25_budget_flag_sets_the_row_limit(capsys):
+    argv = ("verify", "identity25", "--r", "4", "--bound", "40")
+    code, out, err = run(capsys, *argv, "--budget", "1680")
+    assert (code, out) == (3, "")
+    _assert_one_knob_error(err)
+    code, out, _ = run(capsys, *argv, "--budget", "1681", "--format", "json-lines")
+    assert code == 1
+    assert json.loads(out)["details"]["rows_scanned"] == 41**2
+
+
+def test_identity25_library_budget():
+    with pytest.raises(BudgetExceeded) as info:
+        search_identity25(PrimeBasis.first(5), 40, budget=41**3 - 1)
+    assert info.value.required == 41**3
+    assert search_identity25(PrimeBasis.first(5), 40, budget=41**3).details["rows_scanned"] == 41**3
+
+
+@pytest.mark.parametrize("probe", ["omega", "spf", "factor"])
+def test_trial_division_probes_check_the_root_first(capsys, monkeypatch, probe):
+    def no_work(*args):
+        raise AssertionError("trial-divided before the budget was checked")
+
+    monkeypatch.setattr(oracle, "factor_profile", no_work)
+    code, out, err = run(capsys, "oracle", probe, "--n", "1000000016000000063")
+    assert (code, out) == (3, "")
+    _assert_one_knob_error(err)
+    assert "1000000007" in err
+
+
+def test_trial_division_budget_is_the_square_root(capsys):
+    code, _, _ = run(capsys, "oracle", "omega", "--n", "1000000", "--budget", "999")
+    assert code == 3
+    code, out, _ = run(capsys, "oracle", "omega", "--n", "1000000", "--budget", "1000")
+    assert (code, out) == (0, "12\n")
+    code, out, _ = run(capsys, "oracle", "omega", "--n", "720720")
+    assert (code, out) == (0, "10\n")
+
+
+@pytest.mark.parametrize("probe,n", [("omega", "0"), ("factor", "-4"), ("spf", "1")])
+def test_trial_division_probes_keep_their_usage_errors(capsys, probe, n):
+    code, out, err = run(capsys, "oracle", probe, "--n", n)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "budget" not in err

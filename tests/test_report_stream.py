@@ -1,0 +1,236 @@
+"""The segment-wise interval report against the list-and-set report it replaced.
+
+theorems.enumerate_interval is replaced by streams with injected faults,
+and every report must equal, in to_json(), the one the old whole-window
+comparison gives for the same stream.
+"""
+
+import random
+
+import pytest
+
+from primewheel import oracle, theorems
+from primewheel.enumeration import IntervalSpec
+from primewheel.theorems import COUNTEREXAMPLE_CAP, Counterexample, VerificationReport
+from primewheel.wheel import PrimeBasis
+
+
+def _capped(values, fmt) -> list:
+    return [fmt(v) for v in values[:COUNTEREXAMPLE_CAP]]
+
+
+def _reference_report(claim, basis, interval, n, gate_all, got, extra_details):
+    """The whole-window report: four lists and four sets, one trial division per value."""
+    want = oracle.coprime_scan(interval, basis)
+    counterexamples = []
+    details = dict(extra_details)
+
+    missing = sorted(set(want) - set(got))
+    extra = sorted(set(got) - set(want))
+    details["set_equality"] = {
+        "pass": not missing and not extra,
+        "missing": _capped(missing, str),
+        "extra": _capped(extra, str),
+    }
+    for m in missing[:COUNTEREXAMPLE_CAP]:
+        counterexamples.append(Counterexample(m, "in the oracle scan but never enumerated"))
+    for m in extra[:COUNTEREXAMPLE_CAP]:
+        counterexamples.append(Counterexample(m, "enumerated but rejected by the oracle scan"))
+
+    omega_bad = [(m, oracle.omega(m)) for m in got]
+    omega_bad = [(m, om) for m, om in omega_bad if not 1 <= om <= n]
+    details["omega_bound"] = {
+        "pass": not omega_bad,
+        "n": n,
+        "violations": _capped(omega_bad, lambda v: {"value": str(v[0]), "omega": v[1]}),
+    }
+    if gate_all:
+        for m, om in omega_bad[:COUNTEREXAMPLE_CAP]:
+            counterexamples.append(Counterexample(m, f"has {om} prime factors, outside 1..{n}"))
+
+    if n == 1:
+        primes = oracle.primes_in(interval)
+        pe_missing = sorted(set(primes) - set(got))
+        pe_extra = sorted(set(got) - set(primes))
+        details["prime_equality"] = {
+            "pass": not pe_missing and not pe_extra,
+            "missing": _capped(pe_missing, str),
+            "extra": _capped(pe_extra, str),
+        }
+        if gate_all:
+            for m in pe_missing[:COUNTEREXAMPLE_CAP]:
+                counterexamples.append(Counterexample(m, "prime in the window but never enumerated"))
+            for m in pe_extra[:COUNTEREXAMPLE_CAP]:
+                counterexamples.append(Counterexample(m, "enumerated in the n = 1 window but not prime"))
+
+    bad_values = {c.value for c in counterexamples}
+    checked = len(got)
+    return VerificationReport(
+        claim=claim,
+        verdict="pass" if not counterexamples and checked > 0 else "fail",
+        checked=checked,
+        witnesses_pass=sum(1 for m in got if m not in bad_values),
+        interval=interval,
+        counterexamples=tuple(counterexamples),
+        details=details,
+    )
+
+
+# (r, n, shift): the window [q^n, q^(n+1)) for q the prime `shift` places after p_r.
+# Shift 1 is a theorem1 window, shift 2 a corollary2 one with natural
+# factor-count violations.
+WINDOWS = [(3, 1, 1), (3, 2, 1), (2, 3, 1), (3, 1, 2), (2, 2, 2)]
+
+
+def _window(r, n, shift):
+    q = PrimeBasis.first(r).primes[-1]
+    for _ in range(shift):
+        q = theorems._prime_after(q)
+    return IntervalSpec(q**n, q ** (n + 1))
+
+
+def _streamed(monkeypatch, basis, interval, n, gate_all, stream):
+    monkeypatch.setattr(theorems, "enumerate_interval", lambda form, spec: iter(list(stream)))
+    return theorems._interval_report("claim", basis, interval, n, gate_all, None, {"tag": 1})
+
+
+def _check_interval(monkeypatch, basis, interval, n, fault):
+    stream = fault(oracle.coprime_scan(interval, basis), interval)
+    for gate_all in (True, False):
+        got = _streamed(monkeypatch, basis, interval, n, gate_all, stream)
+        want = _reference_report("claim", basis, interval, n, gate_all, stream, {"tag": 1})
+        assert got.to_json() == want.to_json(), (interval, n, gate_all, stream)
+    return got
+
+
+def _check(monkeypatch, r, n, shift, fault):
+    return _check_interval(monkeypatch, PrimeBasis.first(r), _window(r, n, shift), n, fault)
+
+
+def _insert(values, *new):
+    return sorted(values + list(new))
+
+
+def _first_with_factors_above(n, window):
+    return next(m for m in range(window.lo, window.hi) if oracle.omega(m) > n)
+
+
+FAULTS = {
+    "none": lambda v, w: v,
+    "missing": lambda v, w: v[:2] + v[3:],
+    "missing_first_and_last": lambda v, w: v[1:-1],
+    "extra_even": lambda v, w: _insert(v, w.lo + 1 if w.lo % 2 else w.lo),
+    "too_many_factors": lambda v, w: _insert(v, _first_with_factors_above(3, w)),
+    "duplicate": lambda v, w: v[:4] + [v[4]] + v[4:],
+    "duplicate_last": lambda v, w: v + [v[-1], v[-1]],
+    "below_lo_and_at_hi": lambda v, w: [w.lo - 1] + v + [w.hi],
+    "outside_midstream": lambda v, w: v[:3] + [w.hi + 6, 1, w.hi + 6] + v[3:] + [1],
+    "missing_among_duplicates": lambda v, w: v[:5] + [v[4], v[6], v[6]] + v[7:],
+    "empty": lambda v, w: [],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("r,n,shift", WINDOWS)
+def test_streamed_report_equals_whole_window_report(monkeypatch, fault, r, n, shift):
+    _check(monkeypatch, r, n, shift, FAULTS[fault])
+
+
+def test_fault_free_stream_passes(monkeypatch):
+    report = _check(monkeypatch, 3, 2, 1, FAULTS["none"])
+    assert report.verdict == "pass"
+
+
+def test_witnesses_pass_counts_duplicated_counterexamples(monkeypatch):
+    # 8 is extra and has 3 factors; enumerated three times, all three are
+    # left out of witnesses_pass, and the missing 11 takes nothing away.
+    def fault(v, w):
+        return [8, 8, 8] + v[1:]
+
+    report = _check(monkeypatch, 3, 1, 1, fault)
+    assert report.checked == 14
+    assert report.witnesses_pass == 11
+
+
+def _many_faults(seed):
+    """Random faults of every kind, more than COUNTEREXAMPLE_CAP of each,
+    spread over the whole window; window values stay in ascending order."""
+
+    def fault(values, w):
+        rng = random.Random(seed)
+        kept = [v for v in values if rng.random() > 0.25]
+        kept += [m for m in range(w.lo, w.hi) if m % 2 == 0 and rng.random() < 0.1]
+        kept += [
+            m for m in range(w.lo, w.hi) if m % 6 == 1 and oracle.omega(m) > 2 and rng.random() < 0.5
+        ]
+        kept.sort()
+        out = []
+        for v in kept:
+            out.append(v)
+            if rng.random() < 0.08:
+                out.append(v)
+            if rng.random() < 0.04:
+                out.append(rng.choice([rng.randrange(1, w.lo), rng.randrange(w.hi, 2 * w.hi)]))
+        return out
+
+    return fault
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("r,n,shift", WINDOWS)
+def test_many_faults_across_segment_seams(monkeypatch, seed, r, n, shift):
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
+    _check(monkeypatch, r, n, shift, _many_faults(seed))
+
+
+def test_many_faults_count_past_the_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
+    report = _check(monkeypatch, 3, 2, 1, _many_faults(0))
+    details = report.details
+    assert len(details["set_equality"]["missing"]) == COUNTEREXAMPLE_CAP
+    assert len(details["set_equality"]["extra"]) == COUNTEREXAMPLE_CAP
+    assert len(details["omega_bound"]["violations"]) == COUNTEREXAMPLE_CAP
+
+
+@pytest.mark.parametrize("r,n,shift", [(3, 1, 2), (3, 2, 1)])
+@pytest.mark.parametrize("sides", ["below", "above", "both"])
+def test_out_of_window_values_keep_the_smallest(monkeypatch, r, n, shift, sides):
+    # More distinct values outside the window than the cap, descending and
+    # repeated, so kept values are evicted by smaller ones.
+    def fault(v, w):
+        above = [w.hi + k for k in range(30, 0, -1)] if sides != "below" else []
+        below = list(range(w.lo - 1, 0, -1)) if sides != "above" else []
+        return below + v + above + below[:3] + above[-4:]
+
+    _check(monkeypatch, r, n, shift, fault)
+
+
+@pytest.mark.parametrize("fault", ["none", "missing", "duplicate", "extra_even"])
+def test_window_from_one(monkeypatch, fault):
+    # 1 is in the scan and has no prime factor, so it fails the factor count.
+    basis, interval = PrimeBasis.first(3), IntervalSpec(1, 49)
+    report = _check_interval(monkeypatch, basis, interval, 1, FAULTS[fault])
+    assert {"value": "1", "omega": 0} in report.details["omega_bound"]["violations"]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda v: v[:3] + [v[4], v[3]] + v[5:],
+        lambda v: v[:-1] + [v[0]],
+        lambda v: v[len(v) // 2 :] + v[: len(v) // 2],
+        lambda v: v[::-1],
+    ],
+)
+@pytest.mark.parametrize("segment", [16, 1 << 12])
+def test_stream_that_steps_back_never_passes(monkeypatch, fault, segment):
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", segment)
+    basis = PrimeBasis.first(3)
+    interval = _window(3, 2, 1)
+    stream = fault(oracle.coprime_scan(interval, basis))
+    for gate_all in (True, False):
+        report = _streamed(monkeypatch, basis, interval, 2, gate_all, stream)
+        assert report.verdict != "pass"
+        assert report.details["set_equality"]["pass"] is False
+        assert report.details["set_equality"]["out_of_order"]
+        assert report.checked == len(stream)
