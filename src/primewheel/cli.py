@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 from . import oracle, theorems
 from .enumeration import IntervalSpec, count_block, count_interval, enumerate_interval
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, check_budget
 from .oracle import SCAN_BUDGET_ENV
 from .wheel import (
     PrimeBasis,
@@ -260,7 +260,7 @@ def cmd_oracle(args) -> int:
     if args.probe in ("omega", "spf", "factor"):
         # Trial division tries divisors up to sqrt(n).
         root = math.isqrt(max(args.n, 0))
-        oracle.check_budget(root, budget, "trial division", oracle.knob_remedy(root))
+        check_budget(root, budget, "trial division", oracle.knob_remedy(root))
     if args.probe == "omega":
         print(oracle.omega(args.n))
     elif args.probe == "spf":

@@ -78,11 +78,11 @@ def solve_linear(a: int, b: int, c: int) -> SolutionFamily:
 def solve_unit(i: int, basis) -> SolutionFamily:
     """Solve p_i*x - (p_1*...*p_{i-1})*y = 1 for the i-th basis element (1-based).
 
-    `basis` is anything with an ordered `.primes` attribute, or a plain
-    sequence of pairwise coprime moduli. The base solution is the least
-    positive x, which lies strictly between 0 and p_1*...*p_{i-1}.
+    `basis` is any iterable of pairwise coprime moduli, including a
+    PrimeBasis. The base solution is the least positive x, which lies
+    strictly between 0 and p_1*...*p_{i-1}.
     """
-    moduli = tuple(getattr(basis, "primes", basis))
+    moduli = tuple(basis)
     if not 2 <= i <= len(moduli):
         raise ValueError(f"index must satisfy 2 <= i <= {len(moduli)}, got {i}")
     lead = moduli[i - 1]

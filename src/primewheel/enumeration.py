@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterator, NamedTuple
 
-from .errors import BudgetExceeded
+from .errors import check_budget
 
 MAX_BLOCK_RESIDUES = 4_000_000
 # Candidates per sieve segment: one mask byte each, so a mask is at most 1 MB.
@@ -66,13 +66,9 @@ def sorted_block_residues(form) -> tuple[int, ...]:
 def _table_size(axes) -> int:
     """Residues per period, prod(m - 1) over the axes; refused past the cap."""
     size = math.prod(m - 1 for _, m, _ in axes)
-    if size > MAX_BLOCK_RESIDUES:
-        raise BudgetExceeded(
-            required=size,
-            budget=MAX_BLOCK_RESIDUES,
-            what="residue table",
-            remedy=_FIXED_CAP + "; count --lo/--hi needs no table",
-        )
+    check_budget(
+        size, MAX_BLOCK_RESIDUES, "residue table", _FIXED_CAP + "; count --lo/--hi needs no table"
+    )
     return size
 
 
@@ -123,13 +119,8 @@ def count_interval(form, interval: IntervalSpec) -> int:
     """
     moduli = tuple(m for _, m, _ in form.residue_axes())
     terms = 2 ** len(moduli)
-    if terms > MAX_BLOCK_RESIDUES:
-        raise BudgetExceeded(
-            required=terms,
-            budget=MAX_BLOCK_RESIDUES,
-            what=f"inclusion-exclusion over {len(moduli)} axes",
-            remedy=_FIXED_CAP,
-        )
+    what = f"inclusion-exclusion over {len(moduli)} axes"
+    check_budget(terms, MAX_BLOCK_RESIDUES, what, _FIXED_CAP)
     return _legendre(interval, form.constant, form.period // math.prod(moduli), moduli)
 
 
@@ -148,5 +139,5 @@ def count_block(basis) -> BlockCount:
     phi = prod(p - 1) values land in any window of one period length;
     the open interval (1, P) misses the value 1 and holds phi - 1.
     """
-    phi = math.prod(p - 1 for p in tuple(getattr(basis, "primes", basis)))
+    phi = math.prod(p - 1 for p in basis)
     return BlockCount(phi=phi, interior=phi - 1)

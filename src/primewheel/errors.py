@@ -1,6 +1,9 @@
-"""Shared error types."""
+"""Shared error types and the one budget check every capped operation uses."""
 
 from __future__ import annotations
+
+# The scan budget when none is given: --budget and PRIMEWHEEL_SCAN_BUDGET override it.
+DEFAULT_SCAN_BUDGET = 10_000_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -18,3 +21,10 @@ class BudgetExceeded(RuntimeError):
         if remedy is None:
             remedy = f"raise the budget to at least {required} to run this"
         super().__init__(f"{what} needs {required} but the budget is {budget}; {remedy}")
+
+
+def check_budget(required: int, budget: int | None, what: str, remedy: str | None = None) -> None:
+    """Refuse work of size `required` above `budget` (DEFAULT_SCAN_BUDGET for None)."""
+    limit = DEFAULT_SCAN_BUDGET if budget is None else budget
+    if required > limit:
+        raise BudgetExceeded(required=required, budget=limit, what=what, remedy=remedy)

@@ -17,8 +17,8 @@ at a time (Bays & Hudson 1977):
 
 factor_profile is the per-value trial division, kept as the single-value
 probe. Every scan is guarded by a budget (default ten million, checked by
-check_budget before any work) so a typo in an interval cannot wedge a
-test run.
+errors.check_budget before any work) so a typo in an interval cannot
+wedge a test run.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from operator import add, floordiv, lt
 from typing import Iterator
 
 from .enumeration import IntervalSpec
-from .errors import BudgetExceeded
+from .errors import DEFAULT_SCAN_BUDGET, check_budget  # noqa: F401 (re-exported)
 
-DEFAULT_SCAN_BUDGET = 10_000_000
 # The environment variable the CLI reads a scan budget from, besides --budget.
 SCAN_BUDGET_ENV = "PRIMEWHEEL_SCAN_BUDGET"
 _SEGMENT = 1 << 20
@@ -44,13 +43,6 @@ OMEGA_SEGMENT = 1 << 12
 # and a window whose base primes can be sieved has hi < 2^128, so a count
 # never reaches 255.
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"
-
-
-def check_budget(required: int, budget: int | None, what: str, remedy: str | None = None) -> None:
-    """Refuse work of size `required` above the scan budget (DEFAULT_SCAN_BUDGET for None)."""
-    limit = DEFAULT_SCAN_BUDGET if budget is None else budget
-    if required > limit:
-        raise BudgetExceeded(required=required, budget=limit, what=what, remedy=remedy)
 
 
 def knob_remedy(required: int) -> str:
@@ -107,17 +99,13 @@ def is_k_almost(n: int, k: int) -> bool:
     return omega(n) == k
 
 
-def _moduli_of(basis) -> tuple[int, ...]:
-    return tuple(getattr(basis, "primes", basis))
-
-
 def coprime_scan(interval: IntervalSpec, basis, budget: int | None = None) -> list[int]:
     """Integers in [lo, hi) divisible by no basis modulus.
 
     `basis` may be a PrimeBasis or any sequence of moduli.
     """
     check_budget(interval.width, budget, "coprime scan")
-    return _strike(interval, _moduli_of(basis))
+    return _strike(interval, tuple(basis))
 
 
 def rough_sieve(interval: IntervalSpec, basis, budget: int | None = None) -> list[int]:
@@ -127,7 +115,7 @@ def rough_sieve(interval: IntervalSpec, basis, budget: int | None = None) -> lis
     benchmarked against.
     """
     check_budget(interval.width, budget, "rough sieve")
-    return _strike(interval, _moduli_of(basis))
+    return _strike(interval, tuple(basis))
 
 
 def _strike(interval: IntervalSpec, moduli: tuple[int, ...]) -> list[int]:

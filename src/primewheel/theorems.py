@@ -18,6 +18,7 @@ from typing import Iterator, NamedTuple
 from . import oracle
 from .diophantine import nth_solution, solve_unit
 from .enumeration import IntervalSpec, enumerate_interval
+from .errors import check_budget
 from .wheel import PrimeBasis, build_canonical
 
 COUNTEREXAMPLE_CAP = 10
@@ -275,10 +276,10 @@ def _interval_report(
     first value is enumerated: the scan width, then the residue-table
     cap, then for n = 1 the prime sieve's hi, then the Omega sieve's.
     """
-    oracle.check_budget(interval.width, budget, "coprime scan")
+    check_budget(interval.width, budget, "coprime scan")
     got = enumerate_interval(build_canonical(basis), interval)
     if n == 1:
-        oracle.check_budget(interval.hi, budget, "prime sieve")
+        check_budget(interval.hi, budget, "prime sieve")
     segments = _oracle_segments(basis, interval, n, budget, oracle.omega_sieve(interval, budget))
     tally = _Tally(interval, n)
     lo, hi, size = interval.lo, interval.hi, oracle.OMEGA_SEGMENT
@@ -446,7 +447,7 @@ def search_identity25(
     if bound < 0:
         raise ValueError("bound must be non-negative")
     rows = (bound + 1) ** (r - 2)
-    oracle.check_budget(rows, budget, "identity25 grid", oracle.knob_remedy(rows))
+    check_budget(rows, budget, "identity25 grid", oracle.knob_remedy(rows))
     primes = basis.primes
     modulus = math.prod(primes[1 : r - 1])  # p_2 * ... * p_{r-1}
     families = {i: solve_unit(i, basis) for i in range(2, r + 1)}

@@ -7,13 +7,16 @@ divisible by no basis modulus:
 
 * the raw form, assembled from unit-equation solutions, whose values
   satisfy value = -h_j (mod p_j), and
-* the canonical form, built from CRT idempotents, whose values satisfy
-  value = +h_j (mod p_j); its constant is always half the period.
+* the coprime wheel, built from CRT idempotents, whose values satisfy
+  value = +h_j (mod q_j). The canonical form is the coprime wheel on the
+  first r primes with h1 = 1; its constant is then half the period.
 
-canonicalize() maps the first onto the second through the substitution
-h_j -> p_j - h_j, and the result does not depend on which unit-equation
-solution the raw form was built from. All form types are frozen
-dataclasses and every operation is pure, so concurrent use is safe.
+CoprimeWheelForm holds the one idempotent validation, and
+CanonicalWheelForm is a thin subclass that only adds its prime basis.
+canonicalize() maps a raw form onto the canonical one through the
+substitution h_j -> p_j - h_j, and the result does not depend on which
+unit-equation solution the raw form was built from. All form types are
+frozen dataclasses and every operation is pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .diophantine import nth_solution, solve_unit
 
@@ -94,6 +97,9 @@ class PrimeBasis:
     def r(self) -> int:
         return len(self.primes)
 
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.primes)
+
     @cached_property
     def primorial(self) -> int:
         return math.prod(self.primes)
@@ -147,68 +153,11 @@ class RawWheelForm:
 
     def coeff(self, j: int) -> int:
         """B_j for 2 <= j <= r."""
-        return self.coeffs[j - 2]
+        return self.coeffs[_slot(j, range(2, self.basis.r + 1))]
 
     def representative(self, j: int) -> tuple[int, int]:
         """The stored (x'_j, t'_j) pair."""
-        return self.solutions[j - 2]
-
-
-@dataclass(frozen=True)
-class CanonicalWheelForm:
-    """The reduced wheel form: CRT-idempotent coefficients, constant P/2.
-
-    Each A_j is the unique value in (0, P) with A_j = 1 (mod p_j) and
-    A_j = 0 (mod p_i) for i != j; values of the form satisfy
-    value = +h_j (mod p_j). Validated on construction.
-    """
-
-    basis: PrimeBasis
-    coeffs: tuple[int, ...]  # A_j for j = 2..r
-    constant: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
-        primes = self.basis.primes
-        period = self.basis.primorial
-        if len(self.coeffs) != self.basis.r - 1:
-            raise ValueError("need one coefficient per index 2..r")
-        if self.constant != period // 2:
-            raise ValueError("canonical constant must be half the period")
-        for j, a in zip(range(2, self.basis.r + 1), self.coeffs):
-            if not 0 < a < period:
-                raise ValueError(f"coefficient for h{j} outside (0, {period})")
-            for i, p in enumerate(primes, start=1):
-                if a % p != (1 if i == j else 0):
-                    raise ValueError(f"coefficient for h{j} is not idempotent mod {p}")
-
-    @property
-    def r(self) -> int:
-        return self.basis.r
-
-    @property
-    def period(self) -> int:
-        return self.basis.primorial
-
-    @property
-    def divisors(self) -> tuple[int, ...]:
-        """Moduli that never divide a value of the form."""
-        return self.basis.primes
-
-    def coeff(self, j: int) -> int:
-        """A_j for 2 <= j <= r."""
-        return self.coeffs[j - 2]
-
-    @property
-    def coeff_map(self) -> dict[int, int]:
-        return {j: a for j, a in zip(range(2, self.r + 1), self.coeffs)}
-
-    def residue_axes(self) -> tuple[tuple[int, int, int], ...]:
-        """(index, modulus, coefficient) per residue variable, ascending index."""
-        primes = self.basis.primes
-        return tuple(
-            (j, primes[j - 1], a) for j, a in zip(range(2, self.r + 1), self.coeffs)
-        )
+        return self.solutions[_slot(j, range(2, self.basis.r + 1))]
 
 
 @dataclass(frozen=True)
@@ -234,12 +183,7 @@ class CoprimeWheelForm:
         if not self.moduli:
             raise ValueError("need at least one modulus")
         period = self.period
-        expected_free = (
-            tuple(range(1, len(self.moduli) + 1))
-            if self.pinned_h1 is None
-            else tuple(range(2, len(self.moduli) + 1))
-        )
-        if self.free_indices != expected_free:
+        if self.free_indices != _free_indices(len(self.moduli), self.pinned_h1):
             raise ValueError("free indices inconsistent with the pinned residue")
         if len(self.coeffs) != len(self.free_indices):
             raise ValueError("need one coefficient per free index")
@@ -272,12 +216,57 @@ class CoprimeWheelForm:
         return self.moduli
 
     def coeff(self, j: int) -> int:
-        return self.coeffs[self.free_indices.index(j)]
+        """The coefficient of h_j for a free index j."""
+        return self.coeffs[_slot(j, self.free_indices)]
+
+    @property
+    def coeff_map(self) -> dict[int, int]:
+        return dict(zip(self.free_indices, self.coeffs))
 
     def residue_axes(self) -> tuple[tuple[int, int, int], ...]:
+        """(index, modulus, coefficient) per residue variable, ascending index."""
         return tuple(
             (j, self.moduli[j - 1], a) for j, a in zip(self.free_indices, self.coeffs)
         )
+
+
+class CanonicalWheelForm(CoprimeWheelForm):
+    """The canonical form: the coprime wheel on the first r primes with h1 = 1.
+
+    Each A_j is the unique value in (0, P) with A_j = 1 (mod p_j) and
+    A_j = 0 (mod p_i) for i != j, and the pinned constant is forced to
+    P/2; values of the form satisfy value = +h_j (mod p_j). Validated on
+    construction by CoprimeWheelForm. A canonical form never equals the
+    coprime wheel with the same coefficients, so their JSON shapes and
+    cache keys stay apart.
+    """
+
+    def __init__(self, basis: PrimeBasis, coeffs: Iterable[int], constant: int) -> None:
+        object.__setattr__(self, "basis", basis)
+        super().__init__(
+            moduli=basis.primes,
+            free_indices=_free_indices(basis.r, 1),
+            coeffs=coeffs,
+            constant=constant,
+            pinned_h1=1,
+        )
+
+    @property
+    def r(self) -> int:
+        return self.basis.r
+
+
+def _free_indices(count: int, pinned_h1: int | None) -> tuple[int, ...]:
+    """The indices of the residue variables: all of 1..count, or 2..count with h1 pinned."""
+    return tuple(range(1 if pinned_h1 is None else 2, count + 1))
+
+
+def _slot(j: int, indices) -> int:
+    """Position of variable index j among `indices`, a run of consecutive indices."""
+    if j not in indices:
+        span = f"{indices[0]}..{indices[-1]}" if indices else "none"
+        raise ValueError(f"h{j} is not a variable of this form; its indices are {span}")
+    return indices.index(j)
 
 
 def build_raw(basis: PrimeBasis, representatives: int | Mapping[int, int] = 0) -> RawWheelForm:
@@ -321,12 +310,14 @@ def build_canonical(basis: PrimeBasis) -> CanonicalWheelForm:
 
     For r = 1 there are no residue variables and the form is 2t + 1.
     """
-    period = basis.primorial
-    coeffs = []
-    for p in basis.primes[1:]:
-        m = period // p
-        coeffs.append(m * pow(m, -1, p))
-    return CanonicalWheelForm(basis=basis, coeffs=tuple(coeffs), constant=period // 2)
+    coeffs = _idempotents(basis.primes)[1:]
+    return CanonicalWheelForm(basis=basis, coeffs=coeffs, constant=basis.primorial // 2)
+
+
+def _idempotents(moduli: tuple[int, ...]) -> tuple[int, ...]:
+    """The CRT idempotent of each modulus: 1 mod it, 0 mod the others."""
+    period = math.prod(moduli)
+    return tuple((period // q) * pow(period // q, -1, q) for q in moduli)
 
 
 def canonicalize(raw: RawWheelForm) -> CanonicalWheelForm:
@@ -379,12 +370,13 @@ def decompose(form, z: int) -> tuple[int, dict[int, int]]:
     """Recover the unique (t, h) with evaluate(form, t, h) == z.
 
     Rejects z divisible by any basis modulus (naming the offender) and,
-    for a pinned coprime form, z outside the pinned residue slice.
+    for a pinned form, z outside the pinned residue slice; the canonical
+    form pins h1 = 1, the odd integers.
     """
     for q in form.divisors:
         if z % q == 0:
             raise ValueError(f"{z} is divisible by {q}, so it is not a value of this form")
-    pinned = getattr(form, "pinned_h1", None)
+    pinned = form.pinned_h1
     if pinned is not None and z % form.moduli[0] != pinned:
         raise ValueError(
             f"{z} = {z % form.moduli[0]} (mod {form.moduli[0]}) but the form pins h1 = {pinned}"
@@ -421,29 +413,21 @@ def build_coprime_wheel(moduli: Iterable[int], h1: int | None = None) -> Coprime
                 raise ValueError(
                     f"moduli {mods[i]} and {mods[j]} are not coprime (gcd {g})"
                 )
-    period = math.prod(mods)
-    idems = [(period // q) * pow(period // q, -1, q) for q in mods]
-    if h1 is None:
-        return CoprimeWheelForm(
-            moduli=mods,
-            free_indices=tuple(range(1, len(mods) + 1)),
-            coeffs=tuple(idems),
-            constant=0,
-            pinned_h1=None,
-        )
-    if not 1 <= h1 < mods[0]:
+    if h1 is not None and not 1 <= h1 < mods[0]:
         raise ValueError(f"h1 must lie in 1..{mods[0] - 1}, got {h1}")
+    idems = _idempotents(mods)
     return CoprimeWheelForm(
         moduli=mods,
-        free_indices=tuple(range(2, len(mods) + 1)),
-        coeffs=tuple(idems[1:]),
-        constant=(idems[0] * h1) % period,
+        free_indices=_free_indices(len(mods), h1),
+        coeffs=idems if h1 is None else idems[1:],
+        constant=0 if h1 is None else (idems[0] * h1) % math.prod(mods),
         pinned_h1=h1,
     )
 
 
 def form_to_json(form) -> dict:
     """Stable JSON shape for any form type; integers as decimal strings."""
+    # A canonical form is also a CoprimeWheelForm, so it is matched first.
     if isinstance(form, CanonicalWheelForm):
         return {
             "r": form.r,
@@ -471,7 +455,7 @@ def form_to_json(form) -> dict:
         return {
             "moduli": [str(q) for q in form.moduli],
             "period": str(form.period),
-            "coeffs": {str(j): str(a) for j, a in zip(form.free_indices, form.coeffs)},
+            "coeffs": {str(j): str(a) for j, a in form.coeff_map.items()},
             "constant": str(form.constant),
             "pinned_h1": form.pinned_h1,
             "convention": "plus-h",
@@ -484,11 +468,7 @@ def form_from_json(data: Mapping) -> RawWheelForm | CanonicalWheelForm | Coprime
     if "moduli" in data:
         mods = tuple(int(q) for q in data["moduli"])
         pinned = data.get("pinned_h1")
-        free = (
-            tuple(range(1, len(mods) + 1))
-            if pinned is None
-            else tuple(range(2, len(mods) + 1))
-        )
+        free = _free_indices(len(mods), pinned)
         return CoprimeWheelForm(
             moduli=mods,
             free_indices=free,
