@@ -3,13 +3,13 @@
 Everything here is deliberately elementary so it can be audited at a
 glance, and it shares no machinery with the wheel construction it is used
 to check: nothing is imported from `wheel` or `enumeration` beyond
-IntervalSpec. Three sieves strike multiples out of a window one segment
+IntervalSpec. Two sieves strike multiples out of a window one segment
 at a time (Bays & Hudson 1977):
 
-- coprime_scan and rough_sieve, one implementation under two names, keep
-  the integers divisible by no given modulus;
-- primes_in keeps the primes, striking the multiples of the primes up to
-  the square root of hi;
+- _strike keeps the integers divisible by no given modulus. It serves
+  coprime_scan and rough_sieve, one implementation under two names, and
+  primes_in, whose moduli are the primes up to the square root of hi,
+  themselves put back in front;
 - omega_sieve gives Omega(m), the prime factors of m counted with
   multiplicity, for every m: each prime power p^k strikes its multiples,
   which gain one factor and are divided by p, and a cofactor above 1
@@ -105,7 +105,7 @@ def coprime_scan(interval: IntervalSpec, basis, budget: int | None = None) -> li
     `basis` may be a PrimeBasis or any sequence of moduli.
     """
     check_budget(interval.width, budget, "coprime scan")
-    return _strike(interval, tuple(basis))
+    return _strike(interval.lo, interval.hi, tuple(basis))
 
 
 def rough_sieve(interval: IntervalSpec, basis, budget: int | None = None) -> list[int]:
@@ -115,14 +115,14 @@ def rough_sieve(interval: IntervalSpec, basis, budget: int | None = None) -> lis
     benchmarked against.
     """
     check_budget(interval.width, budget, "rough sieve")
-    return _strike(interval, tuple(basis))
+    return _strike(interval.lo, interval.hi, tuple(basis))
 
 
-def _strike(interval: IntervalSpec, moduli: tuple[int, ...]) -> list[int]:
+def _strike(lo: int, hi: int, moduli: tuple[int, ...]) -> list[int]:
     """Each modulus strikes its multiples out of [lo, hi), _SEGMENT integers at a time."""
     out = []
-    for seg_lo in range(interval.lo, interval.hi, _SEGMENT):
-        seg_hi = min(seg_lo + _SEGMENT, interval.hi)
+    for seg_lo in range(lo, hi, _SEGMENT):
+        seg_hi = min(seg_lo + _SEGMENT, hi)
         flags = bytearray(b"\x01") * (seg_hi - seg_lo)
         for q in moduli:
             start = ((seg_lo + q - 1) // q) * q
@@ -145,22 +145,15 @@ def _simple_sieve(limit: int) -> list[int]:
 
 
 def primes_in(interval: IntervalSpec, budget: int | None = None) -> list[int]:
-    """Exact primes in [lo, hi) by a segmented sieve of Eratosthenes."""
+    """Exact primes in [lo, hi) by a segmented sieve of Eratosthenes.
+
+    The base primes up to sqrt(hi - 1) strike every multiple, themselves
+    included, so those in [lo, hi) are put back in front.
+    """
     check_budget(interval.hi, budget, "prime sieve")
-    lo, hi = max(interval.lo, 2), interval.hi
-    if lo >= hi:
-        return []
-    base = _simple_sieve(math.isqrt(hi - 1))
-    out = []
-    for seg_lo in range(lo, hi, _SEGMENT):
-        seg_hi = min(seg_lo + _SEGMENT, hi)
-        flags = bytearray(b"\x01") * (seg_hi - seg_lo)
-        for p in base:
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start < seg_hi:
-                flags[start - seg_lo :: p] = bytes(len(range(start, seg_hi, p)))
-        out.extend(compress(range(seg_lo, seg_hi), flags))
-    return out
+    base = _simple_sieve(math.isqrt(interval.hi - 1))
+    lo = interval.lo
+    return [p for p in base if p >= lo] + _strike(max(lo, 2), interval.hi, tuple(base))
 
 
 def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[list[int]]:

@@ -8,7 +8,6 @@ identity25, identity26) which also name the CLI verify subcommands.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -113,8 +112,8 @@ def _oracle_segments(basis, interval, n, budget, omegas) -> Iterator[_Segment]:
         yield _Segment(seg_lo, oracle.coprime_scan(span, basis, budget), seg_omegas, primes)
 
 
-def _fill(capped: list, values: list) -> None:
-    capped.extend(values[: COUNTEREXAMPLE_CAP - len(capped)])
+def _fill(capped: list, values) -> None:
+    capped.extend(itertools.islice(values, COUNTEREXAMPLE_CAP - len(capped)))
 
 
 def _compare(values: list[int], want: list[int], missing: list, extra: list) -> None:
@@ -122,131 +121,6 @@ def _compare(values: list[int], want: list[int], missing: list, extra: list) -> 
     got = set(values)
     _fill(missing, sorted(set(want) - got))
     _fill(extra, sorted(got - set(want)))
-
-
-class _Tally:
-    """Counts and capped counterexamples of one streamed interval report.
-
-    Each fault list holds at most COUNTEREXAMPLE_CAP entries, and a list
-    that is not empty fails its subcheck. `mult` counts how often each
-    enumerated value on a fault list was enumerated, so witnesses_pass
-    leaves every counterexample out as often as it occurs.
-    """
-
-    def __init__(self, interval: IntervalSpec, n: int) -> None:
-        self.interval, self.n = interval, n
-        self.checked = 0
-        self.missing: list[int] = []  # in the scan but never enumerated, ascending
-        self.extra: list[int] = []  # enumerated in the window but not in the scan, ascending
-        self.pe_missing: list[int] = []  # n = 1: primes never enumerated
-        self.pe_extra: list[int] = []  # n = 1: enumerated in the window but not prime
-        self.outliers: list[int] = []  # the smallest distinct values enumerated off the window
-        self.omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
-        self.disorder: list[int] = []  # enumerated after a larger value of the window
-        self.mult: dict[int, int] = {}
-
-    def factors(self, seg: _Segment, values: list[int]) -> None:
-        """Check the factor counts of values inside seg, read from its Omega sieve."""
-        if len(self.omega_bad) == COUNTEREXAMPLE_CAP:
-            return
-        oms = list(map(seg.omegas.__getitem__, map((-seg.lo).__add__, values)))
-        if oms and (min(oms) < 1 or max(oms) > self.n):
-            for value, om in zip(values, oms):
-                self._factor_count(value, om)
-
-    def close(self, seg: _Segment, values: list[int]) -> None:
-        """Compare all values enumerated inside seg, in order, with the oracle's."""
-        if values != seg.want:
-            top = values[0] if values else 0
-            for value in values:
-                if value < top:
-                    self._out_of_order(value)
-                top = max(top, value)
-            _compare(values, seg.want, self.missing, self.extra)
-        if seg.primes is not None and values != seg.primes:
-            _compare(values, seg.primes, self.pe_missing, self.pe_extra)
-        seg_hi = seg.lo + len(seg.omegas)
-        faults = {*self.extra, *self.pe_extra, *self.disorder, *(v for v, _ in self.omega_bad)}
-        for value in faults:
-            if seg.lo <= value < seg_hi:
-                self.mult[value] = values.count(value)
-
-    def outside(self, value: int) -> None:
-        """A value enumerated outside the window: extra, not a prime of it,
-        and factored by trial division."""
-        if value in self.mult:
-            self.mult[value] += 1
-        elif len(self.outliers) < COUNTEREXAMPLE_CAP or value < self.outliers[-1]:
-            bisect.insort(self.outliers, value)
-            self.mult[value] = 1
-            if len(self.outliers) > COUNTEREXAMPLE_CAP:
-                dropped = self.outliers.pop()
-                if all(v != dropped for v, _ in self.omega_bad):
-                    del self.mult[dropped]
-        if len(self.omega_bad) < COUNTEREXAMPLE_CAP:
-            self._factor_count(value, oracle.omega(value))
-
-    def behind(self, value: int) -> None:
-        """A value of a segment already closed: the enumeration stepped back."""
-        if value in self.mult:
-            self.mult[value] += 1
-        elif self._out_of_order(value):
-            self.mult[value] = 1
-
-    def _factor_count(self, value: int, om: int) -> None:
-        if not 1 <= om <= self.n and len(self.omega_bad) < COUNTEREXAMPLE_CAP:
-            self.omega_bad.append((value, om))
-            self.mult.setdefault(value, 1)
-
-    def _out_of_order(self, value: int) -> bool:
-        if len(self.disorder) < COUNTEREXAMPLE_CAP and value not in self.disorder:
-            self.disorder.append(value)
-        return value in self.disorder
-
-    def report(self, claim: str, gate_all: bool, details: dict) -> VerificationReport:
-        n = self.n
-        extra = sorted(self.outliers + self.extra)[:COUNTEREXAMPLE_CAP]
-        found = [(m, "in the oracle scan but never enumerated") for m in self.missing]
-        found += [(m, "enumerated but rejected by the oracle scan") for m in extra]
-        found += [(m, "enumerated after a larger value") for m in self.disorder]
-        details["set_equality"] = {
-            "pass": not found,
-            "missing": [str(m) for m in self.missing],
-            "extra": [str(m) for m in extra],
-        }
-        if self.disorder:
-            details["set_equality"]["out_of_order"] = [str(m) for m in self.disorder]
-
-        details["omega_bound"] = {
-            "pass": not self.omega_bad,
-            "n": n,
-            "violations": [{"value": str(m), "omega": om} for m, om in self.omega_bad],
-        }
-        if gate_all:
-            found += [(m, f"has {om} prime factors, outside 1..{n}") for m, om in self.omega_bad]
-
-        if n == 1:
-            pe_extra = sorted(self.outliers + self.pe_extra)[:COUNTEREXAMPLE_CAP]
-            details["prime_equality"] = {
-                "pass": not self.pe_missing and not pe_extra,
-                "missing": [str(m) for m in self.pe_missing],
-                "extra": [str(m) for m in pe_extra],
-            }
-            if gate_all:
-                found += [(m, "prime in the window but never enumerated") for m in self.pe_missing]
-                found += [(m, "enumerated in the n = 1 window but not prime") for m in pe_extra]
-
-        bad_values = {m for m, _ in found}
-        checked = self.checked
-        return VerificationReport(
-            claim=claim,
-            verdict="pass" if not found and checked > 0 else "fail",
-            checked=checked,
-            witnesses_pass=checked - sum(self.mult.get(m, 0) for m in bad_values),
-            interval=self.interval,
-            counterexamples=tuple(itertools.starmap(Counterexample, found)),
-            details=details,
-        )
 
 
 def _interval_report(
@@ -271,42 +145,116 @@ def _interval_report(
     the oracle's striking scan, Omega sieve and, for n = 1, primes of the
     same segment; only counts and the capped counterexamples are kept.
     An enumerated value outside the window is extra and is factored by
-    trial division. The enumeration must ascend, so a value below an
-    earlier value of the window fails (a). Budgets are checked before the
-    first value is enumerated: the scan width, then the residue-table
-    cap, then for n = 1 the prime sieve's hi, then the Omega sieve's.
+    trial division; the ten smallest distinct ones are kept. The
+    enumeration must ascend, so a value below an earlier value of the
+    window fails (a), and out_of_order lists every distinct such value up
+    to the cap, even one already on another list. A report with
+    counterexamples walks the enumeration a second time to count the
+    values that are none of them (witnesses_pass); a passing report walks
+    it once. Budgets are checked before the first value is enumerated:
+    the scan width, then the residue-table cap, then for n = 1 the prime
+    sieve's hi, then the Omega sieve's.
     """
     check_budget(interval.width, budget, "coprime scan")
-    got = enumerate_interval(build_canonical(basis), interval)
+    form = build_canonical(basis)
+    got = enumerate_interval(form, interval)
     if n == 1:
         check_budget(interval.hi, budget, "prime sieve")
     segments = _oracle_segments(basis, interval, n, budget, oracle.omega_sieve(interval, budget))
-    tally = _Tally(interval, n)
+    # Capped fault lists; each one that is not empty fails its subcheck.
+    missing: list[int] = []  # in the scan but never enumerated, ascending
+    extra: list[int] = []  # enumerated in the window but not in the scan, ascending
+    pe_missing: list[int] = []  # n = 1: primes never enumerated
+    pe_extra: list[int] = []  # n = 1: enumerated in the window but not prime
+    outside: list[int] = []  # the smallest distinct values enumerated off the window
+    omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
+    disorder: list[int] = []  # enumerated after a larger value of the window
+
+    def stepped_back(values) -> None:
+        for value in values:
+            if len(disorder) < COUNTEREXAMPLE_CAP and value not in disorder:
+                disorder.append(value)
+
+    def factor_counts(values, omegas) -> None:
+        _fill(omega_bad, ((v, om) for v, om in zip(values, omegas) if not 1 <= om <= n))
+
+    def close(seg: _Segment, values: list[int]) -> None:
+        if values != seg.want:
+            stepped_back(v for v, top in zip(values, itertools.accumulate(values, max)) if v < top)
+            _compare(values, seg.want, missing, extra)
+        if seg.primes is not None and values != seg.primes:
+            _compare(values, seg.primes, pe_missing, pe_extra)
+
     lo, hi, size = interval.lo, interval.hi, oracle.OMEGA_SEGMENT
     # Runs of enumerated values by segment index, -1 outside the window;
     # seg is the open segment, number index, and inside its values so far.
-    index, seg, inside = -1, None, []
+    checked, index, seg, inside = 0, 0, next(segments), []
     for key, run in itertools.groupby(got, lambda v: (v - lo) // size if lo <= v < hi else -1):
         run = list(run)
-        tally.checked += len(run)
+        checked += len(run)
         if key < 0:
-            for value in run:
-                tally.outside(value)
+            outside = sorted({*outside, *run})[:COUNTEREXAMPLE_CAP]
+            factor_counts(run, map(oracle.omega, run))
         elif key < index:
-            for value in run:
-                tally.behind(value)
+            stepped_back(run)
         else:
             while index < key:
-                if seg is not None:
-                    tally.close(seg, inside)
+                close(seg, inside)
                 seg, inside, index = next(segments), [], index + 1
-            tally.factors(seg, run)
+            if len(omega_bad) < COUNTEREXAMPLE_CAP:
+                oms = list(map(seg.omegas.__getitem__, map((-seg.lo).__add__, run)))
+                if min(oms) < 1 or max(oms) > n:
+                    factor_counts(run, oms)
             inside += run
-    if seg is not None:
-        tally.close(seg, inside)
+    close(seg, inside)
     for seg in segments:
-        tally.close(seg, [])
-    return tally.report(claim, gate_all, dict(extra_details))
+        close(seg, [])
+
+    details = dict(extra_details)
+    extra = sorted(outside + extra)[:COUNTEREXAMPLE_CAP]
+    found = [(m, "in the oracle scan but never enumerated") for m in missing]
+    found += [(m, "enumerated but rejected by the oracle scan") for m in extra]
+    found += [(m, "enumerated after a larger value") for m in disorder]
+    details["set_equality"] = {
+        "pass": not found,
+        "missing": [str(m) for m in missing],
+        "extra": [str(m) for m in extra],
+    }
+    if disorder:
+        details["set_equality"]["out_of_order"] = [str(m) for m in disorder]
+
+    details["omega_bound"] = {
+        "pass": not omega_bad,
+        "n": n,
+        "violations": [{"value": str(m), "omega": om} for m, om in omega_bad],
+    }
+    if gate_all:
+        found += [(m, f"has {om} prime factors, outside 1..{n}") for m, om in omega_bad]
+
+    if n == 1:
+        pe_extra = sorted(outside + pe_extra)[:COUNTEREXAMPLE_CAP]
+        details["prime_equality"] = {
+            "pass": not pe_missing and not pe_extra,
+            "missing": [str(m) for m in pe_missing],
+            "extra": [str(m) for m in pe_extra],
+        }
+        if gate_all:
+            found += [(m, "prime in the window but never enumerated") for m in pe_missing]
+            found += [(m, "enumerated in the n = 1 window but not prime") for m in pe_extra]
+
+    witnesses_pass = checked
+    if found:
+        bad = {m for m, _ in found}
+        witnesses_pass -= sum(v in bad for v in enumerate_interval(form, interval))
+    return VerificationReport(
+        claim=claim,
+        verdict="pass" if not found and checked > 0 else "fail",
+        checked=checked,
+        witnesses_pass=witnesses_pass,
+        interval=interval,
+        counterexamples=tuple(itertools.starmap(Counterexample, found)),
+        details=details,
+    )
 
 
 def verify_theorem1(basis: PrimeBasis, n: int, budget: int | None = None) -> VerificationReport:

@@ -159,6 +159,10 @@ class RawWheelForm:
         """The stored (x'_j, t'_j) pair."""
         return self.solutions[_slot(j, range(2, self.basis.r + 1))]
 
+    def residue_axes(self) -> tuple[tuple[int, int, int], ...]:
+        """Refused: only an idempotent form has residue axes."""
+        raise TypeError("a raw form is not idempotent; canonicalize it first or use evaluate_raw")
+
 
 @dataclass(frozen=True)
 class CoprimeWheelForm:
@@ -373,6 +377,7 @@ def decompose(form, z: int) -> tuple[int, dict[int, int]]:
     for a pinned form, z outside the pinned residue slice; the canonical
     form pins h1 = 1, the odd integers.
     """
+    axes = form.residue_axes()
     for q in form.divisors:
         if z % q == 0:
             raise ValueError(f"{z} is divisible by {q}, so it is not a value of this form")
@@ -381,7 +386,6 @@ def decompose(form, z: int) -> tuple[int, dict[int, int]]:
         raise ValueError(
             f"{z} = {z % form.moduli[0]} (mod {form.moduli[0]}) but the form pins h1 = {pinned}"
         )
-    axes = form.residue_axes()
     h = {j: z % modulus for j, modulus, _ in axes}
     body = z - form.constant - sum(a * h[j] for j, _, a in axes)
     t, rem = divmod(body, form.period)
@@ -464,29 +468,32 @@ def form_to_json(form) -> dict:
 
 
 def form_from_json(data: Mapping) -> RawWheelForm | CanonicalWheelForm | CoprimeWheelForm:
-    """Inverse of form_to_json; reconstruction re-runs all construction checks."""
-    if "moduli" in data:
-        mods = tuple(int(q) for q in data["moduli"])
-        pinned = data.get("pinned_h1")
-        free = _free_indices(len(mods), pinned)
-        return CoprimeWheelForm(
-            moduli=mods,
-            free_indices=free,
-            coeffs=tuple(int(data["coeffs"][str(j)]) for j in free),
-            constant=int(data["constant"]),
-            pinned_h1=None if pinned is None else int(pinned),
-        )
-    basis = PrimeBasis.first(int(data["r"]))
-    indices = range(2, basis.r + 1)
-    coeffs = tuple(int(data["coeffs"][str(j)]) for j in indices)
-    if data.get("convention") == "minus-h":
-        return RawWheelForm(
-            basis=basis,
-            solutions=tuple(
-                (int(data["representatives"][str(j)][0]), int(data["representatives"][str(j)][1]))
-                for j in indices
-            ),
-            coeffs=coeffs,
-            constant=int(data["constant"]),
-        )
-    return CanonicalWheelForm(basis=basis, coeffs=coeffs, constant=int(data["constant"]))
+    """Inverse of form_to_json; reconstruction re-runs all construction checks.
+
+    A blob with a key missing raises ValueError naming it, as a tampered value does.
+    """
+    try:
+        if "moduli" in data:
+            mods = tuple(int(q) for q in data["moduli"])
+            pinned = data.get("pinned_h1")
+            free = _free_indices(len(mods), pinned)
+            return CoprimeWheelForm(
+                moduli=mods,
+                free_indices=free,
+                coeffs=tuple(int(data["coeffs"][str(j)]) for j in free),
+                constant=int(data["constant"]),
+                pinned_h1=None if pinned is None else int(pinned),
+            )
+        basis = PrimeBasis.first(int(data["r"]))
+        indices = range(2, basis.r + 1)
+        coeffs = tuple(int(data["coeffs"][str(j)]) for j in indices)
+        if data.get("convention") == "minus-h":
+            return RawWheelForm(
+                basis=basis,
+                solutions=tuple(data["representatives"][str(j)] for j in indices),
+                coeffs=coeffs,
+                constant=int(data["constant"]),
+            )
+        return CanonicalWheelForm(basis=basis, coeffs=coeffs, constant=int(data["constant"]))
+    except KeyError as err:
+        raise ValueError(f"form JSON is missing the key {err.args[0]!r}") from None

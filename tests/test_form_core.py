@@ -158,3 +158,18 @@ def test_readme_library_example_values():
 def test_readme_json_shape_matches_the_canonical_form():
     shape = eval(_readme_block(1))
     assert shape == CANONICAL_R3 == form_to_json(build_canonical(PrimeBasis.first(3)))
+
+
+@pytest.mark.parametrize(
+    "blob,key",
+    [
+        ({"r": 3, "coeffs": {"2": "10"}, "constant": "15"}, "3"),
+        ({k: v for k, v in CANONICAL_R3.items() if k != "constant"}, "constant"),
+        ({k: v for k, v in RAW_R3.items() if k != "representatives"}, "representatives"),
+        ({**COPRIME_FREE, "coeffs": {"2": "100", "3": "36"}}, "1"),
+    ],
+    ids=["canonical-coeff", "canonical-constant", "raw-representatives", "free-coeff"],
+)
+def test_form_from_json_names_a_missing_key(blob, key):
+    with pytest.raises(ValueError, match=f"missing the key '{key}'"):
+        form_from_json(blob)

@@ -17,7 +17,7 @@ from primewheel.theorems import (
     verify_corollary2,
     verify_theorem1,
 )
-from primewheel.wheel import PrimeBasis
+from primewheel.wheel import PrimeBasis, build_canonical
 
 
 def test_theorem1_interval_frozen():
@@ -194,3 +194,40 @@ def test_scan_budget_refuses_before_enumerating(monkeypatch):
     with pytest.raises(BudgetExceeded) as info:
         verify_theorem1(PrimeBasis.first(3), 8)
     assert info.value.required == 7**9 - 7**8
+
+
+def _count_walks(monkeypatch, stream=None):
+    """Patch theorems.enumerate_interval to count its calls; `stream`
+    replaces the enumeration when given."""
+    calls = []
+    real = theorems.enumerate_interval
+
+    def counted(form, interval):
+        calls.append(interval)
+        return iter(list(stream)) if stream is not None else real(form, interval)
+
+    monkeypatch.setattr(theorems, "enumerate_interval", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r,n", [(3, 1), (3, 2), (5, 1)])
+def test_passing_report_walks_the_enumeration_once(monkeypatch, r, n):
+    calls = _count_walks(monkeypatch)
+    assert verify_theorem1(PrimeBasis.first(r), n).verdict == "pass"
+    assert len(calls) == 1
+
+
+def test_failing_report_walks_the_enumeration_at_most_twice(monkeypatch):
+    # 50 is extra, then enumerated again after its segment closed: it is
+    # listed as out of order too, and both copies leave witnesses_pass.
+    monkeypatch.setattr(theorems.oracle, "OMEGA_SEGMENT", 16)
+    basis = PrimeBasis.first(3)
+    interval = theorems.theorem1_interval(basis, 2)
+    values = list(theorems.enumerate_interval(build_canonical(basis), interval))
+    calls = _count_walks(monkeypatch, values[:1] + [50] + values[1:] + [50, interval.hi])
+    report = verify_theorem1(basis, 2)
+    assert report.verdict == "fail"
+    assert 1 <= len(calls) <= 2
+    assert report.details["set_equality"]["extra"] == ["50", str(interval.hi)]
+    assert report.details["set_equality"]["out_of_order"] == ["50"]
+    assert report.witnesses_pass == report.checked - 3

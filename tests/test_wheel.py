@@ -5,6 +5,12 @@ import random
 import pytest
 
 from primewheel.diophantine import solve_unit
+from primewheel.enumeration import (
+    IntervalSpec,
+    count_interval,
+    enumerate_interval,
+    sorted_block_residues,
+)
 from primewheel.wheel import (
     CanonicalWheelForm,
     CoprimeWheelForm,
@@ -331,3 +337,19 @@ def test_prime_basis_first_proves_each_candidate_once(monkeypatch):
     finally:
         wheel._first_primes.cache_clear()
     assert tested == list(range(2, 20))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda form: evaluate(form, 0, {2: 1, 3: 1}),
+        lambda form: decompose(form, 7),
+        lambda form: enumerate_interval(form, IntervalSpec(1, 100)),
+        lambda form: count_interval(form, IntervalSpec(1, 100)),
+        lambda form: sorted_block_residues(form),
+    ],
+    ids=["evaluate", "decompose", "enumerate_interval", "count_interval", "sorted_block_residues"],
+)
+def test_raw_forms_are_refused_by_idempotent_only_code(entry):
+    with pytest.raises(TypeError, match="canonicalize"):
+        entry(build_raw(PrimeBasis.first(3)))
