@@ -6,7 +6,7 @@ moduli), streams and counts those values over intervals, and verifies the
 associated window and counting claims against brute-force oracles.
 """
 
-from .diophantine import SolutionFamily, ext_gcd, nth_solution, solve_linear, solve_unit
+from .diophantine import SolutionFamily, nth_solution, solve_linear, solve_unit
 from .enumeration import (
     BlockCount,
     IntervalSpec,

@@ -26,8 +26,7 @@ from typing import Iterable, Iterator
 
 from . import oracle, theorems
 from .enumeration import IntervalSpec, count_block, count_interval, enumerate_interval
-from .errors import BudgetExceeded, check_budget
-from .oracle import SCAN_BUDGET_ENV
+from .errors import SCAN_BUDGET_ENV, BudgetExceeded, check_budget
 from .wheel import (
     PrimeBasis,
     build_canonical,
@@ -93,12 +92,6 @@ def _budget(args) -> int | None:
     return budget
 
 
-def _basis(args) -> PrimeBasis:
-    if args.r < 1:
-        raise ValueError("r must be at least 1")
-    return PrimeBasis.first(args.r)
-
-
 def cmd_coeffs(args) -> int:
     if not 1 <= args.r <= args.max_r:
         raise ValueError(f"r must lie in 1..{args.max_r} (use --max-r to raise the cap)")
@@ -150,7 +143,7 @@ _EXPLAIN_LINE = {"text": _explain_text, "csv": _explain_csv, "json-lines": _expl
 
 def cmd_gen(args) -> int:
     interval = IntervalSpec(args.lo, args.hi)
-    form = build_canonical(_basis(args))
+    form = build_canonical(PrimeBasis.first(args.r))
     stream = enumerate_interval(form, interval)
     header = "z"
     if args.explain:
@@ -167,7 +160,7 @@ def cmd_gen(args) -> int:
 
 def cmd_count(args) -> int:
     budget = _budget(args)
-    basis = _basis(args)
+    basis = PrimeBasis.first(args.r)
     if args.block:
         counts = count_block(basis)
         if args.format == "json-lines":
@@ -207,14 +200,15 @@ def cmd_count(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = _budget(args)
+    basis = PrimeBasis.first(args.r)
     if args.claim == "theorem1":
-        report = theorems.verify_theorem1(_basis(args), args.n, budget=budget)
+        report = theorems.verify_theorem1(basis, args.n, budget=budget)
     elif args.claim == "corollary2":
-        report = theorems.verify_corollary2(_basis(args), args.s, args.n, budget=budget)
+        report = theorems.verify_corollary2(basis, args.s, args.n, budget=budget)
     elif args.claim == "identity25":
-        report = theorems.search_identity25(_basis(args), args.bound, budget=budget)
+        report = theorems.search_identity25(basis, args.bound, budget=budget)
     else:
-        report = theorems.check_identity26(_basis(args), args.e, representative=args.k)
+        report = theorems.check_identity26(basis, args.e, representative=args.k)
     if args.format == "json-lines":
         print(json.dumps(report.to_json()))
     else:
@@ -228,7 +222,7 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ValueError("reps must be positive")
     budget = _budget(args)
-    basis = _basis(args)
+    basis = PrimeBasis.first(args.r)
     form = build_canonical(basis)
     interval = IntervalSpec(args.lo, args.lo + args.width)
     # The sieve checks its budget first, so a refused window is never enumerated.
@@ -260,7 +254,7 @@ def cmd_oracle(args) -> int:
     if args.probe in ("omega", "spf", "factor"):
         # Trial division tries divisors up to sqrt(n).
         root = math.isqrt(max(args.n, 0))
-        check_budget(root, budget, "trial division", oracle.knob_remedy(root))
+        check_budget(root, budget, "trial division")
     if args.probe == "omega":
         print(oracle.omega(args.n))
     elif args.probe == "spf":

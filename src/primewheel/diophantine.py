@@ -1,5 +1,7 @@
 """Exact solvers for linear Diophantine equations of the shape a*x - b*y = c.
 
+For coprime a, b the least non-negative x is c * a^-1 mod b, taken from
+the built-in modular inverse pow(a, -1, b); y then follows exactly.
 Everything runs on Python's arbitrary-precision integers, so there are no
 overflow semantics to worry about. All functions are pure.
 """
@@ -8,26 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, u, v) with g = gcd(a, b) >= 0 and a*u + b*v = g.
-
-    gcd(0, 0) is undefined and rejected.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
 
 
 @dataclass(frozen=True)
@@ -67,10 +49,10 @@ def solve_linear(a: int, b: int, c: int) -> SolutionFamily:
     """
     if a <= 0 or b <= 0:
         raise ValueError("coefficients a and b must be positive")
-    g, u, _ = ext_gcd(a, b)
+    g = math.gcd(a, b)
     if g != 1:
         raise ValueError(f"gcd({a}, {b}) = {g}; coefficients must be coprime")
-    base_x = (c * u) % b
+    base_x = c * pow(a, -1, b) % b
     base_y = (a * base_x - c) // b
     return SolutionFamily(a=a, b=b, c=c, base_x=base_x, base_y=base_y)
 

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-# The scan budget when none is given: --budget and PRIMEWHEEL_SCAN_BUDGET override it.
+# The scan budget when none is given: --budget and SCAN_BUDGET_ENV override it.
 DEFAULT_SCAN_BUDGET = 10_000_000
+# The environment variable the CLI reads a scan budget from, besides --budget.
+SCAN_BUDGET_ENV = "PRIMEWHEEL_SCAN_BUDGET"
 
 
 class BudgetExceeded(RuntimeError):
     """A scan, sieve or table build would exceed its configured budget.
 
     Carries the budget that was in force and the size the operation would
-    actually need, so callers can retry with an explicit override. A budget
-    that no override controls passes a `remedy` saying what does.
+    actually need, so callers can retry with an explicit override. The
+    message names the knobs that lift a scan budget; a cap that no knob
+    controls passes a `remedy` saying what does.
     """
 
     def __init__(self, required: int, budget: int, what: str = "scan", remedy: str | None = None):
@@ -19,7 +22,7 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
         self.what = what
         if remedy is None:
-            remedy = f"raise the budget to at least {required} to run this"
+            remedy = f"raise --budget or {SCAN_BUDGET_ENV} to at least {required} to run this"
         super().__init__(f"{what} needs {required} but the budget is {budget}; {remedy}")
 
 

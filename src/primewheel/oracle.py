@@ -32,8 +32,6 @@ from typing import Iterator
 from .enumeration import IntervalSpec
 from .errors import DEFAULT_SCAN_BUDGET, check_budget  # noqa: F401 (re-exported)
 
-# The environment variable the CLI reads a scan budget from, besides --budget.
-SCAN_BUDGET_ENV = "PRIMEWHEEL_SCAN_BUDGET"
 _SEGMENT = 1 << 20
 # Integers per omega_sieve segment. The segment sets the sieve's memory:
 # at 2^12 `verify theorem1 --r 8 --n 2` peaks at 16.9 MB RSS, as before
@@ -43,11 +41,6 @@ OMEGA_SEGMENT = 1 << 12
 # and a window whose base primes can be sieved has hi < 2^128, so a count
 # never reaches 255.
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"
-
-
-def knob_remedy(required: int) -> str:
-    """The remedy of a refusal that --budget or SCAN_BUDGET_ENV lifts."""
-    return f"raise --budget or {SCAN_BUDGET_ENV} to at least {required} to run this"
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from . import oracle
 from .diophantine import nth_solution, solve_unit
 from .enumeration import IntervalSpec, enumerate_interval
 from .errors import check_budget
-from .wheel import PrimeBasis, build_canonical
+from .wheel import PrimeBasis, build_canonical, build_raw
 
 COUNTEREXAMPLE_CAP = 10
 
@@ -332,22 +332,18 @@ def compare_pi(basis: PrimeBasis, budget: int | None = None) -> tuple[Fraction, 
 
 
 def check_identity26(basis: PrimeBasis, e: int, representative: int = 0) -> VerificationReport:
-    """Check, modulo the period, that the CRT idempotent for p_e equals
-    -(p_e*x'_e - 1) * prod(p_q*x'_q for q > e), for the chosen unit-equation
-    representative. The two sides differ as integers; only the congruence
-    is claimed."""
+    """Check, modulo the period, that the canonical coefficient A_e (the CRT
+    idempotent for p_e) equals -B_e, the raw coefficient
+    -(p_e*x'_e - 1) * prod(p_q*x'_q for q > e) built from the chosen
+    unit-equation representative. Both sides come from their own builders;
+    neither goes through canonicalize, which assumes this congruence. The
+    two sides differ as integers; only the congruence is claimed."""
     r = basis.r
     if not 2 <= e <= r - 1:
         raise ValueError(f"e must satisfy 2 <= e <= r - 1 = {r - 1}, got {e}")
     period = basis.primorial
-    primes = basis.primes
-    m = period // primes[e - 1]
-    lhs = m * pow(m, -1, primes[e - 1])
-    xs = {
-        j: nth_solution(solve_unit(j, basis), representative)[0] for j in range(e, r + 1)
-    }
-    tail = math.prod(primes[q - 1] * xs[q] for q in range(e + 1, r + 1))
-    rhs = -(primes[e - 1] * xs[e] - 1) * tail
+    lhs = build_canonical(basis).coeff(e)
+    rhs = -build_raw(basis, representative).coeff(e)
     ok = (lhs - rhs) % period == 0
     details = {
         "lhs": str(lhs),
@@ -381,7 +377,8 @@ def search_identity25(
 ) -> VerificationReport:
     """Bounded witness search for the product identity
     (2s - 1) * prod(p_i, i = 2..r-1) = x'_r * S, where S is the raw
-    coefficient sum built from x'_2..x'_{r-1}.
+    coefficient sum built from x'_2..x'_{r-1}, which telescopes to
+    prod(p_i*x'_i, i = 2..r-1) - 1.
 
     Representative indices range over 0..bound for every x'_i and a
     witness must also have |s| <= bound. A not-found outcome never claims
@@ -395,7 +392,7 @@ def search_identity25(
     if bound < 0:
         raise ValueError("bound must be non-negative")
     rows = (bound + 1) ** (r - 2)
-    check_budget(rows, budget, "identity25 grid", oracle.knob_remedy(rows))
+    check_budget(rows, budget, "identity25 grid")
     primes = basis.primes
     modulus = math.prod(primes[1 : r - 1])  # p_2 * ... * p_{r-1}
     families = {i: solve_unit(i, basis) for i in range(2, r + 1)}
@@ -406,12 +403,9 @@ def search_identity25(
     rows_scanned = 0
     for ks in itertools.product(range(bound + 1), repeat=r - 2):
         rows_scanned += 1
-        xs = {i: reps[i][ks[i - 2]] for i in range(2, r)}
-        total = 0
-        tail = 1
-        for i in range(r - 1, 1, -1):
-            total += (primes[i - 1] * xs[i] - 1) * tail
-            tail *= primes[i - 1] * xs[i]
+        # The raw coefficients telescope: B_j + prod(p_q*x'_q, q > j) is
+        # prod(p_q*x'_q, q >= j), so sum(B_j, j = 2..m) = prod(p_j*x'_j, j = 2..m) - 1.
+        total = math.prod(primes[i - 1] * reps[i][k] for i, k in enumerate(ks, start=2)) - 1
         # Representatives of x'_r differ by multiples of p_1*...*p_{r-1},
         # so divisibility of x'_r * S by the modulus is the same for every
         # k_r; one test covers the whole row of the grid.

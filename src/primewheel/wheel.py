@@ -140,12 +140,10 @@ class RawWheelForm:
             lead *= primes[j - 2]
             if primes[j - 1] * x - lead * y != 1:
                 raise ValueError(f"stored solution for index {j} fails its unit equation")
-        tail = 1
-        for j in range(r, 1, -1):
-            x, _ = self.solutions[j - 2]
-            if self.coeffs[j - 2] != (primes[j - 1] * x - 1) * tail:
-                raise ValueError(f"coefficient for index {j} inconsistent with solutions")
-            tail *= primes[j - 1] * x
+        want = _raw_coeffs(primes, (x for x, _ in self.solutions))
+        bad = [j for j, b, w in zip(range(2, r + 1), self.coeffs, want) if b != w]
+        if bad:
+            raise ValueError(f"coefficient for index {bad[-1]} inconsistent with solutions")
 
     @property
     def period(self) -> int:
@@ -283,30 +281,22 @@ def build_raw(basis: PrimeBasis, representatives: int | Mapping[int, int] = 0) -
     """
     if basis.r < 3:
         raise ValueError("closed forms cover r < 3; use build_canonical")
-    picks = {}
-    for j in range(2, basis.r + 1):
-        if isinstance(representatives, Mapping):
-            k = representatives.get(j, 0)
-        else:
-            k = representatives
-        picks[j] = nth_solution(solve_unit(j, basis), k)
-    return _raw_from_solutions(basis, picks)
+    indices = range(2, basis.r + 1)
+    if not isinstance(representatives, Mapping):
+        representatives = dict.fromkeys(indices, representatives)
+    solutions = tuple(nth_solution(solve_unit(j, basis), representatives.get(j, 0)) for j in indices)
+    coeffs = _raw_coeffs(basis.primes, (x for x, _ in solutions))
+    return RawWheelForm(basis=basis, solutions=solutions, coeffs=coeffs, constant=-1)
 
 
-def _raw_from_solutions(basis: PrimeBasis, picks: dict[int, tuple[int, int]]) -> RawWheelForm:
-    primes = basis.primes
-    coeffs = {}
+def _raw_coeffs(primes: tuple[int, ...], xs: Iterable[int]) -> tuple[int, ...]:
+    """(B_2, ..., B_r) from x'_2..x'_r: B_j = (p_j*x'_j - 1) * prod(p_q*x'_q for q > j)."""
+    coeffs = []
     tail = 1
-    for j in range(basis.r, 1, -1):
-        x = picks[j][0]
-        coeffs[j] = (primes[j - 1] * x - 1) * tail
-        tail *= primes[j - 1] * x
-    return RawWheelForm(
-        basis=basis,
-        solutions=tuple(picks[j] for j in range(2, basis.r + 1)),
-        coeffs=tuple(coeffs[j] for j in range(2, basis.r + 1)),
-        constant=-1,
-    )
+    for p, x in reversed(tuple(zip(primes[1:], xs))):
+        coeffs.append((p * x - 1) * tail)
+        tail *= p * x
+    return tuple(reversed(coeffs))
 
 
 def build_canonical(basis: PrimeBasis) -> CanonicalWheelForm:

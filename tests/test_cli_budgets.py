@@ -1,10 +1,10 @@
-"""Budget refusals of identity25 and the trial-division oracle probes."""
+"""Budget refusals: scans, sieves, the identity25 grid and the trial-division probes."""
 
 import json
 
 import pytest
 
-from primewheel import oracle, theorems
+from primewheel import errors, oracle, theorems
 from primewheel.cli import SCAN_BUDGET_ENV, main
 from primewheel.errors import BudgetExceeded
 from primewheel.theorems import search_identity25
@@ -76,3 +76,34 @@ def test_trial_division_probes_keep_their_usage_errors(capsys, probe, n):
     code, out, err = run(capsys, "oracle", probe, "--n", n)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "budget" not in err
+
+
+def _skip_the_window_check(monkeypatch):
+    # The omega sieve is only reached after the report's own check of the
+    # same width, so that check is let through to reach the sieve's.
+    def check(required, budget, what, remedy=None):
+        if what != "coprime scan":
+            errors.check_budget(required, budget, what, remedy)
+
+    monkeypatch.setattr(theorems, "check_budget", check)
+
+
+@pytest.mark.parametrize(
+    "argv,what,setup",
+    [
+        (("verify", "theorem1", "--r", "3", "--n", "8"), "coprime scan", None),
+        (("oracle", "scan", "--lo", "1", "--hi", "100", "--budget", "5"), "coprime scan", None),
+        (("bench", "--r", "3", "--width", "300000000"), "rough sieve", None),
+        (("count", "--r", "3", "--pi-approx", "--budget", "5"), "prime sieve", None),
+        (("oracle", "primes", "--lo", "1", "--hi", "100", "--budget", "5"), "prime sieve", None),
+        (("verify", "theorem1", "--r", "3", "--n", "2", "--budget", "100"), "omega sieve",
+         _skip_the_window_check),
+    ],
+)
+def test_scan_refusals_name_their_knob(capsys, monkeypatch, argv, what, setup):
+    if setup:
+        setup(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    _assert_one_knob_error(err)
+    assert err.startswith(f"error: {what} needs ")

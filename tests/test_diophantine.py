@@ -5,68 +5,11 @@ import pytest
 
 from primewheel.diophantine import (
     SolutionFamily,
-    ext_gcd,
     nth_solution,
     solve_linear,
     solve_unit,
 )
 from primewheel.wheel import PrimeBasis
-
-
-def binary_gcd(a: int, b: int) -> int:
-    # Independent reference: subtraction-free binary gcd.
-    a, b = abs(a), abs(b)
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    shift = 0
-    while (a | b) & 1 == 0:
-        a >>= 1
-        b >>= 1
-        shift += 1
-    while a & 1 == 0:
-        a >>= 1
-    while b:
-        while b & 1 == 0:
-            b >>= 1
-        if a > b:
-            a, b = b, a
-        b -= a
-    return a << shift
-
-
-def test_ext_gcd_frozen_cases():
-    assert ext_gcd(3, 2) == (1, 1, -1)
-    assert ext_gcd(5, 0) == (5, 1, 0)
-    assert ext_gcd(7, 30) == (1, 13, -3)
-
-
-def test_ext_gcd_rejects_double_zero():
-    with pytest.raises(ValueError):
-        ext_gcd(0, 0)
-
-
-def test_ext_gcd_bezout_holds():
-    rng = random.Random(1009)
-    for _ in range(1000):
-        a = rng.randrange(-(2**64), 2**64)
-        b = rng.randrange(-(2**64), 2**64)
-        if a == 0 and b == 0:
-            b = 1
-        g, u, v = ext_gcd(a, b)
-        assert g >= 0
-        assert a * u + b * v == g
-        assert g == math.gcd(a, b)
-
-
-def test_ext_gcd_matches_binary_gcd():
-    rng = random.Random(1013)
-    for _ in range(1000):
-        a = rng.randrange(1, 2**64)
-        b = rng.randrange(0, 2**64)
-        g, _, _ = ext_gcd(a, b)
-        assert g == binary_gcd(a, b)
 
 
 def test_solve_linear_frozen_cases():
