@@ -11,20 +11,22 @@ their lines in chunks of CHUNK_LINES. Output is deterministic for fixed
 arguments; only bench timing columns vary run to run. The scan budget of
 count, verify, bench and oracle can be overridden with --budget or the
 PRIMEWHEEL_SCAN_BUDGET environment variable, as an integer of at least 1.
+A subcommand imports only what it runs: theorems and oracle load on
+first use and json only where JSON is printed, so gen, coeffs and
+count --lo/--hi never load the claim checkers.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 import time
+from importlib import import_module
 from itertools import chain, islice, starmap
 from typing import Iterable, Iterator
 
-from . import oracle, theorems
 from .enumeration import IntervalSpec, count_block, count_interval, enumerate_interval
 from .errors import SCAN_BUDGET_ENV, BudgetExceeded, check_budget
 from .wheel import (
@@ -34,6 +36,22 @@ from .wheel import (
     decompose,
     form_to_json,
 )
+
+
+class _Deferred:
+    """A submodule imported on first attribute access, so only the
+    subcommands that call into it load it. Every access goes through to
+    the module, so a name patched there is seen here."""
+
+    def __init__(self, name: str) -> None:
+        self._name = f"{__package__}.{name}"
+
+    def __getattr__(self, attr: str):
+        return getattr(import_module(self._name), attr)
+
+
+oracle = _Deferred("oracle")
+theorems = _Deferred("theorems")
 
 FORMATS = ("text", "csv", "json-lines")
 # Lines per stdout write for gen and oracle. Larger chunks buy no speed
@@ -71,7 +89,7 @@ def render_report_text(report) -> str:
     else:
         lines.append("counterexamples: none")
     for key in sorted(report.details):
-        lines.append(f"detail {key}: {json.dumps(report.details[key], sort_keys=True)}")
+        lines.append(f"detail {key}: {dumps(report.details[key], sort_keys=True)}")
     return "\n".join(lines)
 
 
@@ -98,7 +116,7 @@ def cmd_coeffs(args) -> int:
     basis = PrimeBasis.first(args.r)
     form = build_raw(basis) if args.raw else build_canonical(basis)
     if args.format == "json-lines":
-        print(json.dumps(form_to_json(form)))
+        print(dumps(form_to_json(form)))
     elif args.format == "csv":
         print("term,coefficient")
         print(f"t,{form.period}")
@@ -108,6 +126,13 @@ def cmd_coeffs(args) -> int:
     else:
         print(render_raw_text(form) if args.raw else render_canonical_text(form))
     return 0
+
+
+def dumps(data, **options) -> str:
+    """json.dumps(data, **options); only the commands that print JSON import json."""
+    import json
+
+    return json.dumps(data, **options)
 
 
 def write_lines(lines: Iterable[str]) -> None:
@@ -135,7 +160,7 @@ def _explain_csv(z: int, t: int, h: list[int]) -> str:
 
 
 def _explain_json(z: int, t: int, h: list[int]) -> str:
-    return json.dumps({"z": str(z), "t": t, "h": h})
+    return dumps({"z": str(z), "t": t, "h": h})
 
 
 _EXPLAIN_LINE = {"text": _explain_text, "csv": _explain_csv, "json-lines": _explain_json}
@@ -160,11 +185,17 @@ def cmd_gen(args) -> int:
 
 def cmd_count(args) -> int:
     budget = _budget(args)
+    interval = None
+    if not (args.block or args.pi_approx):
+        # The window is checked before the basis proves its r primes.
+        if args.lo is None or args.hi is None:
+            raise ValueError("count needs --block, --pi-approx, or both --lo and --hi")
+        interval = IntervalSpec(args.lo, args.hi)
     basis = PrimeBasis.first(args.r)
     if args.block:
         counts = count_block(basis)
         if args.format == "json-lines":
-            print(json.dumps({"phi": str(counts.phi), "interior": str(counts.interior)}))
+            print(dumps({"phi": str(counts.phi), "interior": str(counts.interior)}))
         elif args.format == "csv":
             print("phi,interior")
             print(f"{counts.phi},{counts.interior}")
@@ -174,22 +205,16 @@ def cmd_count(args) -> int:
     if args.pi_approx:
         approx, exact, rel = theorems.compare_pi(basis, budget=budget)
         if args.format == "json-lines":
-            print(
-                json.dumps(
-                    {"approx": str(approx), "exact": str(exact), "rel_error": str(rel)}
-                )
-            )
+            print(dumps({"approx": str(approx), "exact": str(exact), "rel_error": str(rel)}))
         elif args.format == "csv":
             print("approx,exact,rel_error")
             print(f"{float(approx):.3f},{exact},{float(rel):.4f}")
         else:
             print(f"approx={float(approx):.3f} exact={exact} rel_error={float(rel):.4f}")
         return 0
-    if args.lo is None or args.hi is None:
-        raise ValueError("count needs --block, --pi-approx, or both --lo and --hi")
-    total = count_interval(build_canonical(basis), IntervalSpec(args.lo, args.hi))
+    total = count_interval(build_canonical(basis), interval)
     if args.format == "json-lines":
-        print(json.dumps({"count": str(total)}))
+        print(dumps({"count": str(total)}))
     elif args.format == "csv":
         print("count")
         print(total)
@@ -200,6 +225,9 @@ def cmd_count(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = _budget(args)
+    if args.claim in ("theorem1", "corollary2"):
+        # The window's exponents are checked before the basis proves its r primes.
+        theorems.check_window_args(args.claim, args.s, args.n)
     basis = PrimeBasis.first(args.r)
     if args.claim == "theorem1":
         report = theorems.verify_theorem1(basis, args.n, budget=budget)
@@ -210,7 +238,7 @@ def cmd_verify(args) -> int:
     else:
         report = theorems.check_identity26(basis, args.e, representative=args.k)
     if args.format == "json-lines":
-        print(json.dumps(report.to_json()))
+        print(dumps(report.to_json()))
     else:
         print(render_report_text(report))
     return 0 if report.verdict == "pass" else 1
@@ -262,7 +290,7 @@ def cmd_oracle(args) -> int:
     elif args.probe == "factor":
         profile = oracle.factor_profile(args.n)
         print(
-            json.dumps(
+            dumps(
                 {
                     "n": str(profile.n),
                     "omega": profile.omega,

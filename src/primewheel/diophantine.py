@@ -9,11 +9,11 @@ overflow semantics to worry about. All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(Record):
     """The complete integer solution set of a*x - b*y = c for coprime a, b.
 
     Solutions are exactly {(base_x + k*step_x, base_y + k*step_y) : k in Z}

@@ -15,11 +15,11 @@ moduli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import Iterator, NamedTuple
 
+from ._record import Record
 from .errors import check_budget
 
 MAX_BLOCK_RESIDUES = 4_000_000
@@ -28,8 +28,7 @@ SEGMENT = 1 << 20
 _FIXED_CAP = f"this cap is fixed at {MAX_BLOCK_RESIDUES} (no flag or environment variable changes it)"
 
 
-@dataclass(frozen=True)
-class IntervalSpec:
+class IntervalSpec(Record):
     """Half-open interval [lo, hi) of naturals; must be non-empty."""
 
     lo: int

@@ -21,9 +21,22 @@ class BudgetExceeded(RuntimeError):
         self.required = required
         self.budget = budget
         self.what = what
+        need, limit = _size(required), _size(budget)
         if remedy is None:
-            remedy = f"raise --budget or {SCAN_BUDGET_ENV} to at least {required} to run this"
-        super().__init__(f"{what} needs {required} but the budget is {budget}; {remedy}")
+            remedy = f"raise --budget or {SCAN_BUDGET_ENV} to at least {need} to run this"
+        super().__init__(f"{what} needs {need} but the budget is {limit}; {remedy}")
+
+
+def _size(n: int) -> str:
+    """n in decimal or, past the interpreter's int-to-str digit limit, its digit count."""
+    try:
+        return str(n)
+    except ValueError:
+        # (bits - 1) * log10(2) is at most log10(n), so counting up from it ends at len(str(n)).
+        digits = int((n.bit_length() - 1) * 0.30102999566398120)
+        while 10**digits <= n:
+            digits += 1
+        return f"a number of {digits} digits"
 
 
 def check_budget(required: int, budget: int | None, what: str, remedy: str | None = None) -> None:

@@ -24,11 +24,11 @@ wedge a test run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, floordiv, lt
 from typing import Iterator
 
+from ._record import Record
 from .enumeration import IntervalSpec
 from .errors import DEFAULT_SCAN_BUDGET, check_budget  # noqa: F401 (re-exported)
 
@@ -43,8 +43,7 @@ OMEGA_SEGMENT = 1 << 12
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"
 
 
-@dataclass(frozen=True)
-class FactorProfile:
+class FactorProfile(Record):
     """Trial-division factorization of n: factor count with multiplicity,
     smallest prime factor (0 for n = 1), and the full factor multiset."""
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from . import oracle
+from ._record import Record, fresh
 from .diophantine import nth_solution, solve_unit
 from .enumeration import IntervalSpec, enumerate_interval
 from .errors import check_budget
@@ -23,14 +22,12 @@ from .wheel import PrimeBasis, build_canonical, build_raw
 COUNTEREXAMPLE_CAP = 10
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     value: int
     reason: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one claim check.
 
     verdict is "pass", "fail", or, for bounded searches that found no
@@ -45,7 +42,7 @@ class VerificationReport:
     witnesses_pass: int
     interval: IntervalSpec | None = None
     counterexamples: tuple[Counterexample, ...] = ()
-    details: dict = field(default_factory=dict)
+    details: dict = fresh(dict)
 
     def to_json(self) -> dict:
         return {
@@ -86,10 +83,20 @@ def _prime_after(p: int) -> int:
     return oracle.primes_in(IntervalSpec(p + 1, 2 * p + 2))[0]
 
 
+def check_window_args(claim: str, s: int, n: int) -> None:
+    """Refuse the shift s (corollary2 only) or the exponent n of a window
+    claim below 1, with the message its checker gives, before any work."""
+    if claim == "corollary2" and s < 1:
+        raise ValueError("s must be at least 1")
+    if n < 1:
+        raise ValueError(
+            "n must be at least 1" if claim == "theorem1" else "r, s and n must be at least 1"
+        )
+
+
 def theorem1_interval(basis: PrimeBasis, n: int) -> IntervalSpec:
     """The window [p_{r+1}^n, p_{r+1}^(n+1)), with p_{r+1} from the oracle sieve."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_window_args("theorem1", 1, n)
     p = _prime_after(basis.primes[-1])
     return IntervalSpec(p**n, p ** (n + 1))
 
@@ -148,7 +155,10 @@ def _interval_report(
     trial division; the ten smallest distinct ones are kept. The
     enumeration must ascend, so a value below an earlier value of the
     window fails (a), and out_of_order lists every distinct such value up
-    to the cap, even one already on another list. A report with
+    to the cap, even one already on another list. Its segment is closed by
+    then, so it is checked on its own by trial division: it is extra for
+    (a) when a basis prime divides it, extra for (c) when it is not prime,
+    and its factor count goes to (b). A report with
     counterexamples walks the enumeration a second time to count the
     values that are none of them (witnesses_pass); a passing report walks
     it once. Budgets are checked before the first value is enumerated:
@@ -197,6 +207,11 @@ def _interval_report(
             factor_counts(run, map(oracle.omega, run))
         elif key < index:
             stepped_back(run)
+            profiles = list(map(oracle.factor_profile, run))
+            factor_counts(run, (f.omega for f in profiles))
+            cap, top = COUNTEREXAMPLE_CAP, basis.primes[-1]
+            extra = sorted({*extra, *(f.n for f in profiles if 0 < f.spf <= top)})[:cap]
+            pe_extra = sorted({*pe_extra, *(f.n for f in profiles if f.omega != 1)})[:cap]
         else:
             while index < key:
                 close(seg, inside)
@@ -293,8 +308,7 @@ def verify_corollary2(
     side condition on p_{r+1} fails the scan still runs, labeled
     informational.
     """
-    if s < 1:
-        raise ValueError("s must be at least 1")
+    check_window_args("corollary2", s, n)
     p = basis.primes[-1]
     for _ in range(s):
         p = _prime_after(p)
@@ -317,6 +331,8 @@ def verify_corollary2(
 def pi_approx(basis: PrimeBasis) -> Fraction:
     """Density-based estimate of the prime count below p_{r+1}^2, as an exact rational:
     r + p_{r+1}^2 * (prod(p_l - 1) - 1) / prod(p_l)."""
+    from fractions import Fraction  # loaded here, so no other claim pays for it
+
     p = _prime_after(basis.primes[-1])
     phi = math.prod(q - 1 for q in basis.primes)
     return basis.r + Fraction(p * p * (phi - 1), basis.primorial)

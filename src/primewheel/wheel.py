@@ -16,16 +16,17 @@ CanonicalWheelForm is a thin subclass that only adds its prime basis.
 canonicalize() maps a raw form onto the canonical one through the
 substitution h_j -> p_j - h_j, and the result does not depend on which
 unit-equation solution the raw form was built from. All form types are
-frozen dataclasses and every operation is pure, so concurrent use is safe.
+frozen records (_record.Record) and every operation is pure, so concurrent
+use is safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
 
+from ._record import Record
 from .diophantine import nth_solution, solve_unit
 
 __all__ = [
@@ -68,8 +69,7 @@ def _first_primes(r: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-@dataclass(frozen=True)
-class PrimeBasis:
+class PrimeBasis(Record):
     """The first r primes, in order. Construction checks them against the
     first r primes by trial division, proved once per r and cached, so
     first(r) does not prove them twice."""
@@ -105,8 +105,7 @@ class PrimeBasis:
         return math.prod(self.primes)
 
 
-@dataclass(frozen=True)
-class RawWheelForm:
+class RawWheelForm(Record):
     """A wheel form as first assembled: coefficients B_j, constant -1.
 
     B_r = p_r*x'_r - 1 and, going down, B_j = (p_j*x'_j - 1) * prod(p_q*x'_q
@@ -162,8 +161,7 @@ class RawWheelForm:
         raise TypeError("a raw form is not idempotent; canonicalize it first or use evaluate_raw")
 
 
-@dataclass(frozen=True)
-class CoprimeWheelForm:
+class CoprimeWheelForm(Record):
     """Idempotent wheel form over arbitrary pairwise coprime moduli.
 
     With pinned_h1 set, the idempotent of the first modulus is folded into

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from primewheel import errors, oracle, theorems
+from primewheel import errors, oracle, theorems, wheel
 from primewheel.cli import SCAN_BUDGET_ENV, main
 from primewheel.errors import BudgetExceeded
 from primewheel.theorems import search_identity25
@@ -107,3 +107,44 @@ def test_scan_refusals_name_their_knob(capsys, monkeypatch, argv, what, setup):
     assert (code, out) == (3, "")
     _assert_one_knob_error(err)
     assert err.startswith(f"error: {what} needs ")
+
+
+def test_refusal_past_the_int_string_limit_names_its_knob(capsys):
+    # The window [7^100000, 7^100001) is 84,511 digits wide, past the
+    # 4,300-digit limit on int-to-str conversion.
+    code, out, err = run(capsys, "verify", "theorem1", "--r", "3", "--n", "100000")
+    assert (code, out) == (3, "")
+    _assert_one_knob_error(err)
+    assert err.startswith("error: coprime scan needs a number of 84511 digits but the budget is ")
+
+
+def test_refusal_messages_of_ordinary_sizes_are_unchanged():
+    message = str(BudgetExceeded(required=10**4300 - 1, budget=10))
+    assert message == (
+        f"scan needs {10**4300 - 1} but the budget is 10; raise --budget or "
+        f"{SCAN_BUDGET_ENV} to at least {10**4300 - 1} to run this"
+    )
+    assert str(BudgetExceeded(10**4300, 10**5000)).startswith(
+        "scan needs a number of 4301 digits but the budget is a number of 5001 digits; "
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--r", "4", "--lo", "-5", "--hi", "3"),
+        ("count", "--r", "4", "--lo", "9", "--hi", "3"),
+        ("count", "--r", "4", "--lo", "9"),
+        ("verify", "theorem1", "--r", "4", "--n", "0"),
+        ("verify", "corollary2", "--r", "4", "--s", "0"),
+        ("verify", "corollary2", "--r", "4", "--n", "-1"),
+    ],
+)
+def test_cheap_arguments_are_checked_before_the_basis(capsys, monkeypatch, argv):
+    def no_basis(r):
+        raise AssertionError("proved the basis primes before checking the arguments")
+
+    monkeypatch.setattr(wheel, "_first_primes", no_basis)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -234,3 +234,49 @@ def test_stream_that_steps_back_never_passes(monkeypatch, fault, segment):
         assert report.details["set_equality"]["pass"] is False
         assert report.details["set_equality"]["out_of_order"]
         assert report.checked == len(stream)
+
+
+def _details_without_order(report) -> dict:
+    details = dict(report.details)
+    details["set_equality"] = {
+        k: v for k, v in details["set_equality"].items() if k != "out_of_order"
+    }
+    return details
+
+
+@pytest.mark.parametrize(
+    "r,n,tail",
+    [
+        # An even value that steps back into a closed segment of an n = 1
+        # window: extra for the scan and the primes, with 3 prime factors.
+        (4, 1, lambda w: [11, 12]),
+        # More stepped-back values than the cap, descending, some in the scan.
+        (3, 2, lambda w: [m for m in range(w.lo + 60, w.lo, -1) if m % 2 == 0 or m % 7 == 0]),
+        (3, 1, lambda w: list(range(w.hi - 1, w.lo - 1, -3))),
+    ],
+)
+def test_stepped_back_values_are_checked_like_the_rest(monkeypatch, r, n, tail):
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
+    basis = PrimeBasis.first(r)
+    interval = _window(r, n, 1)
+    stream = oracle.coprime_scan(interval, basis) + tail(interval)
+    for gate_all in (True, False):
+        got = _streamed(monkeypatch, basis, interval, n, gate_all, stream)
+        want = _reference_report("claim", basis, interval, n, gate_all, stream, {"tag": 1})
+        assert _details_without_order(got) == _details_without_order(want)
+        assert got.details["set_equality"]["out_of_order"]
+        assert got.verdict == "fail"
+
+
+def test_stepped_back_even_value_is_extra(monkeypatch):
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
+    basis = PrimeBasis.first(4)
+    interval = _window(4, 1, 1)
+    stream = oracle.coprime_scan(interval, basis) + [11, 12]
+    assert stream[-3:] == [113, 11, 12]
+    details = _streamed(monkeypatch, basis, interval, 1, True, stream).details
+    assert details["set_equality"] == {
+        "pass": False, "missing": [], "extra": ["12"], "out_of_order": ["11", "12"],
+    }
+    assert details["prime_equality"]["extra"] == ["12"]
+    assert details["omega_bound"]["violations"] == [{"value": "12", "omega": 3}]
