@@ -115,16 +115,25 @@ def cmd_coeffs(args) -> int:
         raise ValueError(f"r must lie in 1..{args.max_r} (use --max-r to raise the cap)")
     basis = PrimeBasis.first(args.r)
     form = build_raw(basis) if args.raw else build_canonical(basis)
-    if args.format == "json-lines":
-        print(dumps(form_to_json(form)))
-    elif args.format == "csv":
-        print("term,coefficient")
-        print(f"t,{form.period}")
-        for j in range(args.r, 1, -1):
-            print(f"h{j},{form.coeff(j)}")
-        print(f"constant,{form.constant}")
-    else:
-        print(render_raw_text(form) if args.raw else render_canonical_text(form))
+    # --max-r bounds these exact integers, so the interpreter's int-to-str
+    # digit limit (where it has one) is lifted while they print.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json-lines":
+            print(dumps(form_to_json(form)))
+        elif args.format == "csv":
+            print("term,coefficient")
+            print(f"t,{form.period}")
+            for j in range(args.r, 1, -1):
+                print(f"h{j},{form.coeff(j)}")
+            print(f"constant,{form.constant}")
+        else:
+            print(render_raw_text(form) if args.raw else render_canonical_text(form))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -225,9 +234,8 @@ def cmd_count(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = _budget(args)
-    if args.claim in ("theorem1", "corollary2"):
-        # The window's exponents are checked before the basis proves its r primes.
-        theorems.check_window_args(args.claim, args.s, args.n)
+    # The claim's own arguments are checked before the basis proves its r primes.
+    theorems.check_claim_args(args.claim, args.r, args.s, args.n, args.e, args.bound)
     basis = PrimeBasis.first(args.r)
     if args.claim == "theorem1":
         report = theorems.verify_theorem1(basis, args.n, budget=budget)
@@ -250,9 +258,10 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ValueError("reps must be positive")
     budget = _budget(args)
+    # The window is checked before the basis proves its r primes.
+    interval = IntervalSpec(args.lo, args.lo + args.width)
     basis = PrimeBasis.first(args.r)
     form = build_canonical(basis)
-    interval = IntervalSpec(args.lo, args.lo + args.width)
     # The sieve checks its budget first, so a refused window is never enumerated.
     sieve_values = oracle.rough_sieve(interval, basis, budget=budget)
     wheel_values = list(enumerate_interval(form, interval))

@@ -6,10 +6,10 @@ modulus of the period, so the form's values are the x = constant
 of the constant mod each m. enumerate_interval streams them with a
 segmented sieve (Bays & Hudson 1977; Pritchard 1983): one byte per
 candidate x, SEGMENT candidates at a time, one class struck out per
-axis. sorted_block_residues is the sieve of one period. A form with more
-than MAX_BLOCK_RESIDUES residues per period is refused before any value
-is produced. Counting is Legendre's inclusion-exclusion over the same
-moduli.
+axis, so its memory is one mask whatever the form. sorted_block_residues
+is the sieve of one period, kept as a table; a form with more than
+MAX_BLOCK_RESIDUES residues per period is refused before it is sieved.
+Counting is Legendre's inclusion-exclusion over the same moduli.
 """
 
 from __future__ import annotations
@@ -57,29 +57,22 @@ def sorted_block_residues(form) -> tuple[int, ...]:
     """Every residue of the form's value set in [0, period), ascending.
 
     The sieve of one period; its size is the product of (modulus - 1)
-    over the free variables and is refused past MAX_BLOCK_RESIDUES.
+    over the free variables and is refused past MAX_BLOCK_RESIDUES
+    before any value is sieved.
     """
+    size = math.prod(m - 1 for _, m, _ in form.residue_axes())
+    remedy = _FIXED_CAP + "; enumerate_interval and count_interval need no table"
+    check_budget(size, MAX_BLOCK_RESIDUES, "residue table", remedy)
     return tuple(enumerate_interval(form, IntervalSpec(0, form.period)))
-
-
-def _table_size(axes) -> int:
-    """Residues per period, prod(m - 1) over the axes; refused past the cap."""
-    size = math.prod(m - 1 for _, m, _ in axes)
-    check_budget(
-        size, MAX_BLOCK_RESIDUES, "residue table", _FIXED_CAP + "; count --lo/--hi needs no table"
-    )
-    return size
 
 
 def enumerate_interval(form, interval: IntervalSpec) -> Iterator[int]:
     """An iterator over exactly the form's values in [lo, hi), in ascending order.
 
-    The cap on one period's residues is checked before the iterator is
-    returned, so a refused form yields nothing.
+    It builds no table and holds one mask of at most SEGMENT bytes, so
+    any form streams; the caller bounds the window.
     """
-    axes = form.residue_axes()
-    _table_size(axes)
-    moduli = tuple(m for _, m, _ in axes)
+    moduli = tuple(m for _, m, _ in form.residue_axes())
     return _sieve(form.constant, form.period // math.prod(moduli), moduli, interval)
 
 

@@ -83,20 +83,33 @@ def _prime_after(p: int) -> int:
     return oracle.primes_in(IntervalSpec(p + 1, 2 * p + 2))[0]
 
 
-def check_window_args(claim: str, s: int, n: int) -> None:
-    """Refuse the shift s (corollary2 only) or the exponent n of a window
-    claim below 1, with the message its checker gives, before any work."""
-    if claim == "corollary2" and s < 1:
-        raise ValueError("s must be at least 1")
-    if n < 1:
-        raise ValueError(
-            "n must be at least 1" if claim == "theorem1" else "r, s and n must be at least 1"
-        )
+def check_claim_args(
+    claim: str, r: int, s: int = 1, n: int = 1, e: int = 2, bound: int = 0
+) -> None:
+    """Refuse the arguments a claim reads that need no basis, with the
+    message its checker gives, before any work: r and bound for
+    identity25, e for identity26, the shift s (corollary2 only) and the
+    exponent n for the window claims."""
+    if claim == "identity25":
+        if r < 3:
+            raise ValueError("the identity needs r >= 3")
+        if bound < 0:
+            raise ValueError("bound must be non-negative")
+    elif claim == "identity26":
+        if not 2 <= e <= r - 1:
+            raise ValueError(f"e must satisfy 2 <= e <= r - 1 = {r - 1}, got {e}")
+    else:
+        if claim == "corollary2" and s < 1:
+            raise ValueError("s must be at least 1")
+        if n < 1:
+            raise ValueError(
+                "n must be at least 1" if claim == "theorem1" else "r, s and n must be at least 1"
+            )
 
 
 def theorem1_interval(basis: PrimeBasis, n: int) -> IntervalSpec:
     """The window [p_{r+1}^n, p_{r+1}^(n+1)), with p_{r+1} from the oracle sieve."""
-    check_window_args("theorem1", 1, n)
+    check_claim_args("theorem1", basis.r, n=n)
     p = _prime_after(basis.primes[-1])
     return IntervalSpec(p**n, p ** (n + 1))
 
@@ -162,8 +175,8 @@ def _interval_report(
     counterexamples walks the enumeration a second time to count the
     values that are none of them (witnesses_pass); a passing report walks
     it once. Budgets are checked before the first value is enumerated:
-    the scan width, then the residue-table cap, then for n = 1 the prime
-    sieve's hi, then the Omega sieve's.
+    the scan width, then for n = 1 the prime sieve's hi, then the Omega
+    sieve's.
     """
     check_budget(interval.width, budget, "coprime scan")
     form = build_canonical(basis)
@@ -308,7 +321,7 @@ def verify_corollary2(
     side condition on p_{r+1} fails the scan still runs, labeled
     informational.
     """
-    check_window_args("corollary2", s, n)
+    check_claim_args("corollary2", basis.r, s=s, n=n)
     p = basis.primes[-1]
     for _ in range(s):
         p = _prime_after(p)
@@ -355,8 +368,7 @@ def check_identity26(basis: PrimeBasis, e: int, representative: int = 0) -> Veri
     neither goes through canonicalize, which assumes this congruence. The
     two sides differ as integers; only the congruence is claimed."""
     r = basis.r
-    if not 2 <= e <= r - 1:
-        raise ValueError(f"e must satisfy 2 <= e <= r - 1 = {r - 1}, got {e}")
+    check_claim_args("identity26", r, e=e)
     period = basis.primorial
     lhs = build_canonical(basis).coeff(e)
     rhs = -build_raw(basis, representative).coeff(e)
@@ -403,10 +415,7 @@ def search_identity25(
     before the search starts.
     """
     r = basis.r
-    if r < 3:
-        raise ValueError("the identity needs r >= 3")
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
+    check_claim_args("identity25", r, bound=bound)
     rows = (bound + 1) ** (r - 2)
     check_budget(rows, budget, "identity25 grid")
     primes = basis.primes

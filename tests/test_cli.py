@@ -1,10 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from primewheel import cli, oracle
 from primewheel.cli import SCAN_BUDGET_ENV, main
-from primewheel.enumeration import IntervalSpec
+from primewheel.enumeration import MAX_BLOCK_RESIDUES, IntervalSpec
 from primewheel.theorems import VerificationReport, verify_theorem1
 from primewheel.wheel import PrimeBasis, build_canonical, evaluate, form_from_json
 
@@ -126,18 +131,44 @@ def test_gen_rejects_empty_interval(capsys):
     assert "lo must be < hi" in err
 
 
+def _r12_scan():
+    return oracle.coprime_scan(IntervalSpec(0, 100), PrimeBasis.first(12).primes)
+
+
 def test_gen_large_r_exceeds_budget(capsys):
-    code, _, err = run(capsys, "gen", "--r", "12", "--lo", "0", "--hi", "100")
-    assert code == 3
-    assert "budget" in err
+    # The r = 12 period table is past MAX_BLOCK_RESIDUES; gen streams without it.
+    assert math.prod(p - 1 for p in PrimeBasis.first(12).primes) > MAX_BLOCK_RESIDUES
+    code, out, err = run(capsys, "gen", "--r", "12", "--lo", "0", "--hi", "100")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [str(v) for v in _r12_scan()]
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json-lines"])
 def test_gen_refuses_large_r_before_any_output(capsys, fmt):
+    # No r is refused: each format streams the oracle's values.
     code, out, err = run(capsys, "gen", "--r", "12", "--lo", "0", "--hi", "100", "--format", fmt)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, err) == (0, "")
+    lines = [str(v) for v in _r12_scan()]
+    if fmt == "csv":
+        lines = ["z", *lines]
+    elif fmt == "json-lines":
+        lines = [json.dumps({"z": v}) for v in lines]
+    assert out == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("theorem1", "--r", "100", "--n", "1"), ("corollary2", "--r", "20", "--s", "2", "--n", "1")],
+)
+def test_claims_past_the_table_cap_pass_end_to_end(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop(SCAN_BUDGET_ENV, None)
+    done = subprocess.run(
+        [sys.executable, "-m", "primewheel", "verify", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "verdict: pass" in done.stdout.splitlines()
 
 
 def test_count_block_golden(capsys):

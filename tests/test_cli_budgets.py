@@ -1,6 +1,7 @@
 """Budget refusals: scans, sieves, the identity25 grid and the trial-division probes."""
 
 import json
+import sys
 
 import pytest
 
@@ -118,6 +119,34 @@ def test_refusal_past_the_int_string_limit_names_its_knob(capsys):
     assert err.startswith("error: coprime scan needs a number of 84511 digits but the budget is ")
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeffs", "300", "--max-r", "300"),
+        ("coeffs", "300", "--max-r", "300", "--format", "json-lines"),
+        ("coeffs", "300", "--max-r", "300", "--format", "csv"),
+        ("coeffs", "40", "--raw"),
+    ],
+)
+def test_coeffs_prints_past_the_int_string_limit(capsys, argv):
+    # At the lowest limit the interpreter allows, the r = 300 primorial
+    # (833 digits) and the r = 40 raw coefficients (up to 1,174) are past it.
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = run(capsys, *argv)
+        sys.set_int_max_str_digits(640)
+        got = run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert want[0] == 0 and len(want[1]) > 640
+    assert got == want
+
+
 def test_refusal_messages_of_ordinary_sizes_are_unchanged():
     message = str(BudgetExceeded(required=10**4300 - 1, budget=10))
     assert message == (
@@ -138,6 +167,11 @@ def test_refusal_messages_of_ordinary_sizes_are_unchanged():
         ("verify", "theorem1", "--r", "4", "--n", "0"),
         ("verify", "corollary2", "--r", "4", "--s", "0"),
         ("verify", "corollary2", "--r", "4", "--n", "-1"),
+        ("bench", "--r", "4", "--lo", "-5", "--width", "10"),
+        ("verify", "identity26", "--r", "4", "--e", "1"),
+        ("verify", "identity26", "--r", "4", "--e", "4"),
+        ("verify", "identity25", "--r", "2"),
+        ("verify", "identity25", "--r", "4", "--bound", "-1"),
     ],
 )
 def test_cheap_arguments_are_checked_before_the_basis(capsys, monkeypatch, argv):

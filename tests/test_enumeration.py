@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_left
+from itertools import islice
 
 import pytest
 
@@ -298,15 +299,37 @@ def test_narrow_window_builds_no_table(monkeypatch):
 
 
 def test_enumerate_refuses_oversized_tables_before_iterating(monkeypatch):
+    # Only the period table is capped: it is refused before any sieving,
+    # and the stream over the same form needs no table.
     def no_work(*args):
-        raise AssertionError("enumeration started before the table cap was checked")
+        raise AssertionError("sieved the period before the table cap was checked")
 
-    monkeypatch.setattr(enumeration, "_sieve", no_work)
-    for width in (10, 10**12):
+    form = build_canonical(PrimeBasis.first(9))
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_sieve", no_work)
         with pytest.raises(BudgetExceeded) as info:
-            enumerate_interval(build_canonical(PrimeBasis.first(9)), IntervalSpec(0, width))
-        assert info.value.required == 36495360
-        assert "fixed" in str(info.value)
+            sorted_block_residues(form)
+    assert info.value.required == 36495360
+    assert info.value.budget == MAX_BLOCK_RESIDUES
+    assert "fixed" in str(info.value)
+    # The first 50 values lie below 400: 1 and the primes from 29 on.
+    for width in (10, 10**12):
+        head = list(islice(enumerate_interval(form, IntervalSpec(0, width)), 50))
+        assert head == oracle.coprime_scan(IntervalSpec(0, min(width, 400)), form.divisors)[:50]
+
+
+@pytest.mark.parametrize("r", range(9, 15))
+def test_enumerate_past_the_table_cap_matches_the_scan(monkeypatch, r):
+    rng = random.Random(1000 + r)
+    form = build_canonical(PrimeBasis.first(r))
+    # A small segment puts many seams inside every window.
+    for segment in (enumeration.SEGMENT, rng.randrange(3, 40)):
+        monkeypatch.setattr(enumeration, "SEGMENT", segment)
+        for lo in (0, rng.randrange(0, 10**9), 2**64 + rng.randrange(0, 10**20)):
+            spec = IntervalSpec(lo, lo + rng.randrange(1, 3000))
+            values = list(enumerate_interval(form, spec))
+            assert values == oracle.coprime_scan(spec, form.divisors), (segment, spec)
+            assert len(values) == count_interval(form, spec)
 
 
 def test_residue_table_for_a_large_axis_modulus():
