@@ -6,11 +6,16 @@ bench (wheel vs sieve timing), oracle (brute-force spot checks).
 
 Exit codes: 0 success/pass, 1 verification failure or witness not found,
 2 usage error, 3 budget exceeded. A reader that closes stdout early (as
-`| head` does) ends the command quietly with exit 0. gen and oracle write
-their lines in chunks of CHUNK_LINES. Output is deterministic for fixed
-arguments; only bench timing columns vary run to run. The scan budget of
-count, verify, bench and oracle can be overridden with --budget or the
-PRIMEWHEEL_SCAN_BUDGET environment variable, as an integer of at least 1.
+`| head` does) ends the command quietly with exit 0. Every table (gen,
+count, coeffs --format csv, bench, oracle's value lines) goes through
+write_rows, the one place that knows the format rules, and write_lines,
+which writes CHUNK_LINES lines per call. json-lines fields are decimal
+strings, except --explain's t and h and a verify report's counters,
+which are JSON numbers; verify --format csv prints the text report.
+Output is deterministic for fixed arguments; only bench timing columns
+vary run to run. The scan budget of count, verify, bench and oracle can
+be overridden with --budget or the PRIMEWHEEL_SCAN_BUDGET environment
+variable, as an integer of at least 1.
 A subcommand imports only what it runs: theorems and oracle load on
 first use and json only where JSON is printed, so gen, coeffs and
 count --lo/--hi never load the claim checkers.
@@ -54,26 +59,17 @@ oracle = _Deferred("oracle")
 theorems = _Deferred("theorems")
 
 FORMATS = ("text", "csv", "json-lines")
-# Lines per stdout write for gen and oracle. Larger chunks buy no speed
+# Lines per stdout write of a table. Larger chunks buy no speed
 # and raise a gen process's peak RSS.
 CHUNK_LINES = 256
 
 
-def render_canonical_text(form) -> str:
-    """One line like '30t + 6h3 + 10h2 + 15' (descending variable index)."""
-    parts = [f"{form.period}t"]
-    for j in range(form.r, 1, -1):
-        parts.append(f"{form.coeff(j)}h{j}")
-    parts.append(str(form.constant))
-    return " + ".join(parts)
-
-
-def render_raw_text(form) -> str:
-    """One line like '30t + 24(h3-1) + 50(h2-1) - 1'."""
-    parts = [f"{form.period}t"]
-    for j in range(form.basis.r, 1, -1):
-        parts.append(f"{form.coeff(j)}(h{j}-1)")
-    return " + ".join(parts) + " - 1"
+def render_form_text(form, r: int, raw: bool) -> str:
+    """One line, variables by descending index: '30t + 6h3 + 10h2 + 15', or
+    for a raw form '30t + 24(h3-1) + 50(h2-1) - 1'."""
+    term = "{}(h{}-1)" if raw else "{}h{}"
+    parts = [f"{form.period}t", *(term.format(form.coeff(j), j) for j in range(r, 1, -1))]
+    return " + ".join(parts) + (" - 1" if raw else f" + {form.constant}")
 
 
 def render_report_text(report) -> str:
@@ -121,16 +117,14 @@ def cmd_coeffs(args) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        if args.format == "json-lines":
+        if args.format == "csv":
+            terms = [("t", form.period)]
+            terms += [(f"h{j}", form.coeff(j)) for j in range(args.r, 1, -1)]
+            write_rows("csv", ("term", "coefficient"), [*terms, ("constant", form.constant)])
+        elif args.format == "json-lines":
             print(dumps(form_to_json(form)))
-        elif args.format == "csv":
-            print("term,coefficient")
-            print(f"t,{form.period}")
-            for j in range(args.r, 1, -1):
-                print(f"h{j},{form.coeff(j)}")
-            print(f"constant,{form.constant}")
         else:
-            print(render_raw_text(form) if args.raw else render_canonical_text(form))
+            print(render_form_text(form, args.r, args.raw))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -153,42 +147,50 @@ def write_lines(lines: Iterable[str]) -> None:
         write("\n".join(chunk))
 
 
+def write_rows(fmt: str, header: tuple[str, ...], rows: Iterable, text=None, json=None) -> None:
+    """Write a table in one of FORMATS through write_lines, one format (or
+    str) call per row. A row has one field per header name; a one-column
+    table's rows are bare values. csv: the header line, then each row
+    joined by commas. json-lines: one object per row keyed by the header,
+    each field a decimal string (the template equals json.dumps, as such
+    strings need no escaping), unless `json` gives the template. text: the
+    `text` template, by default name=value pairs or the bare value.
+    """
+    if fmt == "csv":
+        template = ",".join(["{}"] * len(header))
+    elif fmt == "json-lines":
+        template = json or "{{" + ", ".join(f'"{name}": "{{}}"' for name in header) + "}}"
+    else:
+        template = text or (" ".join(f"{name}={{}}" for name in header) if header[1:] else "{}")
+    if len(header) == 1:
+        lines = map(str if template == "{}" else template.format, rows)
+    else:
+        lines = starmap(template.format, rows)
+    write_lines(chain([",".join(header)], lines) if fmt == "csv" else lines)
+
+
 def _explained(form, stream: Iterable[int]) -> Iterator[tuple]:
-    """(z, t, h) per value, h ordered by variable index; decompose checks each value."""
+    """(z, t, h_2, ..., h_r) per value; decompose checks each value."""
     for z in stream:
         t, h = decompose(form, z)
-        yield z, t, [h[j] for j in sorted(h)]
-
-
-def _explain_text(z: int, t: int, h: list[int]) -> str:
-    return f"{z} t={t} h=[{','.join(map(str, h))}]"
-
-
-def _explain_csv(z: int, t: int, h: list[int]) -> str:
-    return ",".join(map(str, (z, t, *h)))
-
-
-def _explain_json(z: int, t: int, h: list[int]) -> str:
-    return dumps({"z": str(z), "t": t, "h": h})
-
-
-_EXPLAIN_LINE = {"text": _explain_text, "csv": _explain_csv, "json-lines": _explain_json}
+        yield (z, t, *map(h.__getitem__, sorted(h)))
 
 
 def cmd_gen(args) -> int:
     interval = IntervalSpec(args.lo, args.hi)
     form = build_canonical(PrimeBasis.first(args.r))
     stream = enumerate_interval(form, interval)
-    header = "z"
-    if args.explain:
-        lines = starmap(_EXPLAIN_LINE[args.format], _explained(form, stream))
-        header = "z,t," + ",".join(f"h{j}" for j in range(2, args.r + 1))
-    elif args.format == "json-lines":
-        # Exactly json.dumps({"z": str(z)}): a decimal string needs no escaping.
-        lines = map('{{"z": "{}"}}'.format, stream)
-    else:
-        lines = map(str, stream)
-    write_lines(chain([header], lines) if args.format == "csv" else lines)
+    if not args.explain:
+        write_rows(args.format, ("z",), stream)
+        return 0
+    hs = ["{}"] * (args.r - 1)
+    write_rows(
+        args.format,
+        ("z", "t", *(f"h{j}" for j in range(2, args.r + 1))),
+        _explained(form, stream),
+        text="{} t={} h=[" + ",".join(hs) + "]",
+        json='{{"z": "{}", "t": {}, "h": [' + ", ".join(hs) + "]}}",
+    )
     return 0
 
 
@@ -203,32 +205,15 @@ def cmd_count(args) -> int:
     basis = PrimeBasis.first(args.r)
     if args.block:
         counts = count_block(basis)
-        if args.format == "json-lines":
-            print(dumps({"phi": str(counts.phi), "interior": str(counts.interior)}))
-        elif args.format == "csv":
-            print("phi,interior")
-            print(f"{counts.phi},{counts.interior}")
-        else:
-            print(f"phi={counts.phi} interior={counts.interior}")
-        return 0
-    if args.pi_approx:
+        write_rows(args.format, ("phi", "interior"), [(counts.phi, counts.interior)])
+    elif args.pi_approx:
         approx, exact, rel = theorems.compare_pi(basis, budget=budget)
-        if args.format == "json-lines":
-            print(dumps({"approx": str(approx), "exact": str(exact), "rel_error": str(rel)}))
-        elif args.format == "csv":
-            print("approx,exact,rel_error")
-            print(f"{float(approx):.3f},{exact},{float(rel):.4f}")
-        else:
-            print(f"approx={float(approx):.3f} exact={exact} rel_error={float(rel):.4f}")
-        return 0
-    total = count_interval(build_canonical(basis), interval)
-    if args.format == "json-lines":
-        print(dumps({"count": str(total)}))
-    elif args.format == "csv":
-        print("count")
-        print(total)
+        if args.format != "json-lines":
+            approx, rel = f"{float(approx):.3f}", f"{float(rel):.4f}"
+        write_rows(args.format, ("approx", "exact", "rel_error"), [(approx, exact, rel)])
     else:
-        print(total)
+        total = count_interval(build_canonical(basis), interval)
+        write_rows(args.format, ("count",), [total])
     return 0
 
 
@@ -245,10 +230,7 @@ def cmd_verify(args) -> int:
         report = theorems.search_identity25(basis, args.bound, budget=budget)
     else:
         report = theorems.check_identity26(basis, args.e, representative=args.k)
-    if args.format == "json-lines":
-        print(dumps(report.to_json()))
-    else:
-        print(render_report_text(report))
+    print(dumps(report.to_json()) if args.format == "json-lines" else render_report_text(report))
     return 0 if report.verdict == "pass" else 1
 
 
@@ -273,17 +255,24 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 1
-    print("method,interval_width,values_emitted,wall_time")
-    for _ in range(args.reps):
-        start = time.perf_counter()
-        emitted = len(list(enumerate_interval(form, interval)))
-        elapsed = time.perf_counter() - start
-        print(f"wheel,{interval.width},{emitted},{elapsed:.6f}")
-        start = time.perf_counter()
-        emitted = len(oracle.rough_sieve(interval, basis, budget=budget))
-        elapsed = time.perf_counter() - start
-        print(f"sieve,{interval.width},{emitted},{elapsed:.6f}")
+    header = ("method", "interval_width", "values_emitted", "wall_time")
+    write_rows("csv", header, _timed_runs(form, basis, interval, args.reps, budget))
     return 0
+
+
+def _timed_runs(form, basis, interval, reps: int, budget) -> Iterator[tuple]:
+    """One bench row per timed run, yielded after its clock stops, so
+    writing the row is not timed."""
+    runs = (
+        ("wheel", lambda: list(enumerate_interval(form, interval))),
+        ("sieve", lambda: oracle.rough_sieve(interval, basis, budget=budget)),
+    )
+    for _ in range(reps):
+        for method, run in runs:
+            start = time.perf_counter()
+            emitted = len(run())
+            elapsed = time.perf_counter() - start
+            yield method, interval.width, emitted, f"{elapsed:.6f}"
 
 
 def cmd_oracle(args) -> int:
@@ -309,7 +298,7 @@ def cmd_oracle(args) -> int:
             )
         )
     elif args.probe == "primes":
-        write_lines(map(str, oracle.primes_in(IntervalSpec(args.lo, args.hi), budget=budget)))
+        write_rows("text", ("p",), oracle.primes_in(IntervalSpec(args.lo, args.hi), budget=budget))
     else:
         interval = IntervalSpec(args.lo, args.hi)
         if args.moduli:
@@ -318,7 +307,7 @@ def cmd_oracle(args) -> int:
                 raise ValueError("every modulus must be at least 2")
         else:
             moduli = PrimeBasis.first(args.r).primes
-        write_lines(map(str, oracle.coprime_scan(interval, moduli, budget=budget)))
+        write_rows("text", ("m",), oracle.coprime_scan(interval, moduli, budget=budget))
     return 0
 
 

@@ -171,7 +171,8 @@ def _interval_report(
     to the cap, even one already on another list. Its segment is closed by
     then, so it is checked on its own by trial division: it is extra for
     (a) when a basis prime divides it, extra for (c) when it is not prime,
-    and its factor count goes to (b). A report with
+    and its factor count goes to (b); it leaves the missing lists of (a)
+    and (c), where its segment put it. A report with
     counterexamples walks the enumeration a second time to count the
     values that are none of them (witnesses_pass); a passing report walks
     it once. Budgets are checked before the first value is enumerated:
@@ -225,6 +226,9 @@ def _interval_report(
             cap, top = COUNTEREXAMPLE_CAP, basis.primes[-1]
             extra = sorted({*extra, *(f.n for f in profiles if 0 < f.spf <= top)})[:cap]
             pe_extra = sorted({*pe_extra, *(f.n for f in profiles if f.omega != 1)})[:cap]
+            # Enumerated after all, so no longer missing.
+            missing = [m for m in missing if m not in run]
+            pe_missing = [m for m in pe_missing if m not in run]
         else:
             while index < key:
                 close(seg, inside)
@@ -322,9 +326,11 @@ def verify_corollary2(
     informational.
     """
     check_claim_args("corollary2", basis.r, s=s, n=n)
-    p = basis.primes[-1]
-    for _ in range(s):
-        p = _prime_after(p)
+    # One budget-checked sieve finds p_{r+1}..p_{r+s}, up to a bound on p_k (k = r + s):
+    # p_k < k(ln k + ln ln k) for k >= 6 (Rosser & Schoenfeld 1962), and p_5 = 11.
+    k = basis.r + s
+    hi = int(k * (math.log(k) + math.log(math.log(k)))) + 2 if k >= 6 else 12
+    p = oracle.primes_in(IntervalSpec(basis.primes[-1] + 1, hi), budget)[s - 1]
     interval = IntervalSpec(p**n, p ** (n + 1))
     condition = bertrand_condition(basis.r, s, n)
     extra = {"condition_met": condition}

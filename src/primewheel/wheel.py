@@ -190,9 +190,13 @@ class CoprimeWheelForm(Record):
         for j, a in zip(self.free_indices, self.coeffs):
             if not 0 < a < period:
                 raise ValueError(f"coefficient for h{j} outside (0, {period})")
-            for i, q in enumerate(self.moduli, start=1):
-                if a % q != (1 if i == j else 0):
-                    raise ValueError(f"coefficient for h{j} is not idempotent mod {q}")
+            # 1 mod q_j and 0 mod the product of the others: two reductions, as
+            # strict as one per modulus and the same for pairwise coprime moduli.
+            q = self.moduli[j - 1]
+            if a % q != 1 or a % (period // q):
+                mods = enumerate(self.moduli, start=1)
+                bad = next((m for i, m in mods if a % m != (i == j)), period // q)
+                raise ValueError(f"coefficient for h{j} is not idempotent mod {bad}")
         if self.pinned_h1 is None:
             if self.constant != 0:
                 raise ValueError("a fully free form has constant 0")

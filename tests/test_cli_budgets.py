@@ -1,7 +1,10 @@
 """Budget refusals: scans, sieves, the identity25 grid and the trial-division probes."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +185,18 @@ def test_cheap_arguments_are_checked_before_the_basis(capsys, monkeypatch, argv)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_corollary2_with_a_large_shift_finds_its_primes_with_one_sieve():
+    # p_{r+s} comes from one sieve up to about 2.9M, well inside the
+    # default budget; the window [p, p^2) past it is then refused.
+    env = {**os.environ, "PYTHONPATH": str(Path(theorems.__file__).resolve().parents[1])}
+    env.pop(SCAN_BUDGET_ENV, None)
+    argv = ["verify", "corollary2", "--r", "3", "--s", "200000", "--n", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "primewheel", *argv],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    _assert_one_knob_error(done.stderr)
+    assert done.stderr.startswith("error: coprime scan needs ")

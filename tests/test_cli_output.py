@@ -34,10 +34,8 @@ def _reference_gen(r, lo, hi, fmt, explain):
     out = io.StringIO()
     form = build_canonical(PrimeBasis.first(r))
     if fmt == "csv":
-        if explain:
-            print("z,t," + ",".join(f"h{j}" for j in range(2, r + 1)), file=out)
-        else:
-            print("z", file=out)
+        columns = ["z", "t", *(f"h{j}" for j in range(2, r + 1))] if explain else ["z"]
+        print(",".join(columns), file=out)
     for z in enumerate_interval(form, IntervalSpec(lo, hi)):
         if explain:
             t, h = decompose(form, z)

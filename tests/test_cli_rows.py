@@ -1,4 +1,4 @@
-"""Byte-exact CLI outputs in every format."""
+"""Byte-exact CLI outputs in every format, and the row shape of each table."""
 
 import json
 
@@ -72,3 +72,34 @@ def test_bench_rows_with_the_timing_masked(capsys):
         assert whole.isdigit() and len(frac) == 6 and frac.isdigit()
     assert out.endswith("\n") and "\n\n" not in out
 
+
+def _tables(r):
+    """argv of every command that prints rows at this r, without --format."""
+    yield "gen", "--r", str(r), "--lo", "1", "--hi", "300"
+    yield "gen", "--r", str(r), "--lo", "1", "--hi", "300", "--explain"
+    yield "count", "--r", str(r), "--block"
+    yield "count", "--r", str(r), "--pi-approx"
+    yield "count", "--r", str(r), "--lo", "1", "--hi", "300"
+    yield "coeffs", str(r)
+    if r > 2:
+        yield "coeffs", str(r), "--raw"
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_csv_rows_have_as_many_fields_as_the_header(capsys, r):
+    tables = [*_tables(r), ("bench", "--r", str(r), "--width", "100", "--reps", "2")]
+    for argv in tables:
+        fmt = () if argv[0] == "bench" else ("--format", "csv")
+        header, *rows = run(capsys, *argv, *fmt).splitlines()
+        assert rows, argv
+        width = len(header.split(","))
+        assert all(name for name in header.split(",")), (argv, header)
+        assert all(len(row.split(",")) == width for row in rows), (argv, header)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_json_lines_are_objects(capsys, r):
+    for argv in [*_tables(r), ("verify", "theorem1", "--r", str(r), "--n", "1")]:
+        lines = run(capsys, *argv, "--format", "json-lines").splitlines()
+        assert lines, argv
+        assert all(isinstance(json.loads(line), dict) for line in lines), argv

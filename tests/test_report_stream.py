@@ -280,3 +280,22 @@ def test_stepped_back_even_value_is_extra(monkeypatch):
     }
     assert details["prime_equality"]["extra"] == ["12"]
     assert details["omega_bound"]["violations"] == [{"value": "12", "omega": 3}]
+
+
+def test_value_enumerated_after_its_segment_closed_is_not_missing(monkeypatch):
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
+    basis = PrimeBasis.first(4)
+    interval = _window(4, 1, 1)
+    scan = oracle.coprime_scan(interval, basis)
+    stream = [v for v in scan if v != 13] + [13]
+    for gate_all in (True, False):
+        report = _streamed(monkeypatch, basis, interval, 1, gate_all, stream)
+        details = report.details
+        assert details["set_equality"] == {
+            "pass": False, "missing": [], "extra": [], "out_of_order": ["13"],
+        }
+        primes = details["prime_equality"]
+        assert (primes["missing"], primes["extra"]) == ([], [])
+        assert [c.value for c in report.counterexamples] == [13]
+        assert report.verdict == "fail"
+        assert report.witnesses_pass == len(scan) - 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from primewheel import theorems
+from primewheel import oracle, theorems
 from primewheel.enumeration import IntervalSpec
 from primewheel.errors import BudgetExceeded
 from primewheel.theorems import (
@@ -94,6 +94,16 @@ def test_corollary2_with_s1_matches_theorem1():
     assert shifted.interval == plain.interval
     assert shifted.verdict == plain.verdict == "pass"
     assert shifted.checked == plain.checked == 12
+
+
+def test_corollary2_window_uses_the_prime_s_places_after_p_r(monkeypatch):
+    monkeypatch.setattr(theorems, "_interval_report", lambda **kw: kw["interval"])
+    primes = oracle.primes_in(IntervalSpec(1, 5000))
+    for r in range(1, 13):
+        basis = PrimeBasis.first(r)
+        for s in range(1, 80):
+            q = primes[r + s - 1]
+            assert verify_corollary2(basis, s, 2) == IntervalSpec(q**2, q**3), (r, s)
 
 
 def test_corollary2_flags_unmet_condition():

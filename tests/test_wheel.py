@@ -320,6 +320,23 @@ def test_form_constructors_reject_tampered_coefficients():
         )
 
 
+@pytest.mark.parametrize(
+    "moduli, coeffs, message",
+    [
+        ((4, 9, 5), (45, 64, 36), "h2 is not idempotent mod 5"),
+        ((4, 9, 5), (45, 10, 36), "h2 is not idempotent mod 4"),
+        ((4, 9, 5), (45, 100, 16), "h3 is not idempotent mod 9"),
+        # 4 is 1 mod 3 and 0 mod 2 and mod 4, but not 0 mod their product 8.
+        ((3, 2, 4), (4, 1, 1), "h1 is not idempotent mod 8"),
+    ],
+)
+def test_idempotency_failure_names_the_failing_modulus(moduli, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        CoprimeWheelForm(
+            moduli=moduli, free_indices=(1, 2, 3), coeffs=coeffs, constant=0, pinned_h1=None
+        )
+
+
 def test_prime_basis_first_proves_each_candidate_once(monkeypatch):
     from primewheel import wheel
 
