@@ -30,7 +30,7 @@ from typing import Iterator
 
 from ._record import Record
 from .enumeration import IntervalSpec
-from .errors import DEFAULT_SCAN_BUDGET, check_budget  # noqa: F401 (re-exported)
+from .errors import check_budget
 
 _SEGMENT = 1 << 20
 # Integers per omega_sieve segment. The segment sets the sieve's memory:

@@ -17,7 +17,7 @@ from ._record import Record, fresh
 from .diophantine import nth_solution, solve_unit
 from .enumeration import IntervalSpec, enumerate_interval
 from .errors import check_budget
-from .wheel import PrimeBasis, build_canonical, build_raw
+from .wheel import PrimeBasis, _prime_bound, build_canonical, build_raw
 
 COUNTEREXAMPLE_CAP = 10
 
@@ -78,9 +78,11 @@ class VerificationReport(Record):
         )
 
 
-def _prime_after(p: int) -> int:
-    # Bertrand guarantees a prime strictly between p and 2p for p > 1.
-    return oracle.primes_in(IntervalSpec(p + 1, 2 * p + 2))[0]
+def _primes_after(basis: PrimeBasis, s: int, budget: int | None = None) -> list[int]:
+    """p_{r+1}..p_{r+s}, from one oracle sieve up to _prime_bound(r + s), whose
+    hi is checked against the scan budget first."""
+    hi = _prime_bound(basis.r + s)
+    return oracle.primes_in(IntervalSpec(basis.primes[-1] + 1, hi), budget)[:s]
 
 
 def check_claim_args(
@@ -110,7 +112,7 @@ def check_claim_args(
 def theorem1_interval(basis: PrimeBasis, n: int) -> IntervalSpec:
     """The window [p_{r+1}^n, p_{r+1}^(n+1)), with p_{r+1} from the oracle sieve."""
     check_claim_args("theorem1", basis.r, n=n)
-    p = _prime_after(basis.primes[-1])
+    (p,) = _primes_after(basis, 1)
     return IntervalSpec(p**n, p ** (n + 1))
 
 
@@ -136,11 +138,16 @@ def _fill(capped: list, values) -> None:
     capped.extend(itertools.islice(values, COUNTEREXAMPLE_CAP - len(capped)))
 
 
+def _keep_smallest(capped: list, values) -> None:
+    """Set `capped` to the smallest distinct values of it and `values`, ascending, up to the cap."""
+    capped[:] = sorted({*capped, *values})[:COUNTEREXAMPLE_CAP]
+
+
 def _compare(values: list[int], want: list[int], missing: list, extra: list) -> None:
-    """Fill missing with the values of want not enumerated and extra with the others."""
-    got = set(values)
-    _fill(missing, sorted(set(want) - got))
-    _fill(extra, sorted(got - set(want)))
+    """Add to missing the values of want not enumerated and to extra the others."""
+    got, want = set(values), set(want)
+    _keep_smallest(missing, want - got)
+    _keep_smallest(extra, got - want)
 
 
 def _interval_report(
@@ -163,21 +170,20 @@ def _interval_report(
     The window is walked one segment of oracle.OMEGA_SEGMENT integers at
     a time. The enumerated values that fall in a segment are compared with
     the oracle's striking scan, Omega sieve and, for n = 1, primes of the
-    same segment; only counts and the capped counterexamples are kept.
-    An enumerated value outside the window is extra and is factored by
-    trial division; the ten smallest distinct ones are kept. The
-    enumeration must ascend, so a value below an earlier value of the
-    window fails (a), and out_of_order lists every distinct such value up
-    to the cap, even one already on another list. Its segment is closed by
-    then, so it is checked on its own by trial division: it is extra for
-    (a) when a basis prime divides it, extra for (c) when it is not prime,
-    and its factor count goes to (b); it leaves the missing lists of (a)
-    and (c), where its segment put it. A report with
-    counterexamples walks the enumeration a second time to count the
-    values that are none of them (witnesses_pass); a passing report walks
-    it once. Budgets are checked before the first value is enumerated:
-    the scan width, then for n = 1 the prime sieve's hi, then the Omega
-    sieve's.
+    same segment; only counts and the capped counterexamples are kept, the
+    missing and extra lists as their ten smallest distinct values. A value
+    with no open segment is checked on its own by trial division for (b),
+    and is extra for (a) and (c) when off the window. In the window it came
+    after a larger value, so it fails (a) and goes on out_of_order
+    (distinct, up to the cap, even if on another list); it is extra for (a)
+    when a basis prime divides it and for (c) when it is not prime, and
+    leaves the missing lists its segment put it on. A missing value the cap
+    cut off before does not come back, so missing can then list fewer than
+    ten. A report with counterexamples walks the enumeration a second time
+    to count the values that are none of them (witnesses_pass); a passing
+    report walks it once. Budgets are checked before the first value is
+    enumerated: the scan width, then for n = 1 the prime sieve's hi, then
+    the Omega sieve's.
     """
     check_budget(interval.width, budget, "coprime scan")
     form = build_canonical(basis)
@@ -190,7 +196,6 @@ def _interval_report(
     extra: list[int] = []  # enumerated in the window but not in the scan, ascending
     pe_missing: list[int] = []  # n = 1: primes never enumerated
     pe_extra: list[int] = []  # n = 1: enumerated in the window but not prime
-    outside: list[int] = []  # the smallest distinct values enumerated off the window
     omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
     disorder: list[int] = []  # enumerated after a larger value of the window
 
@@ -216,19 +221,17 @@ def _interval_report(
     for key, run in itertools.groupby(got, lambda v: (v - lo) // size if lo <= v < hi else -1):
         run = list(run)
         checked += len(run)
-        if key < 0:
-            outside = sorted({*outside, *run})[:COUNTEREXAMPLE_CAP]
-            factor_counts(run, map(oracle.omega, run))
-        elif key < index:
-            stepped_back(run)
+        if key < index:
             profiles = list(map(oracle.factor_profile, run))
             factor_counts(run, (f.omega for f in profiles))
-            cap, top = COUNTEREXAMPLE_CAP, basis.primes[-1]
-            extra = sorted({*extra, *(f.n for f in profiles if 0 < f.spf <= top)})[:cap]
-            pe_extra = sorted({*pe_extra, *(f.n for f in profiles if f.omega != 1)})[:cap]
-            # Enumerated after all, so no longer missing.
-            missing = [m for m in missing if m not in run]
-            pe_missing = [m for m in pe_missing if m not in run]
+            top, off = basis.primes[-1], key < 0
+            _keep_smallest(extra, (f.n for f in profiles if off or 0 < f.spf <= top))
+            _keep_smallest(pe_extra, (f.n for f in profiles if off or f.omega != 1))
+            if not off:
+                stepped_back(run)
+                # Enumerated after all, so no longer missing.
+                missing[:] = [m for m in missing if m not in run]
+                pe_missing[:] = [m for m in pe_missing if m not in run]
         else:
             while index < key:
                 close(seg, inside)
@@ -243,7 +246,6 @@ def _interval_report(
         close(seg, [])
 
     details = dict(extra_details)
-    extra = sorted(outside + extra)[:COUNTEREXAMPLE_CAP]
     found = [(m, "in the oracle scan but never enumerated") for m in missing]
     found += [(m, "enumerated but rejected by the oracle scan") for m in extra]
     found += [(m, "enumerated after a larger value") for m in disorder]
@@ -264,7 +266,6 @@ def _interval_report(
         found += [(m, f"has {om} prime factors, outside 1..{n}") for m, om in omega_bad]
 
     if n == 1:
-        pe_extra = sorted(outside + pe_extra)[:COUNTEREXAMPLE_CAP]
         details["prime_equality"] = {
             "pass": not pe_missing and not pe_extra,
             "missing": [str(m) for m in pe_missing],
@@ -309,7 +310,7 @@ def bertrand_condition(r: int, s: int, n: int) -> bool:
     """Exact test of p_{r+1} > 2^((n+1)(s-1))."""
     if r < 1 or s < 1 or n < 1:
         raise ValueError("r, s and n must be at least 1")
-    p = _prime_after(PrimeBasis.first(r).primes[-1])
+    (p,) = _primes_after(PrimeBasis.first(r), 1)
     return p > 2 ** ((n + 1) * (s - 1))
 
 
@@ -326,11 +327,7 @@ def verify_corollary2(
     informational.
     """
     check_claim_args("corollary2", basis.r, s=s, n=n)
-    # One budget-checked sieve finds p_{r+1}..p_{r+s}, up to a bound on p_k (k = r + s):
-    # p_k < k(ln k + ln ln k) for k >= 6 (Rosser & Schoenfeld 1962), and p_5 = 11.
-    k = basis.r + s
-    hi = int(k * (math.log(k) + math.log(math.log(k)))) + 2 if k >= 6 else 12
-    p = oracle.primes_in(IntervalSpec(basis.primes[-1] + 1, hi), budget)[s - 1]
+    p = _primes_after(basis, s, budget)[-1]
     interval = IntervalSpec(p**n, p ** (n + 1))
     condition = bertrand_condition(basis.r, s, n)
     extra = {"condition_met": condition}
@@ -352,7 +349,7 @@ def pi_approx(basis: PrimeBasis) -> Fraction:
     r + p_{r+1}^2 * (prod(p_l - 1) - 1) / prod(p_l)."""
     from fractions import Fraction  # loaded here, so no other claim pays for it
 
-    p = _prime_after(basis.primes[-1])
+    (p,) = _primes_after(basis, 1)
     phi = math.prod(q - 1 for q in basis.primes)
     return basis.r + Fraction(p * p * (phi - 1), basis.primorial)
 
@@ -360,7 +357,7 @@ def pi_approx(basis: PrimeBasis) -> Fraction:
 def compare_pi(basis: PrimeBasis, budget: int | None = None) -> tuple[Fraction, int, Fraction]:
     """(approx, exact, rel_error) with exact = sieve count of primes in [1, p_{r+1}^2)
     and rel_error = |approx - exact| / exact."""
-    p = _prime_after(basis.primes[-1])
+    (p,) = _primes_after(basis, 1)
     approx = pi_approx(basis)
     exact = len(oracle.primes_in(IntervalSpec(1, p * p), budget=budget))
     return approx, exact, abs(approx - exact) / exact

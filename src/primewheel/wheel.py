@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from itertools import compress, islice
 from typing import Iterable, Iterator, Mapping
 
 from ._record import Record
 from .diophantine import nth_solution, solve_unit
+from .errors import check_budget
 
 __all__ = [
     "PrimeBasis",
@@ -46,33 +48,34 @@ __all__ = [
 ]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+def _prime_bound(k: int) -> int:
+    """An integer above p_k, the k-th prime: p_k < k(ln k + ln ln k) for k >= 6
+    (Rosser & Schoenfeld, Illinois J. Math. 6, 1962), and p_5 = 11."""
+    if k < 6:
+        return 12
+    # k times the float ln k + ln ln k in exact integer arithmetic: the same as
+    # int(k * (...)) wherever k fits a float, and no OverflowError past that.
+    num, den = (math.log(k) + math.log(math.log(k))).as_integer_ratio()
+    return k * num // den + 2
 
 
 @lru_cache(maxsize=16)
 def _first_primes(r: int) -> tuple[int, ...]:
-    """The first r primes, each proved by trial division."""
-    primes = []
-    n = 2
-    while len(primes) < r:
-        if _is_prime(n):
-            primes.append(n)
-        n += 1
-    return tuple(primes)
+    """The first r primes, by one sieve of Eratosthenes below _prime_bound(r), sized first."""
+    limit = _prime_bound(r)
+    remedy = "no flag or environment variable raises this fixed limit, so use a smaller r"
+    check_budget(limit, None, "basis prime sieve", remedy)
+    flags = bytearray(2) + bytearray(b"\x01") * (limit - 2)
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return tuple(islice(compress(range(limit), flags), r))
 
 
 class PrimeBasis(Record):
     """The first r primes, in order. Construction checks them against the
-    first r primes by trial division, proved once per r and cached, so
-    first(r) does not prove them twice."""
+    first r primes, found by one sieve per r and cached, so first(r) does
+    not sieve them twice."""
 
     primes: tuple[int, ...]
 
@@ -111,27 +114,24 @@ class RawWheelForm(Record):
     B_r = p_r*x'_r - 1 and, going down, B_j = (p_j*x'_j - 1) * prod(p_q*x'_q
     for q > j), where each x'_j is a stored solution of the unit equation
     p_j*x - (p_1*...*p_{j-1})*y = 1. Values satisfy value = -h_j (mod p_j).
-    Construction re-derives the coefficients from the stored solutions, so
-    an inconsistent instance cannot exist.
+    The fields are the basis and the solutions; construction checks each
+    solution and derives `coeffs` (B_2..B_r) from them once, and the
+    constant is -1 for every raw form.
     """
 
     basis: PrimeBasis
     solutions: tuple[tuple[int, int], ...]  # (x'_j, t'_j) for j = 2..r
-    coeffs: tuple[int, ...]  # B_j for j = 2..r
-    constant: int
+    constant = -1
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "solutions", tuple((int(x), int(y)) for x, y in self.solutions)
         )
-        object.__setattr__(self, "coeffs", tuple(int(b) for b in self.coeffs))
         r = self.basis.r
         if r < 2:
             raise ValueError("raw forms need at least two basis primes")
-        if len(self.solutions) != r - 1 or len(self.coeffs) != r - 1:
-            raise ValueError("need one solution and one coefficient per index 2..r")
-        if self.constant != -1:
-            raise ValueError("raw forms carry the constant -1")
+        if len(self.solutions) != r - 1:
+            raise ValueError("need one solution per index 2..r")
         primes = self.basis.primes
         lead = 1
         for j in range(2, r + 1):
@@ -139,10 +139,7 @@ class RawWheelForm(Record):
             lead *= primes[j - 2]
             if primes[j - 1] * x - lead * y != 1:
                 raise ValueError(f"stored solution for index {j} fails its unit equation")
-        want = _raw_coeffs(primes, (x for x, _ in self.solutions))
-        bad = [j for j, b, w in zip(range(2, r + 1), self.coeffs, want) if b != w]
-        if bad:
-            raise ValueError(f"coefficient for index {bad[-1]} inconsistent with solutions")
+        object.__setattr__(self, "coeffs", _raw_coeffs(primes, (x for x, _ in self.solutions)))
 
     @property
     def period(self) -> int:
@@ -287,8 +284,7 @@ def build_raw(basis: PrimeBasis, representatives: int | Mapping[int, int] = 0) -
     if not isinstance(representatives, Mapping):
         representatives = dict.fromkeys(indices, representatives)
     solutions = tuple(nth_solution(solve_unit(j, basis), representatives.get(j, 0)) for j in indices)
-    coeffs = _raw_coeffs(basis.primes, (x for x, _ in solutions))
-    return RawWheelForm(basis=basis, solutions=solutions, coeffs=coeffs, constant=-1)
+    return RawWheelForm(basis=basis, solutions=solutions)
 
 
 def _raw_coeffs(primes: tuple[int, ...], xs: Iterable[int]) -> tuple[int, ...]:
@@ -462,7 +458,9 @@ def form_to_json(form) -> dict:
 def form_from_json(data: Mapping) -> RawWheelForm | CanonicalWheelForm | CoprimeWheelForm:
     """Inverse of form_to_json; reconstruction re-runs all construction checks.
 
-    A blob with a key missing raises ValueError naming it, as a tampered value does.
+    A raw form is rebuilt from its solutions, and the blob's coefficients and
+    constant must equal the ones those give. A blob with a key missing raises
+    ValueError naming it, as a tampered value does.
     """
     try:
         if "moduli" in data:
@@ -480,12 +478,13 @@ def form_from_json(data: Mapping) -> RawWheelForm | CanonicalWheelForm | Coprime
         indices = range(2, basis.r + 1)
         coeffs = tuple(int(data["coeffs"][str(j)]) for j in indices)
         if data.get("convention") == "minus-h":
-            return RawWheelForm(
-                basis=basis,
-                solutions=tuple(data["representatives"][str(j)] for j in indices),
-                coeffs=coeffs,
-                constant=int(data["constant"]),
-            )
+            raw = RawWheelForm(basis, tuple(data["representatives"][str(j)] for j in indices))
+            if int(data["constant"]) != raw.constant:
+                raise ValueError("raw forms carry the constant -1")
+            bad = [j for j, b, want in zip(indices, coeffs, raw.coeffs) if b != want]
+            if bad:
+                raise ValueError(f"coefficient for index {bad[-1]} inconsistent with solutions")
+            return raw
         return CanonicalWheelForm(basis=basis, coeffs=coeffs, constant=int(data["constant"]))
     except KeyError as err:
         raise ValueError(f"form JSON is missing the key {err.args[0]!r}") from None

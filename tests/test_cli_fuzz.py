@@ -1,0 +1,175 @@
+"""Seeded random argvs over every subcommand, run in-process through cli.main.
+
+Every run must keep the exit-code contract: exit 0, 1 (only from verify
+or bench), 2 or 3, no traceback, and a command's own exit 2 or 3 is one
+`error: ` line on stderr (argparse's usage errors print their usage
+instead). Each case runs under a SIGALRM limit. Sizes stay small (r <= 12,
+narrow gen and bench windows), and size refusals come from small
+--budget values, not from huge inputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import random
+import signal
+
+import pytest
+
+from primewheel import cli
+from primewheel.errors import SCAN_BUDGET_ENV
+
+SEED = 14
+CASES_PER_COMMAND = 80
+ALARM_S = 5
+
+
+def _pick(rng, valid, invalid):
+    """Mostly a valid value; one time in eight an invalid one."""
+    return rng.choice(invalid if rng.random() < 1 / 8 else valid)
+
+
+def _r(rng):
+    return _pick(rng, [1, 2, 3, 4, 5, 6, 7, 8, 10, 12], [-1, 0])
+
+
+def _window(rng, width):
+    lo = _pick(rng, [1, 2, 97, 10**6, 10**30], [-10, 0]) + rng.randrange(50)
+    return lo, lo + _pick(rng, [1, rng.randrange(1, width), rng.randrange(1, width)], [-5, 0])
+
+
+def _format(rng):
+    fmt = _pick(rng, ["text", "csv", "json-lines"], ["xml"])
+    return rng.choice([[], ["--format", fmt]])
+
+
+def _budget(rng):
+    if rng.random() < 0.5:
+        return []
+    return ["--budget", _pick(rng, ["1", "5", "40", "1000", "50000"], ["-3", "0", "x"])]
+
+
+def _coeffs(rng):
+    argv = ["coeffs", str(_r(rng))]
+    if rng.random() < 0.5:
+        argv.append("--raw")
+    if rng.random() < 0.3:
+        argv += ["--max-r", str(_pick(rng, [3, 12], [-1, 0]))]
+    return argv + _format(rng)
+
+
+def _gen(rng):
+    lo, hi = _window(rng, 2000)
+    argv = ["gen", "--r", str(_r(rng)), "--lo", str(lo), "--hi", str(hi)]
+    if rng.random() < 0.4:
+        argv.append("--explain")
+    return argv + _format(rng)
+
+
+def _count(rng):
+    argv = ["count", "--r", str(_r(rng))]
+    mode = _pick(rng, ["block", "pi", "window", "window"], ["both", "none"])
+    if mode in ("block", "both"):
+        argv.append("--block")
+    if mode in ("pi", "both"):
+        argv.append("--pi-approx")
+    if mode == "window":
+        # Inclusion-exclusion costs the same at any width.
+        lo, hi = _window(rng, 10**9)
+        argv += ["--lo", str(lo), "--hi", str(hi)]
+    return argv + _format(rng) + _budget(rng)
+
+
+def _verify(rng):
+    claim = rng.choice(["theorem1", "corollary2", "identity25", "identity26"])
+    argv = ["verify", claim, "--r", str(_r(rng))]
+    if claim in ("theorem1", "corollary2"):
+        argv += ["--n", str(_pick(rng, [1, 1, 2], [-1, 0]))]
+    if claim == "corollary2":
+        argv += ["--s", str(_pick(rng, [1, 2, 3, 5], [-1, 0]))]
+    if claim == "identity25":
+        argv += ["--bound", str(_pick(rng, [0, 1, 2], [-1]))]
+    if claim == "identity26":
+        argv += ["--e", str(_pick(rng, [2, 3, 5], [1, 11])), "--k", str(rng.choice([-2, 0, 3]))]
+    return argv + _format(rng) + _budget(rng)
+
+
+def _bench(rng):
+    argv = ["bench", "--r", str(_r(rng)), "--width", str(_pick(rng, [1, 100, 3000], [-1, 0]))]
+    argv += ["--lo", str(_pick(rng, [1, 1000, 10**20], [-5, 0]))]
+    argv += ["--reps", str(_pick(rng, [1, 2], [0]))]
+    return argv + _budget(rng)
+
+
+def _oracle(rng):
+    probe = rng.choice(["omega", "spf", "factor", "primes", "scan"])
+    argv = ["oracle", probe]
+    if probe in ("omega", "spf", "factor"):
+        n = _pick(rng, [1, 2, 360, 10**9 + 7, 10**12 + 39, 10**40], [-7, 0])
+        argv += ["--n", str(n)]
+    else:
+        lo, hi = _window(rng, 10**5)
+        argv += ["--lo", str(lo), "--hi", str(hi), "--r", str(_r(rng))]
+        if probe == "scan" and rng.random() < 0.5:
+            argv += ["--moduli", _pick(rng, ["3,5", "4,9,5", "", "2,2"], ["1", "x"])]
+    return argv + _budget(rng)
+
+
+MAKERS = {
+    "coeffs": _coeffs,
+    "gen": _gen,
+    "count": _count,
+    "verify": _verify,
+    "bench": _bench,
+    "oracle": _oracle,
+}
+
+
+class _Alarm(Exception):
+    pass
+
+
+def _on_alarm(signum, frame):
+    raise _Alarm(f"ran past {ALARM_S} s")
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(ALARM_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _violations(command, code, out, err):
+    if code not in (0, 1, 2, 3):
+        yield f"exit {code}"
+    if "Traceback" in err:
+        yield "traceback on stderr"
+    if code == 1 and command not in ("verify", "bench"):
+        yield "exit 1 outside verify and bench"
+    if code in (2, 3) and "usage:" not in out + err:
+        if not err.startswith("error: ") or err.count("\n") != 1 or not err.endswith("\n"):
+            yield f"exit {code} without exactly one error line: {err!r}"
+
+
+@pytest.mark.parametrize("command", sorted(MAKERS))
+def test_random_argvs_keep_the_exit_code_contract(monkeypatch, command):
+    monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)
+    rng = random.Random(f"{SEED}-{command}")
+    found = []
+    for _ in range(CASES_PER_COMMAND):
+        argv = MAKERS[command](rng)
+        try:
+            code, out, err = _run(argv)
+        except Exception as exc:  # an escaped exception or the alarm
+            found.append((argv, repr(exc)))
+            continue
+        found += [(argv, v) for v in _violations(command, code, out, err)]
+    assert not found, found

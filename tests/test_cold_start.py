@@ -144,8 +144,7 @@ RECORDS = [
     (BASIS, "PrimeBasis(primes=(2, 3, 5))"),
     (
         build_raw(BASIS),
-        "RawWheelForm(basis=PrimeBasis(primes=(2, 3, 5)), solutions=((1, 1), (5, 4)), "
-        "coeffs=(50, 24), constant=-1)",
+        "RawWheelForm(basis=PrimeBasis(primes=(2, 3, 5)), solutions=((1, 1), (5, 4)))",
     ),
     (
         build_coprime_wheel([4, 9, 5], h1=1),

@@ -17,10 +17,10 @@ import pytest
 from primewheel.theorems import check_identity26, search_identity25
 from primewheel.wheel import (
     PrimeBasis,
-    RawWheelForm,
     build_canonical,
     build_raw,
     canonicalize,
+    form_from_json,
     form_to_json,
 )
 
@@ -100,10 +100,11 @@ def test_raw_coefficients_telescope(r):
 
 def test_raw_form_names_the_highest_tampered_coefficient():
     raw = build_raw(PrimeBasis.first(5))
+    blob = form_to_json(raw)
     for tampered, named in (((2,), 2), ((2, 4), 4), ((3, 4, 5), 5)):
-        coeffs = [b + (j in tampered) for j, b in zip(range(2, 6), raw.coeffs)]
+        coeffs = {str(j): str(b + (j in tampered)) for j, b in zip(range(2, 6), raw.coeffs)}
         with pytest.raises(ValueError, match=f"^coefficient for index {named} inconsistent"):
-            RawWheelForm(basis=raw.basis, solutions=raw.solutions, coeffs=coeffs, constant=-1)
+            form_from_json({**blob, "coeffs": coeffs})
 
 
 def _reference_identity26(basis, e, k):

@@ -83,9 +83,7 @@ WINDOWS = [(3, 1, 1), (3, 2, 1), (2, 3, 1), (3, 1, 2), (2, 2, 2)]
 
 
 def _window(r, n, shift):
-    q = PrimeBasis.first(r).primes[-1]
-    for _ in range(shift):
-        q = theorems._prime_after(q)
+    q = theorems._primes_after(PrimeBasis.first(r), shift)[-1]
     return IntervalSpec(q**n, q ** (n + 1))
 
 

@@ -103,12 +103,8 @@ def test_canonicalize_r2_manual_raw():
     # build_raw starts at r=3; the r=2 raw form is small enough to state.
     basis = PrimeBasis.first(2)
     fam = solve_unit(2, basis)
-    raw = RawWheelForm(
-        basis=basis,
-        solutions=((fam.base_x, fam.base_y),),
-        coeffs=(2,),
-        constant=-1,
-    )
+    raw = RawWheelForm(basis=basis, solutions=((fam.base_x, fam.base_y),))
+    assert (raw.coeffs, raw.constant) == ((2,), -1)
     form = canonicalize(raw)
     assert form.coeff(2) == 4
     assert form.constant == 3
@@ -340,20 +336,23 @@ def test_idempotency_failure_names_the_failing_modulus(moduli, coeffs, message):
 def test_prime_basis_first_proves_each_candidate_once(monkeypatch):
     from primewheel import wheel
 
-    tested = []
+    sieved = []
 
-    def counting_is_prime(n):
-        tested.append(n)
-        return is_prime(n)
+    def counting_bound(k):
+        sieved.append(k)
+        return prime_bound(k)
 
-    is_prime = wheel._is_prime
-    monkeypatch.setattr(wheel, "_is_prime", counting_is_prime)
+    prime_bound = wheel._prime_bound
+    monkeypatch.setattr(wheel, "_prime_bound", counting_bound)
     wheel._first_primes.cache_clear()
     try:
-        assert PrimeBasis.first(8).primes == (2, 3, 5, 7, 11, 13, 17, 19)
+        for _ in range(2):
+            assert PrimeBasis.first(8).primes == (2, 3, 5, 7, 11, 13, 17, 19)
+        assert PrimeBasis.first(3) == PrimeBasis((2, 3, 5))
     finally:
         wheel._first_primes.cache_clear()
-    assert tested == list(range(2, 20))
+    # One sieve per r: every candidate below the bound is decided once.
+    assert sieved == [8, 3]
 
 
 @pytest.mark.parametrize(
