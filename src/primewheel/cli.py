@@ -111,23 +111,14 @@ def cmd_coeffs(args) -> int:
         raise ValueError(f"r must lie in 1..{args.max_r} (use --max-r to raise the cap)")
     basis = PrimeBasis.first(args.r)
     form = build_raw(basis) if args.raw else build_canonical(basis)
-    # --max-r bounds these exact integers, so the interpreter's int-to-str
-    # digit limit (where it has one) is lifted while they print.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        if args.format == "csv":
-            terms = [("t", form.period)]
-            terms += [(f"h{j}", form.coeff(j)) for j in range(args.r, 1, -1)]
-            write_rows("csv", ("term", "coefficient"), [*terms, ("constant", form.constant)])
-        elif args.format == "json-lines":
-            print(dumps(form_to_json(form)))
-        else:
-            print(render_form_text(form, args.r, args.raw))
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    if args.format == "csv":
+        terms = [("t", form.period)]
+        terms += [(f"h{j}", form.coeff(j)) for j in range(args.r, 1, -1)]
+        write_rows("csv", ("term", "coefficient"), [*terms, ("constant", form.constant)])
+    elif args.format == "json-lines":
+        print(dumps(form_to_json(form)))
+    else:
+        print(render_form_text(form, args.r, args.raw))
     return 0
 
 
@@ -399,6 +390,12 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
+    # Commands print exact integers of any size, so the interpreter's int-to-str
+    # digit limit (where it has one) is lifted while one runs. Argparse above
+    # still parses under it, and refusals give such sizes by their digit count.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -416,6 +413,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ from __future__ import annotations
 DEFAULT_SCAN_BUDGET = 10_000_000
 # The environment variable the CLI reads a scan budget from, besides --budget.
 SCAN_BUDGET_ENV = "PRIMEWHEEL_SCAN_BUDGET"
+# Sizes from here up are shown by their digit count, whatever the interpreter's digit limit.
+_DECIMAL_LIMIT = 10**4300
 
 
 class BudgetExceeded(RuntimeError):
@@ -28,15 +30,14 @@ class BudgetExceeded(RuntimeError):
 
 
 def _size(n: int) -> str:
-    """n in decimal or, past the interpreter's int-to-str digit limit, its digit count."""
-    try:
+    """n in decimal or, past 4,300 digits (Python's default int-to-str limit), its digit count."""
+    if n < _DECIMAL_LIMIT:
         return str(n)
-    except ValueError:
-        # (bits - 1) * log10(2) is at most log10(n), so counting up from it ends at len(str(n)).
-        digits = int((n.bit_length() - 1) * 0.30102999566398120)
-        while 10**digits <= n:
-            digits += 1
-        return f"a number of {digits} digits"
+    # (bits - 1) * log10(2) is at most log10(n), so counting up from it ends at len(str(n)).
+    digits = int((n.bit_length() - 1) * 0.30102999566398120)
+    while 10**digits <= n:
+        digits += 1
+    return f"a number of {digits} digits"
 
 
 def check_budget(required: int, budget: int | None, what: str, remedy: str | None = None) -> None:

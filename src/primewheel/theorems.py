@@ -89,16 +89,15 @@ def check_claim_args(
     claim: str, r: int, s: int = 1, n: int = 1, e: int = 2, bound: int = 0
 ) -> None:
     """Refuse the arguments a claim reads that need no basis, with the
-    message its checker gives, before any work: r and bound for
-    identity25, e for identity26, the shift s (corollary2 only) and the
-    exponent n for the window claims."""
-    if claim == "identity25":
+    message its checker gives, before any work: r for both identities,
+    bound for identity25, e for identity26, the shift s (corollary2 only)
+    and the exponent n for the window claims."""
+    if claim in ("identity25", "identity26"):
         if r < 3:
             raise ValueError("the identity needs r >= 3")
-        if bound < 0:
+        if claim == "identity25" and bound < 0:
             raise ValueError("bound must be non-negative")
-    elif claim == "identity26":
-        if not 2 <= e <= r - 1:
+        if claim == "identity26" and not 2 <= e <= r - 1:
             raise ValueError(f"e must satisfy 2 <= e <= r - 1 = {r - 1}, got {e}")
     else:
         if claim == "corollary2" and s < 1:

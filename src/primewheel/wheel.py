@@ -11,20 +11,23 @@ divisible by no basis modulus:
   value = +h_j (mod q_j). The canonical form is the coprime wheel on the
   first r primes with h1 = 1; its constant is then half the period.
 
-CoprimeWheelForm holds the one idempotent validation, and
-CanonicalWheelForm is a thin subclass that only adds its prime basis.
-canonicalize() maps a raw form onto the canonical one through the
-substitution h_j -> p_j - h_j, and the result does not depend on which
-unit-equation solution the raw form was built from. All form types are
-frozen records (_record.Record) and every operation is pure, so concurrent
-use is safe.
+Every form stores only its parameters and derives the rest once when
+built: CoprimeWheelForm its idempotents and constant from its moduli and
+pinned h1 (CanonicalWheelForm is a thin subclass that only adds its prime
+basis), RawWheelForm its coefficients from its solutions. Coefficients
+from outside are compared with the derived ones where they arrive, in
+form_from_json and in canonicalize(). canonicalize() maps a raw form onto
+the canonical one through the substitution h_j -> p_j - h_j, and the
+result does not depend on which unit-equation solution the raw form was
+built from. All form types are frozen records (_record.Record) and every
+operation is pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import compress, islice
+from itertools import combinations, compress, islice
 from typing import Iterable, Iterator, Mapping
 
 from ._record import Record
@@ -161,52 +164,39 @@ class RawWheelForm(Record):
 class CoprimeWheelForm(Record):
     """Idempotent wheel form over arbitrary pairwise coprime moduli.
 
-    With pinned_h1 set, the idempotent of the first modulus is folded into
-    the constant and the value set is the slice = h1 (mod moduli[0]);
-    with pinned_h1 None the first residue stays a free variable and the
-    value set is every integer divisible by none of the moduli.
+    The fields are the moduli and pinned_h1; construction checks them and
+    derives the free indices, the coefficients (the CRT idempotents) and
+    the constant once. With pinned_h1 set, the idempotent of the first
+    modulus is folded into the constant and the value set is the slice
+    = h1 (mod moduli[0]); with pinned_h1 None the first residue stays a
+    free variable and the value set is every integer divisible by none of
+    the moduli.
     """
 
     moduli: tuple[int, ...]
-    free_indices: tuple[int, ...]  # 1-based positions carrying a residue variable
-    coeffs: tuple[int, ...]  # parallel to free_indices
-    constant: int
     pinned_h1: int | None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", tuple(int(q) for q in self.moduli))
-        object.__setattr__(self, "free_indices", tuple(int(j) for j in self.free_indices))
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
-        if not self.moduli:
+        mods = tuple(int(q) for q in self.moduli)
+        object.__setattr__(self, "moduli", mods)
+        if not mods:
             raise ValueError("need at least one modulus")
+        if any(q < 2 for q in mods):
+            raise ValueError("every modulus must be at least 2")
         period = self.period
-        if self.free_indices != _free_indices(len(self.moduli), self.pinned_h1):
-            raise ValueError("free indices inconsistent with the pinned residue")
-        if len(self.coeffs) != len(self.free_indices):
-            raise ValueError("need one coefficient per free index")
-        for j, a in zip(self.free_indices, self.coeffs):
-            if not 0 < a < period:
-                raise ValueError(f"coefficient for h{j} outside (0, {period})")
-            # 1 mod q_j and 0 mod the product of the others: two reductions, as
-            # strict as one per modulus and the same for pairwise coprime moduli.
-            q = self.moduli[j - 1]
-            if a % q != 1 or a % (period // q):
-                mods = enumerate(self.moduli, start=1)
-                bad = next((m for i, m in mods if a % m != (i == j)), period // q)
-                raise ValueError(f"coefficient for h{j} is not idempotent mod {bad}")
-        if self.pinned_h1 is None:
-            if self.constant != 0:
-                raise ValueError("a fully free form has constant 0")
-        else:
-            q1 = self.moduli[0]
-            if not 1 <= self.pinned_h1 < q1:
-                raise ValueError(f"pinned residue must lie in 1..{q1 - 1}")
-            if not 0 <= self.constant < period:
-                raise ValueError("constant outside [0, period)")
-            for i, q in enumerate(self.moduli, start=1):
-                want = self.pinned_h1 % q if i == 1 else 0
-                if self.constant % q != want:
-                    raise ValueError(f"constant inconsistent with pinned residue mod {q}")
+        if math.lcm(*mods) != period:
+            for i, j in combinations(range(len(mods)), 2):
+                g = math.gcd(mods[i], mods[j])
+                if g > 1:
+                    raise ValueError(f"moduli {mods[i]} and {mods[j]} are not coprime (gcd {g})")
+        h1 = self.pinned_h1
+        if h1 is not None and not 1 <= h1 < mods[0]:
+            raise ValueError(f"h1 must lie in 1..{mods[0] - 1}, got {h1}")
+        idems = _idempotents(mods)
+        first = 1 if h1 is None else 2
+        object.__setattr__(self, "free_indices", tuple(range(first, len(mods) + 1)))
+        object.__setattr__(self, "coeffs", idems[first - 1 :])
+        object.__setattr__(self, "constant", 0 if h1 is None else idems[0] * h1 % period)
 
     @cached_property
     def period(self) -> int:
@@ -236,30 +226,19 @@ class CanonicalWheelForm(CoprimeWheelForm):
 
     Each A_j is the unique value in (0, P) with A_j = 1 (mod p_j) and
     A_j = 0 (mod p_i) for i != j, and the pinned constant is forced to
-    P/2; values of the form satisfy value = +h_j (mod p_j). Validated on
-    construction by CoprimeWheelForm. A canonical form never equals the
-    coprime wheel with the same coefficients, so their JSON shapes and
-    cache keys stay apart.
+    P/2; values of the form satisfy value = +h_j (mod p_j). The basis is
+    the only parameter, and CoprimeWheelForm derives the rest. A canonical
+    form never equals the coprime wheel with the same coefficients, so
+    their JSON shapes and cache keys stay apart.
     """
 
-    def __init__(self, basis: PrimeBasis, coeffs: Iterable[int], constant: int) -> None:
+    def __init__(self, basis: PrimeBasis) -> None:
         object.__setattr__(self, "basis", basis)
-        super().__init__(
-            moduli=basis.primes,
-            free_indices=_free_indices(basis.r, 1),
-            coeffs=coeffs,
-            constant=constant,
-            pinned_h1=1,
-        )
+        super().__init__(moduli=basis.primes, pinned_h1=1)
 
     @property
     def r(self) -> int:
         return self.basis.r
-
-
-def _free_indices(count: int, pinned_h1: int | None) -> tuple[int, ...]:
-    """The indices of the residue variables: all of 1..count, or 2..count with h1 pinned."""
-    return tuple(range(1 if pinned_h1 is None else 2, count + 1))
 
 
 def _slot(j: int, indices) -> int:
@@ -302,8 +281,7 @@ def build_canonical(basis: PrimeBasis) -> CanonicalWheelForm:
 
     For r = 1 there are no residue variables and the form is 2t + 1.
     """
-    coeffs = _idempotents(basis.primes)[1:]
-    return CanonicalWheelForm(basis=basis, coeffs=coeffs, constant=basis.primorial // 2)
+    return CanonicalWheelForm(basis)
 
 
 def _idempotents(moduli: tuple[int, ...]) -> tuple[int, ...]:
@@ -326,7 +304,29 @@ def canonicalize(raw: RawWheelForm) -> CanonicalWheelForm:
     constant = (
         sum(b * (p - 1) for b, p in zip(raw.coeffs, primes[1:])) + raw.constant
     ) % period
-    return CanonicalWheelForm(basis=raw.basis, coeffs=coeffs, constant=constant)
+    return _matching(CanonicalWheelForm(raw.basis), coeffs, constant)
+
+
+def _matching(form: CoprimeWheelForm, coeffs: tuple[int, ...], constant: int) -> CoprimeWheelForm:
+    """`form` if `coeffs` and `constant` are its own; otherwise refuse, naming
+    the first bad coefficient (or the constant) and a modulus it fails."""
+    period, mods, h1 = form.period, form.moduli, form.pinned_h1
+    for j, a, want in zip(form.free_indices, coeffs, form.coeffs):
+        if a != want:
+            if not 0 < a < period:
+                raise ValueError(f"coefficient for h{j} outside (0, {period})")
+            # The idempotent is the one value in (0, P) that is 1 mod q_j and
+            # 0 mod each other modulus, so some modulus tells them apart.
+            bad = next(q for i, q in enumerate(mods, start=1) if a % q != (i == j))
+            raise ValueError(f"coefficient for h{j} is not idempotent mod {bad}")
+    if constant != form.constant:
+        if h1 is None:
+            raise ValueError("a fully free form has constant 0")
+        if not 0 <= constant < period:
+            raise ValueError("constant outside [0, period)")
+        bad = next(q for i, q in enumerate(mods) if constant % q != (h1 % q if i == 0 else 0))
+        raise ValueError(f"constant inconsistent with pinned residue mod {bad}")
+    return form
 
 
 def _check_assignment(axes, h: Mapping[int, int]) -> None:
@@ -393,28 +393,7 @@ def build_coprime_wheel(moduli: Iterable[int], h1: int | None = None) -> Coprime
     slice = h1 (mod moduli[0]). On the first r primes with h1 = 1 this
     reproduces the canonical prime form coefficient for coefficient.
     """
-    mods = tuple(int(q) for q in moduli)
-    if not mods:
-        raise ValueError("need at least one modulus")
-    if any(q < 2 for q in mods):
-        raise ValueError("every modulus must be at least 2")
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            g = math.gcd(mods[i], mods[j])
-            if g > 1:
-                raise ValueError(
-                    f"moduli {mods[i]} and {mods[j]} are not coprime (gcd {g})"
-                )
-    if h1 is not None and not 1 <= h1 < mods[0]:
-        raise ValueError(f"h1 must lie in 1..{mods[0] - 1}, got {h1}")
-    idems = _idempotents(mods)
-    return CoprimeWheelForm(
-        moduli=mods,
-        free_indices=_free_indices(len(mods), h1),
-        coeffs=idems if h1 is None else idems[1:],
-        constant=0 if h1 is None else (idems[0] * h1) % math.prod(mods),
-        pinned_h1=h1,
-    )
+    return CoprimeWheelForm(tuple(moduli), h1)
 
 
 def form_to_json(form) -> dict:
@@ -458,22 +437,17 @@ def form_to_json(form) -> dict:
 def form_from_json(data: Mapping) -> RawWheelForm | CanonicalWheelForm | CoprimeWheelForm:
     """Inverse of form_to_json; reconstruction re-runs all construction checks.
 
-    A raw form is rebuilt from its solutions, and the blob's coefficients and
-    constant must equal the ones those give. A blob with a key missing raises
-    ValueError naming it, as a tampered value does.
+    Each form is rebuilt from its parameters (moduli and pinned h1, r, or
+    the raw solutions), and the blob's coefficients and constant must equal
+    the derived ones. A blob with a key missing raises ValueError naming
+    it, as a tampered value does.
     """
     try:
         if "moduli" in data:
-            mods = tuple(int(q) for q in data["moduli"])
             pinned = data.get("pinned_h1")
-            free = _free_indices(len(mods), pinned)
-            return CoprimeWheelForm(
-                moduli=mods,
-                free_indices=free,
-                coeffs=tuple(int(data["coeffs"][str(j)]) for j in free),
-                constant=int(data["constant"]),
-                pinned_h1=None if pinned is None else int(pinned),
-            )
+            form = CoprimeWheelForm(tuple(data["moduli"]), None if pinned is None else int(pinned))
+            coeffs = tuple(int(data["coeffs"][str(j)]) for j in form.free_indices)
+            return _matching(form, coeffs, int(data["constant"]))
         basis = PrimeBasis.first(int(data["r"]))
         indices = range(2, basis.r + 1)
         coeffs = tuple(int(data["coeffs"][str(j)]) for j in indices)
@@ -485,6 +459,6 @@ def form_from_json(data: Mapping) -> RawWheelForm | CanonicalWheelForm | Coprime
             if bad:
                 raise ValueError(f"coefficient for index {bad[-1]} inconsistent with solutions")
             return raw
-        return CanonicalWheelForm(basis=basis, coeffs=coeffs, constant=int(data["constant"]))
+        return _matching(CanonicalWheelForm(basis), coeffs, int(data["constant"]))
     except KeyError as err:
         raise ValueError(f"form JSON is missing the key {err.args[0]!r}") from None

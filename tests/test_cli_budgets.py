@@ -1,6 +1,7 @@
 """Budget refusals: scans, sieves, the identity25 grid and the trial-division probes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -200,3 +201,42 @@ def test_corollary2_with_a_large_shift_finds_its_primes_with_one_sieve():
     assert (done.returncode, done.stdout) == (3, "")
     _assert_one_knob_error(done.stderr)
     assert done.stderr.startswith("error: coprime scan needs ")
+
+
+@pytest.mark.parametrize("r", ["0", "2"])
+def test_identity26_refuses_a_basis_too_small_before_its_e(capsys, r):
+    code, out, err = run(capsys, "verify", "identity26", "--r", r, "--e", "11")
+    assert (code, out, err) == (2, "", "error: the identity needs r >= 3\n")
+
+
+def _decimal(n):
+    """str(n) at any size, restoring the interpreter's digit limit after."""
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_count_prints_phi_past_the_int_string_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "--r", "1500", "--block")
+    assert sys.get_int_max_str_digits() == before
+    phi = _decimal(math.prod(p - 1 for p in PrimeBasis.first(1500).primes))
+    assert (code, err) == (0, "") and len(phi) > 4300
+    assert out.startswith(f"phi={phi} interior=")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_identity26_prints_its_sides_past_the_int_string_limit(capsys):
+    code, out, err = run(capsys, "verify", "identity26", "--r", "400", "--e", "2")
+    assert (code, err) == (0, "")
+    # A_2 is below the ~1,200-digit primorial; the raw side -B_2 is far past the limit.
+    rhs = next(line for line in out.splitlines() if line.startswith("detail rhs: "))
+    assert len(rhs) > 4300 and "verdict: pass" in out.splitlines()

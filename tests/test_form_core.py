@@ -102,8 +102,8 @@ def test_canonical_form_is_the_coprime_wheel_on_the_first_primes(r):
 
 def test_canonical_form_keeps_its_constructor_signature():
     basis = PrimeBasis.first(3)
-    form = CanonicalWheelForm(basis=basis, coeffs=(10, 6), constant=15)
-    assert form == build_canonical(basis)
+    form = CanonicalWheelForm(basis)
+    assert form == CanonicalWheelForm(basis=basis) == build_canonical(basis)
     assert form.basis is basis and form.free_indices == (2, 3) and form.pinned_h1 == 1
 
 

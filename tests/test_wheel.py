@@ -12,8 +12,6 @@ from primewheel.enumeration import (
     sorted_block_residues,
 )
 from primewheel.wheel import (
-    CanonicalWheelForm,
-    CoprimeWheelForm,
     PrimeBasis,
     RawWheelForm,
     build_canonical,
@@ -301,18 +299,15 @@ def test_json_values_are_decimal_strings():
 
 
 def test_form_constructors_reject_tampered_coefficients():
-    basis = PrimeBasis.first(3)
+    canonical = {"r": 3, "primorial": "30", "convention": "plus-h"}
     with pytest.raises(ValueError):
-        CanonicalWheelForm(basis=basis, coeffs=(10, 7), constant=15)
+        form_from_json({**canonical, "coeffs": {"2": "10", "3": "7"}, "constant": "15"})
     with pytest.raises(ValueError):
-        CanonicalWheelForm(basis=basis, coeffs=(10, 6), constant=14)
+        form_from_json({**canonical, "coeffs": {"2": "10", "3": "6"}, "constant": "14"})
     with pytest.raises(ValueError):
-        CoprimeWheelForm(
-            moduli=(4, 9),
-            free_indices=(1, 2),
-            coeffs=(9, 29),
-            constant=0,
-            pinned_h1=None,
+        form_from_json(
+            {"moduli": ["4", "9"], "coeffs": {"1": "9", "2": "29"}, "constant": "0",
+             "pinned_h1": None}
         )
 
 
@@ -322,15 +317,19 @@ def test_form_constructors_reject_tampered_coefficients():
         ((4, 9, 5), (45, 64, 36), "h2 is not idempotent mod 5"),
         ((4, 9, 5), (45, 10, 36), "h2 is not idempotent mod 4"),
         ((4, 9, 5), (45, 100, 16), "h3 is not idempotent mod 9"),
-        # 4 is 1 mod 3 and 0 mod 2 and mod 4, but not 0 mod their product 8.
-        ((3, 2, 4), (4, 1, 1), "h1 is not idempotent mod 8"),
+        # 4 is 1 mod 3 and 0 mod 2 and mod 4, but the moduli share the factor 2.
+        ((3, 2, 4), (4, 1, 1), r"^moduli 2 and 4 are not coprime \(gcd 2\)$"),
     ],
 )
 def test_idempotency_failure_names_the_failing_modulus(moduli, coeffs, message):
+    blob = {
+        "moduli": [str(q) for q in moduli],
+        "coeffs": {str(j): str(a) for j, a in enumerate(coeffs, start=1)},
+        "constant": "0",
+        "pinned_h1": None,
+    }
     with pytest.raises(ValueError, match=message):
-        CoprimeWheelForm(
-            moduli=moduli, free_indices=(1, 2, 3), coeffs=coeffs, constant=0, pinned_h1=None
-        )
+        form_from_json(blob)
 
 
 def test_prime_basis_first_proves_each_candidate_once(monkeypatch):
