@@ -8,8 +8,10 @@ Exit codes: 0 success/pass, 1 verification failure or witness not found,
 2 usage error, 3 budget exceeded. A reader that closes stdout early (as
 `| head` does) ends the command quietly with exit 0. Every table (gen,
 count, coeffs --format csv, bench, oracle's value lines) goes through
-write_rows, the one place that knows the format rules, and write_lines,
-which writes CHUNK_LINES lines per call. json-lines fields are decimal
+write_rows, the one place that knows the format rules. It takes a table
+as chunks of columns, a stream CHUNK_LINES values at a time, and writes
+each chunk with one call; gen --explain decomposes a whole chunk with
+one wheel.decompose_rows call. json-lines fields are decimal
 strings, except --explain's t and h and a verify report's counters,
 which are JSON numbers; verify --format csv prints the text report.
 Output is deterministic for fixed arguments; only bench timing columns
@@ -29,7 +31,7 @@ import os
 import sys
 import time
 from importlib import import_module
-from itertools import chain, islice, starmap
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .enumeration import IntervalSpec, count_block, count_interval, enumerate_interval
@@ -38,7 +40,7 @@ from .wheel import (
     PrimeBasis,
     build_canonical,
     build_raw,
-    decompose,
+    decompose_rows,
     form_to_json,
 )
 
@@ -59,8 +61,8 @@ oracle = _Deferred("oracle")
 theorems = _Deferred("theorems")
 
 FORMATS = ("text", "csv", "json-lines")
-# Lines per stdout write of a table. Larger chunks buy no speed
-# and raise a gen process's peak RSS.
+# Rows per chunk of a streamed table, and so per stdout write. Larger
+# chunks buy no speed and raise a gen process's peak RSS.
 CHUNK_LINES = 256
 
 
@@ -112,9 +114,10 @@ def cmd_coeffs(args) -> int:
     basis = PrimeBasis.first(args.r)
     form = build_raw(basis) if args.raw else build_canonical(basis)
     if args.format == "csv":
-        terms = [("t", form.period)]
-        terms += [(f"h{j}", form.coeff(j)) for j in range(args.r, 1, -1)]
-        write_rows("csv", ("term", "coefficient"), [*terms, ("constant", form.constant)])
+        indices = range(args.r, 1, -1)
+        terms = ["t", *(f"h{j}" for j in indices), "constant"]
+        coefficients = [form.period, *map(form.coeff, indices), form.constant]
+        write_rows("csv", ("term", "coefficient"), [(terms, coefficients)])
     elif args.format == "json-lines":
         print(dumps(form_to_json(form)))
     else:
@@ -129,23 +132,19 @@ def dumps(data, **options) -> str:
     return json.dumps(data, **options)
 
 
-def write_lines(lines: Iterable[str]) -> None:
-    """Write each line and a newline to stdout, CHUNK_LINES lines per write call."""
-    lines = iter(lines)
-    write = sys.stdout.write
-    while chunk := list(islice(lines, CHUNK_LINES)):
-        chunk.append("")
-        write("\n".join(chunk))
+def write_rows(
+    fmt: str, header: tuple[str, ...], chunks: Iterable[tuple], text=None, json=None
+) -> None:
+    """Write a table in one of FORMATS, one stdout write per chunk.
 
-
-def write_rows(fmt: str, header: tuple[str, ...], rows: Iterable, text=None, json=None) -> None:
-    """Write a table in one of FORMATS through write_lines, one format (or
-    str) call per row. A row has one field per header name; a one-column
-    table's rows are bare values. csv: the header line, then each row
-    joined by commas. json-lines: one object per row keyed by the header,
-    each field a decimal string (the template equals json.dumps, as such
-    strings need no escaping), unless `json` gives the template. text: the
-    `text` template, by default name=value pairs or the bare value.
+    A chunk holds one column per header name, all of one length, and its
+    lines are built column by column: one map(template.format, *columns),
+    or for a one-column table one join of the values' str. csv: the
+    header line, then each row joined by commas. json-lines: one object
+    per row keyed by the header, each field a decimal string (the
+    template equals json.dumps, as such strings need no escaping), unless
+    `json` gives the template. text: the `text` template, by default
+    name=value pairs or the bare value.
     """
     if fmt == "csv":
         template = ",".join(["{}"] * len(header))
@@ -153,18 +152,34 @@ def write_rows(fmt: str, header: tuple[str, ...], rows: Iterable, text=None, jso
         template = json or "{{" + ", ".join(f'"{name}": "{{}}"' for name in header) + "}}"
     else:
         template = text or (" ".join(f"{name}={{}}" for name in header) if header[1:] else "{}")
-    if len(header) == 1:
-        lines = map(str if template == "{}" else template.format, rows)
-    else:
-        lines = starmap(template.format, rows)
-    write_lines(chain([",".join(header)], lines) if fmt == "csv" else lines)
+    write = sys.stdout.write
+    if fmt == "csv":
+        write(",".join(header) + "\n")
+    if header[1:]:
+        for columns in chunks:
+            write("\n".join(map(template.format, *columns)) + "\n")
+        return
+    # A one-column line is its value between a fixed head and tail, so the
+    # lines of a chunk are one join.
+    head, tail = template.format("\n").split("\n")
+    between = tail + "\n" + head
+    for (column,) in chunks:
+        write(head + between.join(map(str, column)) + tail + "\n")
 
 
-def _explained(form, stream: Iterable[int]) -> Iterator[tuple]:
-    """(z, t, h_2, ..., h_r) per value; decompose checks each value."""
-    for z in stream:
-        t, h = decompose(form, z)
-        yield (z, t, *map(h.__getitem__, sorted(h)))
+def _chunks(values: Iterable) -> Iterator[tuple[list]]:
+    """The values as one-column chunks of CHUNK_LINES (the last may be shorter)."""
+    values = iter(values)
+    while chunk := list(islice(values, CHUNK_LINES)):
+        yield (chunk,)
+
+
+def _explained(form, stream: Iterable[int]) -> Iterator[tuple[list, ...]]:
+    """The z, t, h_2, ..., h_r columns of each chunk of the stream; one
+    decompose_rows call per chunk checks its values."""
+    for (zs,) in _chunks(stream):
+        ts, hs = decompose_rows(form, zs)
+        yield (zs, ts, *hs)
 
 
 def cmd_gen(args) -> int:
@@ -172,7 +187,7 @@ def cmd_gen(args) -> int:
     form = build_canonical(PrimeBasis.first(args.r))
     stream = enumerate_interval(form, interval)
     if not args.explain:
-        write_rows(args.format, ("z",), stream)
+        write_rows(args.format, ("z",), _chunks(stream))
         return 0
     hs = ["{}"] * (args.r - 1)
     write_rows(
@@ -196,15 +211,15 @@ def cmd_count(args) -> int:
     basis = PrimeBasis.first(args.r)
     if args.block:
         counts = count_block(basis)
-        write_rows(args.format, ("phi", "interior"), [(counts.phi, counts.interior)])
+        write_rows(args.format, ("phi", "interior"), [([counts.phi], [counts.interior])])
     elif args.pi_approx:
         approx, exact, rel = theorems.compare_pi(basis, budget=budget)
         if args.format != "json-lines":
             approx, rel = f"{float(approx):.3f}", f"{float(rel):.4f}"
-        write_rows(args.format, ("approx", "exact", "rel_error"), [(approx, exact, rel)])
+        write_rows(args.format, ("approx", "exact", "rel_error"), [([approx], [exact], [rel])])
     else:
         total = count_interval(build_canonical(basis), interval)
-        write_rows(args.format, ("count",), [total])
+        write_rows(args.format, ("count",), [([total],)])
     return 0
 
 
@@ -247,7 +262,8 @@ def cmd_bench(args) -> int:
         )
         return 1
     header = ("method", "interval_width", "values_emitted", "wall_time")
-    write_rows("csv", header, _timed_runs(form, basis, interval, args.reps, budget))
+    columns = zip(*_timed_runs(form, basis, interval, args.reps, budget))
+    write_rows("csv", header, [tuple(columns)])
     return 0
 
 
@@ -289,7 +305,8 @@ def cmd_oracle(args) -> int:
             )
         )
     elif args.probe == "primes":
-        write_rows("text", ("p",), oracle.primes_in(IntervalSpec(args.lo, args.hi), budget=budget))
+        primes = oracle.primes_in(IntervalSpec(args.lo, args.hi), budget=budget)
+        write_rows("text", ("p",), _chunks(primes))
     else:
         interval = IntervalSpec(args.lo, args.hi)
         if args.moduli:
@@ -298,7 +315,7 @@ def cmd_oracle(args) -> int:
                 raise ValueError("every modulus must be at least 2")
         else:
             moduli = PrimeBasis.first(args.r).primes
-        write_rows("text", ("m",), oracle.coprime_scan(interval, moduli, budget=budget))
+        write_rows("text", ("m",), _chunks(oracle.coprime_scan(interval, moduli, budget=budget)))
     return 0
 
 

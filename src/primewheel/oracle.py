@@ -8,8 +8,8 @@ at a time (Bays & Hudson 1977):
 
 - _strike keeps the integers divisible by no given modulus. It serves
   coprime_scan and rough_sieve, one implementation under two names, and
-  primes_in, whose moduli are the primes up to the square root of hi,
-  themselves put back in front;
+  primes_in and prime_segments, whose moduli are the primes up to the
+  square root of hi, themselves put back in front;
 - omega_sieve gives Omega(m), the prime factors of m counted with
   multiplicity, for every m: each prime power p^k strikes its multiples,
   which gain one factor and are divided by p, and a cofactor above 1
@@ -24,6 +24,7 @@ wedge a test run.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import compress, repeat
 from operator import add, floordiv, lt
 from typing import Iterator
@@ -143,9 +144,28 @@ def primes_in(interval: IntervalSpec, budget: int | None = None) -> list[int]:
     included, so those in [lo, hi) are put back in front.
     """
     check_budget(interval.hi, budget, "prime sieve")
-    base = _simple_sieve(math.isqrt(interval.hi - 1))
-    lo = interval.lo
-    return [p for p in base if p >= lo] + _strike(max(lo, 2), interval.hi, tuple(base))
+    base = tuple(_simple_sieve(math.isqrt(interval.hi - 1)))
+    return _primes_between(interval.lo, interval.hi, base)
+
+
+def prime_segments(interval: IntervalSpec, budget: int | None = None) -> Iterator[list[int]]:
+    """The primes in [lo, hi), one list per OMEGA_SEGMENT integers from lo up,
+    as omega_sieve segments the window; the last may cover fewer.
+
+    The base primes up to sqrt(hi - 1) are sieved once for the whole
+    window, and hi is checked against the budget before the iterator is
+    returned.
+    """
+    check_budget(interval.hi, budget, "prime sieve")
+    base = tuple(_simple_sieve(math.isqrt(interval.hi - 1)))
+    starts = range(interval.lo, interval.hi, OMEGA_SEGMENT)
+    return (_primes_between(lo, min(lo + OMEGA_SEGMENT, interval.hi), base) for lo in starts)
+
+
+def _primes_between(lo: int, hi: int, base: tuple[int, ...]) -> list[int]:
+    """The primes in [lo, hi), given every prime up to sqrt(hi - 1) in `base`."""
+    inside = base[bisect_left(base, lo) : bisect_left(base, hi)]
+    return [*inside, *_strike(max(lo, 2), hi, base)]
 
 
 def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[list[int]]:

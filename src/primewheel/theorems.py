@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import eq, mod, mul
 from typing import Iterator, NamedTuple
 
 from . import oracle
@@ -124,13 +125,13 @@ class _Segment(NamedTuple):
     primes: list[int] | None  # the primes in the segment, for n = 1 only
 
 
-def _oracle_segments(basis, interval, n, budget, omegas) -> Iterator[_Segment]:
-    """The window's segments from lo up, one for each list `omegas` yields."""
+def _oracle_segments(basis, interval, budget, omegas, primes) -> Iterator[_Segment]:
+    """The window's segments from lo up, one for each list `omegas` and
+    `primes` yield together."""
     starts = range(interval.lo, interval.hi, oracle.OMEGA_SEGMENT)
-    for seg_lo, seg_omegas in zip(starts, omegas):
+    for seg_lo, seg_omegas, seg_primes in zip(starts, omegas, primes):
         span = IntervalSpec(seg_lo, seg_lo + len(seg_omegas))
-        primes = oracle.primes_in(span, budget) if n == 1 else None
-        yield _Segment(seg_lo, oracle.coprime_scan(span, basis, budget), seg_omegas, primes)
+        yield _Segment(seg_lo, oracle.coprime_scan(span, basis, budget), seg_omegas, seg_primes)
 
 
 def _fill(capped: list, values) -> None:
@@ -187,9 +188,9 @@ def _interval_report(
     check_budget(interval.width, budget, "coprime scan")
     form = build_canonical(basis)
     got = enumerate_interval(form, interval)
-    if n == 1:
-        check_budget(interval.hi, budget, "prime sieve")
-    segments = _oracle_segments(basis, interval, n, budget, oracle.omega_sieve(interval, budget))
+    primes = oracle.prime_segments(interval, budget) if n == 1 else itertools.repeat(None)
+    omegas = oracle.omega_sieve(interval, budget)
+    segments = _oracle_segments(basis, interval, budget, omegas, primes)
     # Capped fault lists; each one that is not empty fails its subcheck.
     missing: list[int] = []  # in the scan but never enumerated, ascending
     extra: list[int] = []  # enumerated in the window but not in the scan, ascending
@@ -426,31 +427,45 @@ def search_identity25(
     # reps[i][k] is x'_i of representative k, worked out once per (i, k).
     reps = {i: [nth_solution(f, k)[0] for k in range(bound + 1)] for i, f in families.items()}
     xr_base = reps[r][0]
+    # p_i*x'_i per representative, for i = 2..r-1; the last index is walked
+    # under each prefix of the others.
+    factors = {i: [primes[i - 1] * x for x in reps[i]] for i in range(2, r)}
+    last = factors.pop(r - 1)
+    last_residues = [f % modulus for f in last]
     witness = None
     rows_scanned = 0
-    for ks in itertools.product(range(bound + 1), repeat=r - 2):
-        rows_scanned += 1
-        # The raw coefficients telescope: B_j + prod(p_q*x'_q, q > j) is
-        # prod(p_q*x'_q, q >= j), so sum(B_j, j = 2..m) = prod(p_j*x'_j, j = 2..m) - 1.
-        total = math.prod(primes[i - 1] * reps[i][k] for i, k in enumerate(ks, start=2)) - 1
-        # Representatives of x'_r differ by multiples of p_1*...*p_{r-1},
-        # so divisibility of x'_r * S by the modulus is the same for every
-        # k_r; one test covers the whole row of the grid.
-        if (xr_base * total) % modulus:
-            continue
+
+    def row_witness(total: int) -> tuple[int, int] | None:
+        """(k_r, s) of the first x'_r that gives a witness with S = total."""
         for kr, xr in enumerate(reps[r]):
             quotient = (xr * total) // modulus
-            if quotient % 2:
-                s = (quotient + 1) // 2
-                if abs(s) <= bound:
-                    witness = {
-                        "s": str(s),
-                        "representatives": {str(i): ks[i - 2] for i in range(2, r)}
-                        | {str(r): kr},
-                    }
-                    break
+            s = (quotient + 1) // 2
+            if quotient % 2 and abs(s) <= bound:
+                return kr, s
+        return None
+
+    for prefix in itertools.product(range(bound + 1), repeat=r - 3):
+        # The raw coefficients telescope: B_j + prod(p_q*x'_q, q > j) is
+        # prod(p_q*x'_q, q >= j), so sum(B_j, j = 2..m) = prod(p_j*x'_j, j = 2..m) - 1.
+        lead = math.prod(factors[i][k] for i, k in enumerate(prefix, start=2))
+        # Representatives of x'_r differ by multiples of p_1*...*p_{r-1},
+        # so divisibility of x'_r * S by the modulus is the same for every
+        # k_r; one test covers the whole row of the grid. With S = lead * f - 1
+        # it is taken on residues: x'_r * lead * f = x'_r (mod modulus).
+        scaled = map(mul, itertools.repeat(xr_base * lead % modulus), last_residues)
+        rests = map(mod, scaled, itertools.repeat(modulus))
+        hits = map(eq, rests, itertools.repeat(xr_base % modulus))
+        for k in itertools.compress(range(bound + 1), hits):
+            found = row_witness(lead * last[k] - 1)
+            if found:
+                kr, s = found
+                ks = enumerate((*prefix, k, kr), start=2)
+                witness = {"s": str(s), "representatives": {str(i): k_i for i, k_i in ks}}
+                break
         if witness:
+            rows_scanned += k + 1
             break
+        rows_scanned += bound + 1
     checked = (bound + 1) ** (r - 1)
     details = {
         "witness": witness,

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import combinations, compress, islice
-from typing import Iterable, Iterator, Mapping
+from itertools import combinations, compress, islice, repeat
+from operator import floordiv, mod, mul, sub
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record
 from .diophantine import nth_solution, solve_unit
@@ -45,6 +46,7 @@ __all__ = [
     "evaluate",
     "evaluate_raw",
     "decompose",
+    "decompose_rows",
     "build_coprime_wheel",
     "form_to_json",
     "form_from_json",
@@ -361,11 +363,44 @@ def evaluate_raw(raw: RawWheelForm, t: int, h: Mapping[int, int]) -> int:
 def decompose(form, z: int) -> tuple[int, dict[int, int]]:
     """Recover the unique (t, h) with evaluate(form, t, h) == z.
 
-    Rejects z divisible by any basis modulus (naming the offender) and,
-    for a pinned form, z outside the pinned residue slice; the canonical
-    form pins h1 = 1, the odd integers.
+    The one-value case of decompose_rows, which makes every check and
+    names the offender.
+    """
+    (t,), columns = decompose_rows(form, (z,))
+    return t, {j: h for (j, _, _), (h,) in zip(form.residue_axes(), columns)}
+
+
+def decompose_rows(form, zs: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """decompose for every z of zs, column by column: (ts, h_columns).
+
+    h_columns holds one column per residue variable, by ascending index;
+    row i of the columns is the (t, h) of zs[i]. Each column is one map
+    over the chunk, so the cost per value is a few C-level operations per
+    axis, not a Python call. Rejects z divisible by any basis modulus
+    (naming the offender) and, for a pinned form, z outside the pinned
+    residue slice; the canonical form pins h1 = 1, the odd integers. A
+    z that fails a check raises decompose's message for the first such z
+    in the order of zs.
     """
     axes = form.residue_axes()
+    columns = [list(map(mod, zs, repeat(q))) for _, q, _ in axes]
+    body = list(map(sub, zs, repeat(form.constant)))
+    for (_, _, a), h in zip(axes, columns):
+        body = list(map(sub, body, map(mul, repeat(a), h)))
+    ts = list(map(floordiv, body, repeat(form.period)))
+    rems = list(map(mod, body, repeat(form.period)))
+    pinned = form.pinned_h1
+    pins = [] if pinned is None else list(map(mod, zs, repeat(form.moduli[0])))
+    if pins.count(pinned) < len(pins) or any(0 in h for h in columns) or any(rems):
+        for z, rem in zip(zs, rems):
+            _refuse(form, z, rem)
+    return ts, columns
+
+
+def _refuse(form, z: int, rem: int) -> None:
+    """Raise decompose's message for z, whose body leaves `rem` mod the period,
+    if it fails a check: the first dividing modulus, the pinned residue,
+    then the remainder."""
     for q in form.divisors:
         if z % q == 0:
             raise ValueError(f"{z} is divisible by {q}, so it is not a value of this form")
@@ -374,14 +409,10 @@ def decompose(form, z: int) -> tuple[int, dict[int, int]]:
         raise ValueError(
             f"{z} = {z % form.moduli[0]} (mod {form.moduli[0]}) but the form pins h1 = {pinned}"
         )
-    h = {j: z % modulus for j, modulus, _ in axes}
-    body = z - form.constant - sum(a * h[j] for j, _, a in axes)
-    t, rem = divmod(body, form.period)
     if rem:
         raise ValueError(
             f"{z} leaves remainder {rem} mod {form.period}, so the form is inconsistent"
         )
-    return t, h
 
 
 def build_coprime_wheel(moduli: Iterable[int], h1: int | None = None) -> CoprimeWheelForm:

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -176,6 +178,53 @@ def test_identity25_r4_grid_accounting():
     assert report.details["rows_scanned"] == 51**2
     assert report.details["grid"]["combinations"] == str(51**3)
     assert report.details["modulus"] == "15"
+
+
+def _row_by_row_identity25(basis, bound):
+    """identity25's details from the plain grid walk: one product of all
+    r - 2 leading factors per row, and one divisibility test per row."""
+    r, primes = basis.r, basis.primes
+    modulus = math.prod(primes[1 : r - 1])
+    reps = {
+        i: [theorems.nth_solution(theorems.solve_unit(i, basis), k)[0] for k in range(bound + 1)]
+        for i in range(2, r + 1)
+    }
+    rows_scanned = 0
+    for ks in itertools.product(range(bound + 1), repeat=r - 2):
+        rows_scanned += 1
+        total = math.prod(primes[i - 1] * reps[i][k] for i, k in enumerate(ks, start=2)) - 1
+        if (reps[r][0] * total) % modulus:
+            continue
+        for kr, xr in enumerate(reps[r]):
+            quotient = (xr * total) // modulus
+            if quotient % 2 and abs((quotient + 1) // 2) <= bound:
+                chosen = {str(i): k for i, k in enumerate((*ks, kr), start=2)}
+                witness = {"s": str((quotient + 1) // 2), "representatives": chosen}
+                return witness, rows_scanned
+    return None, rows_scanned
+
+
+@pytest.mark.parametrize("r", range(3, 7))
+@pytest.mark.parametrize("bound", [0, 1, 4, 9])
+@pytest.mark.parametrize("planted", [False, True])
+def test_identity25_prefix_walk_matches_the_row_by_row_search(monkeypatch, r, bound, planted):
+    basis = PrimeBasis.first(r)
+    if planted:
+        modulus = math.prod(basis.primes[1 : r - 1])
+        walked, last = basis.primes[-2:]
+
+        def planted_solution(family, k):
+            """A zero x'_i makes S = -1, so rows with k_{r-1} = 3 or k_2 = 1 hold
+            witnesses; x'_r stays one class mod the modulus, as it is."""
+            if family.a == last:
+                return modulus * (2 * k + 1), 0
+            return k - (3 if family.a == walked else 1 if family.a == 3 else -1), 0
+
+        monkeypatch.setattr(theorems, "nth_solution", planted_solution)
+    witness, rows_scanned = _row_by_row_identity25(basis, bound)
+    report = search_identity25(basis, bound)
+    assert (report.details["witness"], report.details["rows_scanned"]) == (witness, rows_scanned)
+    assert report.verdict == ("pass" if witness else "not-found-within-bound")
 
 
 def test_identity25_input_validation():
