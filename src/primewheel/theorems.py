@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import eq, mod, mul
-from typing import Iterator, NamedTuple
+from operator import eq, le, mod, mul
 
 from . import oracle
 from ._record import Record, fresh
@@ -116,38 +115,9 @@ def theorem1_interval(basis: PrimeBasis, n: int) -> IntervalSpec:
     return IntervalSpec(p**n, p ** (n + 1))
 
 
-class _Segment(NamedTuple):
-    """The oracle's view of one segment [lo, lo + len(omegas)) of a window."""
-
-    lo: int
-    want: list[int]  # divisible by no basis prime, by the striking scan
-    omegas: list[int]  # Omega of every integer in the segment
-    primes: list[int] | None  # the primes in the segment, for n = 1 only
-
-
-def _oracle_segments(basis, interval, budget, omegas, primes) -> Iterator[_Segment]:
-    """The window's segments from lo up, one for each list `omegas` and
-    `primes` yield together."""
-    starts = range(interval.lo, interval.hi, oracle.OMEGA_SEGMENT)
-    for seg_lo, seg_omegas, seg_primes in zip(starts, omegas, primes):
-        span = IntervalSpec(seg_lo, seg_lo + len(seg_omegas))
-        yield _Segment(seg_lo, oracle.coprime_scan(span, basis, budget), seg_omegas, seg_primes)
-
-
-def _fill(capped: list, values) -> None:
-    capped.extend(itertools.islice(values, COUNTEREXAMPLE_CAP - len(capped)))
-
-
 def _keep_smallest(capped: list, values) -> None:
     """Set `capped` to the smallest distinct values of it and `values`, ascending, up to the cap."""
     capped[:] = sorted({*capped, *values})[:COUNTEREXAMPLE_CAP]
-
-
-def _compare(values: list[int], want: list[int], missing: list, extra: list) -> None:
-    """Add to missing the values of want not enumerated and to extra the others."""
-    got, want = set(values), set(want)
-    _keep_smallest(missing, want - got)
-    _keep_smallest(extra, got - want)
 
 
 def _interval_report(
@@ -167,83 +137,86 @@ def _interval_report(
     With gate_all False only (a) decides the verdict and (b)/(c) are
     reported informationally.
 
-    The window is walked one segment of oracle.OMEGA_SEGMENT integers at
-    a time. The enumerated values that fall in a segment are compared with
-    the oracle's striking scan, Omega sieve and, for n = 1, primes of the
-    same segment; only counts and the capped counterexamples are kept, the
-    missing and extra lists as their ten smallest distinct values. A value
-    with no open segment is checked on its own by trial division for (b),
-    and is extra for (a) and (c) when off the window. In the window it came
-    after a larger value, so it fails (a) and goes on out_of_order
-    (distinct, up to the cap, even if on another list); it is extra for (a)
-    when a basis prime divides it and for (c) when it is not prime, and
-    leaves the missing lists its segment put it on. A missing value the cap
-    cut off before does not come back, so missing can then list fewer than
-    ten. A report with counterexamples walks the enumeration a second time
-    to count the values that are none of them (witnesses_pass); a passing
-    report walks it once. Budgets are checked before the first value is
-    enumerated: the scan width, then for n = 1 the prime sieve's hi, then
-    the Omega sieve's.
+    The report merges two ascending streams, the enumeration grouped by
+    segment of oracle.OMEGA_SEGMENT integers and the oracle's segments:
+    each segment's values are compared with its striking scan and, for
+    n = 1, its primes, as lists and only on a mismatch as sets, and their
+    Omega is read from its Omega sieve. Only counts and the capped
+    counterexamples are kept (missing and extra as their ten smallest
+    distinct values), so a passing report walks the enumeration once in
+    segment-sized memory. The merge stops at the first value off the
+    window or below an earlier window value, which correct code never
+    gives; only then is the enumeration held, walked once more into a
+    list whose sorted window values go through the same merge. Values off
+    the window are extra for (a) and (c), Omega comes by trial division
+    in enumeration order, and out_of_order lists the first ten distinct
+    window values enumerated after a larger one. Any other failing report
+    walks the enumeration a second time to count witnesses_pass, the
+    values that are none of the counterexamples. Budgets are checked
+    before the first value is enumerated: the scan width, then for n = 1
+    the prime sieve's hi, then the Omega sieve's.
     """
     check_budget(interval.width, budget, "coprime scan")
     form = build_canonical(basis)
-    got = enumerate_interval(form, interval)
-    primes = oracle.prime_segments(interval, budget) if n == 1 else itertools.repeat(None)
-    omegas = oracle.omega_sieve(interval, budget)
-    segments = _oracle_segments(basis, interval, budget, omegas, primes)
-    # Capped fault lists; each one that is not empty fails its subcheck.
-    missing: list[int] = []  # in the scan but never enumerated, ascending
-    extra: list[int] = []  # enumerated in the window but not in the scan, ascending
-    pe_missing: list[int] = []  # n = 1: primes never enumerated
-    pe_extra: list[int] = []  # n = 1: enumerated in the window but not prime
-    omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
-    disorder: list[int] = []  # enumerated after a larger value of the window
-
-    def stepped_back(values) -> None:
-        for value in values:
-            if len(disorder) < COUNTEREXAMPLE_CAP and value not in disorder:
-                disorder.append(value)
-
-    def factor_counts(values, omegas) -> None:
-        _fill(omega_bad, ((v, om) for v, om in zip(values, omegas) if not 1 <= om <= n))
-
-    def close(seg: _Segment, values: list[int]) -> None:
-        if values != seg.want:
-            stepped_back(v for v, top in zip(values, itertools.accumulate(values, max)) if v < top)
-            _compare(values, seg.want, missing, extra)
-        if seg.primes is not None and values != seg.primes:
-            _compare(values, seg.primes, pe_missing, pe_extra)
-
     lo, hi, size = interval.lo, interval.hi, oracle.OMEGA_SEGMENT
-    # Runs of enumerated values by segment index, -1 outside the window;
-    # seg is the open segment, number index, and inside its values so far.
-    checked, index, seg, inside = 0, 0, next(segments), []
-    for key, run in itertools.groupby(got, lambda v: (v - lo) // size if lo <= v < hi else -1):
-        run = list(run)
-        checked += len(run)
-        if key < index:
-            profiles = list(map(oracle.factor_profile, run))
-            factor_counts(run, (f.omega for f in profiles))
-            top, off = basis.primes[-1], key < 0
-            _keep_smallest(extra, (f.n for f in profiles if off or 0 < f.spf <= top))
-            _keep_smallest(pe_extra, (f.n for f in profiles if off or f.omega != 1))
-            if not off:
-                stepped_back(run)
-                # Enumerated after all, so no longer missing.
-                missing[:] = [m for m in missing if m not in run]
-                pe_missing[:] = [m for m in pe_missing if m not in run]
-        else:
-            while index < key:
-                close(seg, inside)
-                seg, inside, index = next(segments), [], index + 1
-            if len(omega_bad) < COUNTEREXAMPLE_CAP:
-                oms = list(map(seg.omegas.__getitem__, map((-seg.lo).__add__, run)))
+    none = itertools.repeat(None)
+
+    def merge(values, omegas, primes) -> tuple | None:
+        """The capped fault lists and the count of ascending window values,
+        or None at the first other value; omega_bad stays empty without omegas."""
+        # Each fault list that is not empty fails its subcheck.
+        missing: list[int] = []  # in the scan but never enumerated, ascending
+        extra: list[int] = []  # enumerated but not in the scan, ascending
+        pe_missing: list[int] = []  # n = 1: primes never enumerated
+        pe_extra: list[int] = []  # n = 1: enumerated but not prime
+        omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
+        segments = zip(itertools.count(), range(lo, hi, size), omegas, primes)
+
+        def close(seg_lo, seg_primes, run) -> None:
+            scan = oracle.coprime_scan(IntervalSpec(seg_lo, min(seg_lo + size, hi)), basis, budget)
+            for want, lost, unwanted in ((scan, missing, extra), (seg_primes, pe_missing, pe_extra)):
+                if want is not None and run != want:
+                    _keep_smallest(lost, set(want).difference(run))
+                    _keep_smallest(unwanted, set(run).difference(want))
+
+        checked, top = 0, lo
+        for key, run in itertools.groupby(values, lambda v: (v - lo) // size if lo <= v < hi else -1):
+            run = list(run)
+            if key < 0 or run[0] < top or not all(map(le, run, run[1:])):
+                return None
+            checked, top = checked + len(run), run[-1]
+            for index, seg_lo, seg_omegas, seg_primes in segments:
+                close(seg_lo, seg_primes, run if index == key else [])
+                if index == key:
+                    break
+            if seg_omegas is not None and len(omega_bad) < COUNTEREXAMPLE_CAP:
+                oms = list(map(seg_omegas.__getitem__, map((-seg_lo).__add__, run)))
                 if min(oms) < 1 or max(oms) > n:
-                    factor_counts(run, oms)
-            inside += run
-    close(seg, inside)
-    for seg in segments:
-        close(seg, [])
+                    bad = ((v, om) for v, om in zip(run, oms) if not 1 <= om <= n)
+                    omega_bad += itertools.islice(bad, COUNTEREXAMPLE_CAP - len(omega_bad))
+        for _, seg_lo, _, seg_primes in segments:
+            close(seg_lo, seg_primes, [])
+        return missing, extra, pe_missing, pe_extra, omega_bad, checked
+
+    got = enumerate_interval(form, interval)
+    primes = oracle.prime_segments(interval, budget) if n == 1 else none
+    merged = merge(got, oracle.omega_sieve(interval, budget), primes)
+    held, disorder = None, []  # window values enumerated after a larger one
+    if merged is None:
+        held = list(enumerate_interval(form, interval))
+        window = [v for v in held if lo <= v < hi]
+        primes = oracle.prime_segments(interval, budget) if n == 1 else none
+        missing, extra, pe_missing, pe_extra, _, _ = merge(sorted(window), none, primes)
+        off = [v for v in held if not lo <= v < hi]
+        _keep_smallest(extra, off)
+        _keep_smallest(pe_extra, off)  # read only when n = 1
+        bad = ((v, om) for v in held for om in [oracle.omega(v)] if not 1 <= om <= n)
+        omega_bad = list(itertools.islice(bad, COUNTEREXAMPLE_CAP))
+        stepped_back = (v for v, top in zip(window, itertools.accumulate(window, max)) if v < top)
+        disorder = list(dict.fromkeys(stepped_back))[:COUNTEREXAMPLE_CAP]
+        checked = len(held)
+    else:
+        missing, extra, pe_missing, pe_extra, omega_bad, checked = merged
 
     details = dict(extra_details)
     found = [(m, "in the oracle scan but never enumerated") for m in missing]
@@ -277,8 +250,9 @@ def _interval_report(
 
     witnesses_pass = checked
     if found:
-        bad = {m for m, _ in found}
-        witnesses_pass -= sum(v in bad for v in enumerate_interval(form, interval))
+        bad_values = {m for m, _ in found}
+        stream = enumerate_interval(form, interval) if held is None else held
+        witnesses_pass -= sum(v in bad_values for v in stream)
     return VerificationReport(
         claim=claim,
         verdict="pass" if not found and checked > 0 else "fail",
@@ -416,6 +390,11 @@ def search_identity25(
     the statement false, only that no witness exists inside the grid.
     The (bound + 1)^(r - 2) grid rows are checked against the scan budget
     before the search starts.
+
+    The search never finds a witness: S = -1 mod each p_i of the modulus
+    p_2*...*p_{r-1}, and x'_r, with p_r*x'_r = 1 mod p_1*...*p_{r-1}, is a
+    unit mod each of them, so the modulus never divides x'_r * S and every
+    grid ends not-found-within-bound.
     """
     r = basis.r
     check_claim_args("identity25", r, bound=bound)

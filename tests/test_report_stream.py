@@ -27,15 +27,26 @@ def _reference_report(claim, basis, interval, n, gate_all, got, extra_details):
 
     missing = sorted(set(want) - set(got))
     extra = sorted(set(got) - set(want))
+    # Window values enumerated after a larger window value, first seen first.
+    disorder, top = [], None
+    for m in got:
+        if interval.lo <= m < interval.hi:
+            if top is not None and m < top and m not in disorder:
+                disorder.append(m)
+            top = m if top is None else max(top, m)
     details["set_equality"] = {
-        "pass": not missing and not extra,
+        "pass": not missing and not extra and not disorder,
         "missing": _capped(missing, str),
         "extra": _capped(extra, str),
     }
+    if disorder:
+        details["set_equality"]["out_of_order"] = _capped(disorder, str)
     for m in missing[:COUNTEREXAMPLE_CAP]:
         counterexamples.append(Counterexample(m, "in the oracle scan but never enumerated"))
     for m in extra[:COUNTEREXAMPLE_CAP]:
         counterexamples.append(Counterexample(m, "enumerated but rejected by the oracle scan"))
+    for m in disorder[:COUNTEREXAMPLE_CAP]:
+        counterexamples.append(Counterexample(m, "enumerated after a larger value"))
 
     omega_bad = [(m, oracle.omega(m)) for m in got]
     omega_bad = [(m, om) for m, om in omega_bad if not 1 <= om <= n]
@@ -174,11 +185,31 @@ def _many_faults(seed):
     return fault
 
 
+def _seam_swaps(seed):
+    """The faults of _many_faults(seed), then two window values next to each
+    other in different segments swapped: the first such pair, and others
+    at random."""
+
+    def fault(values, w):
+        rng = random.Random(seed)
+        out = _many_faults(seed)(values, w)
+        segment = [(v - w.lo) // oracle.OMEGA_SEGMENT if w.lo <= v < w.hi else None for v in out]
+        pairs = enumerate(zip(segment, segment[1:]))
+        seams = [i for i, (a, b) in pairs if a is not None and b is not None and a != b]
+        for i in seams[:1] + [i for i in seams[1:] if rng.random() < 0.3]:
+            out[i], out[i + 1] = out[i + 1], out[i]
+        return out
+
+    return fault
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("r,n,shift", WINDOWS)
 def test_many_faults_across_segment_seams(monkeypatch, seed, r, n, shift):
     monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
     _check(monkeypatch, r, n, shift, _many_faults(seed))
+    report = _check(monkeypatch, r, n, shift, _seam_swaps(seed))
+    assert report.details["set_equality"]["out_of_order"]
 
 
 def test_many_faults_count_past_the_cap(monkeypatch):
@@ -234,14 +265,6 @@ def test_stream_that_steps_back_never_passes(monkeypatch, fault, segment):
         assert report.checked == len(stream)
 
 
-def _details_without_order(report) -> dict:
-    details = dict(report.details)
-    details["set_equality"] = {
-        k: v for k, v in details["set_equality"].items() if k != "out_of_order"
-    }
-    return details
-
-
 @pytest.mark.parametrize(
     "r,n,tail",
     [
@@ -261,7 +284,7 @@ def test_stepped_back_values_are_checked_like_the_rest(monkeypatch, r, n, tail):
     for gate_all in (True, False):
         got = _streamed(monkeypatch, basis, interval, n, gate_all, stream)
         want = _reference_report("claim", basis, interval, n, gate_all, stream, {"tag": 1})
-        assert _details_without_order(got) == _details_without_order(want)
+        assert got.to_json() == want.to_json()
         assert got.details["set_equality"]["out_of_order"]
         assert got.verdict == "fail"
 
@@ -297,3 +320,12 @@ def test_value_enumerated_after_its_segment_closed_is_not_missing(monkeypatch):
         assert [c.value for c in report.counterexamples] == [13]
         assert report.verdict == "fail"
         assert report.witnesses_pass == len(scan) - 1
+
+
+def test_late_value_leaves_a_full_missing_list(monkeypatch):
+    # The first value comes last: the eleven values after it are missing,
+    # and the list holds the ten smallest of them, as the whole window does.
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
+    report = _check(monkeypatch, 3, 2, 1, lambda v, w: v[12:] + [v[0]])
+    assert len(report.details["set_equality"]["missing"]) == COUNTEREXAMPLE_CAP
+    assert report.details["set_equality"]["out_of_order"] == [str(_window(3, 2, 1).lo)]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,20 @@ def test_identity25_prefix_walk_matches_the_row_by_row_search(monkeypatch, r, bo
     report = search_identity25(basis, bound)
     assert (report.details["witness"], report.details["rows_scanned"]) == (witness, rows_scanned)
     assert report.verdict == ("pass" if witness else "not-found-within-bound")
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_identity25_modulus_never_divides_xr_times_s(r):
+    # S = -1 mod each p_i of the modulus and x'_r is a unit mod each, so
+    # no grid row can hold a witness, whatever the representatives.
+    basis = PrimeBasis.first(r)
+    modulus = math.prod(basis.primes[1 : r - 1])
+    families = {i: theorems.solve_unit(i, basis) for i in range(2, r + 1)}
+    rng = random.Random(r)
+    for _ in range(200):
+        x = {i: theorems.nth_solution(f, rng.randrange(-1000, 1000))[0] for i, f in families.items()}
+        s = math.prod(basis.primes[i - 1] * x[i] for i in range(2, r)) - 1
+        assert (x[r] * s) % modulus != 0
 
 
 def test_identity25_input_validation():
