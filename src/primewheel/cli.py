@@ -9,11 +9,12 @@ Exit codes: 0 success/pass, 1 verification failure or witness not found,
 `| head` does) ends the command quietly with exit 0. Every table (gen,
 count, coeffs --format csv, bench, oracle's value lines) goes through
 write_rows, the one place that knows the format rules. It takes a table
-as chunks of columns, a stream CHUNK_LINES values at a time, and writes
-each chunk with one call; gen --explain decomposes a whole chunk with
-one wheel.decompose_rows call. json-lines fields are decimal
-strings, except --explain's t and h and a verify report's counters,
-which are JSON numbers; verify --format csv prints the text report.
+as chunks of columns, a stream CHUNK_LINES values at a time, and formats
+and writes each chunk with one % operation and one call, not one call
+per row; gen --explain decomposes a whole chunk with one
+wheel.decompose_rows call. json-lines fields are decimal strings,
+except --explain's t and h and a verify report's counters, which are
+JSON numbers; verify --format csv prints the text report.
 Output is deterministic for fixed arguments; only bench timing columns
 vary run to run. The scan budget of count, verify, bench and oracle can
 be overridden with --budget or the PRIMEWHEEL_SCAN_BUDGET environment
@@ -31,7 +32,7 @@ import os
 import sys
 import time
 from importlib import import_module
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .enumeration import IntervalSpec, count_block, count_interval, enumerate_interval
@@ -137,34 +138,31 @@ def write_rows(
 ) -> None:
     """Write a table in one of FORMATS, one stdout write per chunk.
 
-    A chunk holds one column per header name, all of one length, and its
-    lines are built column by column: one map(template.format, *columns),
-    or for a one-column table one join of the values' str. csv: the
-    header line, then each row joined by commas. json-lines: one object
-    per row keyed by the header, each field a decimal string (the
-    template equals json.dumps, as such strings need no escaping), unless
-    `json` gives the template. text: the `text` template, by default
-    name=value pairs or the bare value.
+    A chunk holds one column per header name, all of one length. Its
+    lines are one % operation: the row template, in %s form, repeated for
+    the chunk's length and applied to the chunk's cells in row order, so
+    no per-row call is made and one-column tables need no case of their
+    own. %s gives str of each cell, as str.format's {} does for the ints,
+    strings and Fractions printed here. csv: the header line, then each
+    row joined by commas. json-lines: one object per row keyed by the
+    header, each field a decimal string (the template equals json.dumps,
+    as such strings need no escaping), unless `json` gives the template.
+    text: the `text` template, by default name=value pairs or the bare
+    value.
     """
     if fmt == "csv":
-        template = ",".join(["{}"] * len(header))
+        template = ",".join(["%s"] * len(header))
     elif fmt == "json-lines":
-        template = json or "{{" + ", ".join(f'"{name}": "{{}}"' for name in header) + "}}"
+        template = json or "{" + ", ".join(f'"{name}": "%s"' for name in header) + "}"
     else:
-        template = text or (" ".join(f"{name}={{}}" for name in header) if header[1:] else "{}")
+        template = text or (" ".join(f"{name}=%s" for name in header) if header[1:] else "%s")
+    template += "\n"
     write = sys.stdout.write
     if fmt == "csv":
         write(",".join(header) + "\n")
-    if header[1:]:
-        for columns in chunks:
-            write("\n".join(map(template.format, *columns)) + "\n")
-        return
-    # A one-column line is its value between a fixed head and tail, so the
-    # lines of a chunk are one join.
-    head, tail = template.format("\n").split("\n")
-    between = tail + "\n" + head
-    for (column,) in chunks:
-        write(head + between.join(map(str, column)) + tail + "\n")
+    for columns in chunks:
+        cells = chain.from_iterable(zip(*columns)) if columns[1:] else columns[0]
+        write(template * len(columns[0]) % tuple(cells))
 
 
 def _chunks(values: Iterable) -> Iterator[tuple[list]]:
@@ -189,13 +187,13 @@ def cmd_gen(args) -> int:
     if not args.explain:
         write_rows(args.format, ("z",), _chunks(stream))
         return 0
-    hs = ["{}"] * (args.r - 1)
+    hs = ["%s"] * (args.r - 1)
     write_rows(
         args.format,
         ("z", "t", *(f"h{j}" for j in range(2, args.r + 1))),
         _explained(form, stream),
-        text="{} t={} h=[" + ",".join(hs) + "]",
-        json='{{"z": "{}", "t": {}, "h": [' + ", ".join(hs) + "]}}",
+        text="%s t=%s h=[" + ",".join(hs) + "]",
+        json='{"z": "%s", "t": %s, "h": [' + ", ".join(hs) + "]}",
     )
     return 0
 

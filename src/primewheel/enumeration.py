@@ -6,8 +6,12 @@ modulus of the period, so the form's values are the x = constant
 of the constant mod each m. enumerate_interval streams them with a
 segmented sieve (Bays & Hudson 1977; Pritchard 1983): one byte per
 candidate x, SEGMENT candidates at a time, one class struck out per
-axis, so its memory is one mask whatever the form. sorted_block_residues
-is the sieve of one period, kept as a table; a form with more than
+axis, so its memory is one mask whatever the form. Each segment's
+values come from one lazy C iterator over its mask, and the segments are
+chained, so no bytecode runs per value; past sys.maxsize the iterator
+walks small offsets and only survivors become big ints, since CPython's
+range steps by generic int arithmetic there. sorted_block_residues is
+the sieve of one period, kept as a table; a form with more than
 MAX_BLOCK_RESIDUES residues per period is refused before it is sieved.
 Counting is Legendre's inclusion-exclusion over the same moduli.
 """
@@ -15,8 +19,10 @@ Counting is Legendre's inclusion-exclusion over the same moduli.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress, repeat
+from operator import add
 from typing import Iterator, NamedTuple
 
 from ._record import Record
@@ -73,18 +79,22 @@ def enumerate_interval(form, interval: IntervalSpec) -> Iterator[int]:
     any form streams; the caller bounds the window.
     """
     moduli = tuple(m for _, m, _ in form.residue_axes())
-    return _sieve(form.constant, form.period // math.prod(moduli), moduli, interval)
+    pin = form.period // math.prod(moduli)
+    return chain.from_iterable(_sieve(form.constant, pin, moduli, interval))
 
 
 def _sieve(
     constant: int, pin: int, moduli: tuple[int, ...], interval: IntervalSpec
-) -> Iterator[int]:
-    """The x = constant (mod pin) in [lo, hi) with x != constant (mod m) for every m.
+) -> Iterator[Iterator[int]]:
+    """The x = constant (mod pin) in [lo, hi) with x != constant (mod m) for
+    every m, as one lazy iterator per segment.
 
     Candidates are taken SEGMENT at a time. Candidate i of a segment
     starting at seg is seg + pin*i, which is constant mod m exactly when
     i = (constant - seg) * pin^-1 (mod m); every m-th candidate from there
-    is struck out.
+    is struck out. Past sys.maxsize CPython's range steps with generic
+    int arithmetic, once per candidate, so there a segment walks the
+    offsets pin*i, which stay small, and adds seg to the survivors only.
     """
     inverses = [(m, pow(pin, -1, m)) for m in moduli]
     first = interval.lo + (constant - interval.lo) % pin
@@ -95,7 +105,10 @@ def _sieve(
         for m, inverse in inverses:
             start = (constant - seg) * inverse % m
             mask[start::m] = bytes(len(range(start, len(mask), m)))
-        yield from compress(candidates, mask)
+        if candidates.stop <= sys.maxsize:
+            yield compress(candidates, mask)
+        else:
+            yield map(add, repeat(seg), compress(range(0, len(mask) * pin, pin), mask))
 
 
 def count_interval(form, interval: IntervalSpec) -> int:

@@ -60,7 +60,8 @@ def _run(capsys, *argv):
     return out
 
 
-@pytest.mark.parametrize("r, base", [(1, 0), (3, 10**20), (5, 10**12)])
+# 2**63 - 500 puts the wider windows across sys.maxsize on 64-bit builds.
+@pytest.mark.parametrize("r, base", [(1, 0), (3, 10**20), (5, 10**12), (4, 2**63 - 500)])
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("explain", [False, True])
 def test_gen_matches_per_value_print(capsys, r, base, fmt, explain):

@@ -1,10 +1,13 @@
 """Byte-exact CLI outputs in every format, and the row shape of each table."""
 
 import json
+import random
+import sys
+from fractions import Fraction
 
 import pytest
 
-from primewheel.cli import main
+from primewheel.cli import CHUNK_LINES, FORMATS, main, write_rows
 
 
 def run(capsys, *argv):
@@ -103,3 +106,59 @@ def test_json_lines_are_objects(capsys, r):
         lines = run(capsys, *argv, "--format", "json-lines").splitlines()
         assert lines, argv
         assert all(isinstance(json.loads(line), dict) for line in lines), argv
+
+
+@pytest.fixture
+def no_digit_limit():
+    """The int-to-str digit limit lifted, as main lifts it while a command runs."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit:
+        sys.set_int_max_str_digits(limit)
+
+
+def _cell(rng):
+    """An int of 1 to past 4,300 digits (mostly short), a str or a Fraction."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        return rng.choice(["wheel", "0.0378", "pass", ""])
+    if kind == 1:
+        return Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6))
+    digits = rng.choices([1, 2, 19, 20, 300, 4300, 4301, 5000], [20, 20, 20, 20, 4, 1, 1, 1])[0]
+    return rng.choice([1, -1]) * rng.randrange(10 ** (digits - 1), 10**digits)
+
+
+def _per_row(fmt, header, rows, text=None, json=None):
+    """The table printed with one str.format call per row."""
+    lines = [",".join(header)] if fmt == "csv" else []
+    braces = {name: t.replace("{", "{{").replace("}", "}}").replace("%s", "{}")
+              for name, t in (("text", text), ("json", json)) if t}
+    if fmt == "csv":
+        template = ",".join(["{}"] * len(header))
+    elif fmt == "json-lines":
+        template = braces.get("json", "{{" + ", ".join(f'"{n}": "{{}}"' for n in header) + "}}")
+    else:
+        default = " ".join(f"{n}={{}}" for n in header) if header[1:] else "{}"
+        template = braces.get("text", default)
+    lines += [template.format(*row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_write_rows_matches_per_row_format(capsys, no_digit_limit, width):
+    rng = random.Random(4300 + width)
+    header = tuple(f"c{i}" for i in range(width))
+    lengths = (0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1)
+    chunks = [tuple([_cell(rng) for _ in range(n)] for _ in header) for n in lengths]
+    rows = [row for columns in chunks for row in zip(*columns)]
+    custom = {
+        "text": " | ".join(["%s"] * width) + " ;",
+        "json": '{"row": [' + ", ".join(['"%s"'] * width) + "]}",
+    }
+    for fmt in FORMATS:
+        for templates in ({}, custom):
+            write_rows(fmt, header, chunks, **templates)
+            expected = _per_row(fmt, header, rows, **templates)
+            assert capsys.readouterr().out == expected, (fmt, templates)

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 from bisect import bisect_left
 from itertools import islice
 
@@ -279,6 +281,9 @@ def test_sieve_path_equals_table_walk(monkeypatch):
         straddle = rng.randrange(1, 4) * form.period
         los = [0, max(0, straddle - rng.randrange(0, 1000)), rng.randrange(0, 10**9)]
         los += [2**64 + rng.randrange(0, 10**20) for _ in range(2)]
+        # Segments on both sides of sys.maxsize, where the segment's
+        # iterator changes; the seam widths end one at sys.maxsize + 1.
+        los += [sys.maxsize - rng.randrange(0, 3000), sys.maxsize + 1 - pin * segment]
         for lo in los:
             for width in widths:
                 spec = IntervalSpec(lo, lo + width)
@@ -325,7 +330,8 @@ def test_enumerate_past_the_table_cap_matches_the_scan(monkeypatch, r):
     # A small segment puts many seams inside every window.
     for segment in (enumeration.SEGMENT, rng.randrange(3, 40)):
         monkeypatch.setattr(enumeration, "SEGMENT", segment)
-        for lo in (0, rng.randrange(0, 10**9), 2**64 + rng.randrange(0, 10**20)):
+        straddle = sys.maxsize - rng.randrange(0, 3000)
+        for lo in (0, rng.randrange(0, 10**9), straddle, 2**64 + rng.randrange(0, 10**20)):
             spec = IntervalSpec(lo, lo + rng.randrange(1, 3000))
             values = list(enumerate_interval(form, spec))
             assert values == oracle.coprime_scan(spec, form.divisors), (segment, spec)
@@ -355,3 +361,19 @@ def test_wide_r8_window_builds_no_table(monkeypatch):
     seam = spec.lo + 2 * enumeration.SEGMENT
     near = IntervalSpec(seam - 1000, seam + 1000)
     assert [v for v in values if near.lo <= v < near.hi] == oracle.coprime_scan(near, form.divisors)
+
+
+@pytest.mark.parametrize("lo", [10**12, 10**20])
+def test_stream_holds_one_mask_not_a_segment_of_values(lo):
+    # One r = 4 segment holds about 480,000 values at lo = 1e20: a list of
+    # them peaks near 23 MB, where the stream holds one mask of SEGMENT bytes.
+    form = build_canonical(PrimeBasis.first(4))
+    tracemalloc.start()
+    try:
+        stream = enumerate_interval(form, IntervalSpec(lo, lo + 4 * enumeration.SEGMENT))
+        head = list(islice(stream, 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(head) == 1000
+    assert peak < 4 * 2**20, peak
