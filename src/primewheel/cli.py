@@ -140,15 +140,13 @@ def write_rows(
 
     A chunk holds one column per header name, all of one length. Its
     lines are one % operation: the row template, in %s form, repeated for
-    the chunk's length and applied to the chunk's cells in row order, so
-    no per-row call is made and one-column tables need no case of their
-    own. %s gives str of each cell, as str.format's {} does for the ints,
-    strings and Fractions printed here. csv: the header line, then each
-    row joined by commas. json-lines: one object per row keyed by the
-    header, each field a decimal string (the template equals json.dumps,
-    as such strings need no escaping), unless `json` gives the template.
-    text: the `text` template, by default name=value pairs or the bare
-    value.
+    the chunk's length and applied to the chunk's cells in row order. %s
+    gives each cell's str, as {} does for the ints, strings and Fractions
+    printed here. csv: the header line, then each row joined by commas.
+    json-lines: one object per row keyed by the header, each field a
+    decimal string (the template equals json.dumps, as such strings need
+    no escaping), unless `json` gives the template. text: the `text`
+    template, by default name=value pairs or the bare value.
     """
     if fmt == "csv":
         template = ",".join(["%s"] * len(header))
