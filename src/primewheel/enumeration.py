@@ -1,12 +1,11 @@
 """Sorted streaming and counting of wheel-form values over intervals.
 
-Every axis coefficient is 1 mod its own modulus m and 0 mod every other
-modulus of the period, so the form's values are the x = constant
-(mod Q), Q the period over the residue-axis moduli, that avoid the class
-of the constant mod each m. enumerate_interval streams them with a
+A form's values are its residue classes (form.residue_classes()): the
+x = h1 (mod q1) that are 0 mod none of its struck moduli. The stream and
+the table read only those. enumerate_interval streams them with a
 segmented sieve (Bays & Hudson 1977; Pritchard 1983): one byte per
-candidate x, SEGMENT candidates at a time, one class struck out per
-axis, so its memory is one mask whatever the form. Each segment's
+candidate x, SEGMENT candidates at a time, class 0 struck out per struck
+modulus, so its memory is one mask whatever the form. Each segment's
 values come from one lazy C iterator over its mask, and the segments are
 chained, so no bytecode runs per value; past sys.maxsize the iterator
 walks small offsets and only survivors become big ints, since CPython's
@@ -62,11 +61,11 @@ class BlockCount(NamedTuple):
 def sorted_block_residues(form) -> tuple[int, ...]:
     """Every residue of the form's value set in [0, period), ascending.
 
-    The sieve of one period; its size is the product of (modulus - 1)
-    over the free variables and is refused past MAX_BLOCK_RESIDUES
-    before any value is sieved.
+    The sieve of one period; its size is the product of (m - 1) over the
+    struck moduli m and is refused past MAX_BLOCK_RESIDUES before any
+    value is sieved.
     """
-    size = math.prod(m - 1 for _, m, _ in form.residue_axes())
+    size = math.prod(m - 1 for m in form.residue_classes()[2])
     remedy = _FIXED_CAP + "; enumerate_interval and count_interval need no table"
     check_budget(size, MAX_BLOCK_RESIDUES, "residue table", remedy)
     return tuple(enumerate_interval(form, IntervalSpec(0, form.period)))
@@ -78,32 +77,30 @@ def enumerate_interval(form, interval: IntervalSpec) -> Iterator[int]:
     It builds no table and holds one mask of at most SEGMENT bytes, so
     any form streams; the caller bounds the window.
     """
-    moduli = tuple(m for _, m, _ in form.residue_axes())
-    pin = form.period // math.prod(moduli)
-    return chain.from_iterable(_sieve(form.constant, pin, moduli, interval))
+    return chain.from_iterable(_sieve(*form.residue_classes(), interval))
 
 
 def _sieve(
-    constant: int, pin: int, moduli: tuple[int, ...], interval: IntervalSpec
+    h1: int, pin: int, struck: tuple[int, ...], interval: IntervalSpec
 ) -> Iterator[Iterator[int]]:
-    """The x = constant (mod pin) in [lo, hi) with x != constant (mod m) for
-    every m, as one lazy iterator per segment.
+    """The x = h1 (mod pin) in [lo, hi) with x != 0 (mod m) for every struck
+    m, as one lazy iterator per segment.
 
     Candidates are taken SEGMENT at a time. Candidate i of a segment
-    starting at seg is seg + pin*i, which is constant mod m exactly when
-    i = (constant - seg) * pin^-1 (mod m); every m-th candidate from there
-    is struck out. Past sys.maxsize CPython's range steps with generic
-    int arithmetic, once per candidate, so there a segment walks the
-    offsets pin*i, which stay small, and adds seg to the survivors only.
+    starting at seg is seg + pin*i, which is 0 mod m exactly when
+    i = -seg * pin^-1 (mod m); every m-th candidate from there is struck
+    out. Past sys.maxsize CPython's range steps with generic int
+    arithmetic, once per candidate, so there a segment walks the offsets
+    pin*i, which stay small, and adds seg to the survivors only.
     """
-    inverses = [(m, pow(pin, -1, m)) for m in moduli]
-    first = interval.lo + (constant - interval.lo) % pin
+    inverses = [(m, pow(pin, -1, m)) for m in struck]
+    first = interval.lo + (h1 - interval.lo) % pin
     span = pin * SEGMENT
     for seg in range(first, interval.hi, span):
         candidates = range(seg, min(seg + span, interval.hi), pin)
         mask = bytearray(b"\x01") * len(candidates)
         for m, inverse in inverses:
-            start = (constant - seg) * inverse % m
+            start = -seg * inverse % m
             mask[start::m] = bytes(len(range(start, len(mask), m)))
         if candidates.stop <= sys.maxsize:
             yield compress(candidates, mask)
@@ -114,19 +111,17 @@ def _sieve(
 def count_interval(form, interval: IntervalSpec) -> int:
     """len(list(enumerate_interval(form, interval))), without materializing values.
 
-    Legendre's inclusion-exclusion (Lehmer 1959): each axis coefficient is
-    1 mod its own modulus m, so the axis misses exactly the class of the
-    constant mod m, and the form's values are the x = constant (mod Q)
-    that avoid those classes. Summing mu(d) * #{x in [lo, hi) :
-    x = constant (mod Q*d)} over the squarefree products d of the axis
-    moduli counts them with no residue table. The 2^k terms for k axes
-    are budget-guarded.
+    Legendre's inclusion-exclusion (Lehmer 1959): summing mu(d) * #{x in
+    [lo, hi) : x = constant (mod q1*d)} over the squarefree products d of
+    the k struck moduli, since the constant is h1 mod q1 and 0 mod each
+    struck modulus. The 2^k terms are budget-guarded before the constant
+    is read.
     """
-    moduli = tuple(m for _, m, _ in form.residue_axes())
-    terms = 2 ** len(moduli)
-    what = f"inclusion-exclusion over {len(moduli)} axes"
+    _, pin, struck = form.residue_classes()
+    terms = 2 ** len(struck)
+    what = f"inclusion-exclusion over {len(struck)} axes"
     check_budget(terms, MAX_BLOCK_RESIDUES, what, _FIXED_CAP)
-    return _legendre(interval, form.constant, form.period // math.prod(moduli), moduli)
+    return _legendre(interval, form.constant, pin, struck)
 
 
 def _legendre(interval: IntervalSpec, constant: int, d: int, moduli: tuple[int, ...]) -> int:

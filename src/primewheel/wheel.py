@@ -11,16 +11,16 @@ divisible by no basis modulus:
   value = +h_j (mod q_j). The canonical form is the coprime wheel on the
   first r primes with h1 = 1; its constant is then half the period.
 
-Every form stores only its parameters and derives the rest once when
-built: CoprimeWheelForm its idempotents and constant from its moduli and
-pinned h1 (CanonicalWheelForm is a thin subclass that only adds its prime
-basis), RawWheelForm its coefficients from its solutions. Coefficients
-from outside are compared with the derived ones where they arrive, in
-form_from_json and in canonicalize(). canonicalize() maps a raw form onto
-the canonical one through the substitution h_j -> p_j - h_j, and the
-result does not depend on which unit-equation solution the raw form was
-built from. All form types are frozen records (_record.Record) and every
-operation is pure, so concurrent use is safe.
+Every form stores only its parameters. CoprimeWheelForm states its value
+set as residue classes and derives its period, idempotents and constant
+on first read (CanonicalWheelForm adds its prime basis, which has proved
+the moduli coprime); RawWheelForm derives its coefficients when built.
+Coefficients from outside are compared with the derived ones where they
+arrive, in form_from_json and in canonicalize(). canonicalize() maps a
+raw form onto the canonical one through the substitution
+h_j -> p_j - h_j, and the result does not depend on which unit-equation
+solution the raw form was built from. All form types are frozen records
+(_record.Record) and every operation is pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -162,17 +162,18 @@ class RawWheelForm(Record):
         """Refused: only an idempotent form has residue axes."""
         raise TypeError("a raw form is not idempotent; canonicalize it first or use evaluate_raw")
 
+    residue_classes = residue_axes
+
 
 class CoprimeWheelForm(Record):
     """Idempotent wheel form over arbitrary pairwise coprime moduli.
 
-    The fields are the moduli and pinned_h1; construction checks them and
-    derives the free indices, the coefficients (the CRT idempotents) and
-    the constant once. With pinned_h1 set, the idempotent of the first
-    modulus is folded into the constant and the value set is the slice
-    = h1 (mod moduli[0]); with pinned_h1 None the first residue stays a
-    free variable and the value set is every integer divisible by none of
-    the moduli.
+    The fields are the moduli and pinned_h1, checked when built; the
+    period, the CRT idempotents (the coefficients) and the constant are
+    derived on first read. With pinned_h1 set, the first modulus's
+    idempotent is folded into the constant and the value set is the slice
+    = h1 (mod moduli[0]); with pinned_h1 None the first residue stays free
+    and the value set is every integer divisible by none of the moduli.
     """
 
     moduli: tuple[int, ...]
@@ -185,8 +186,7 @@ class CoprimeWheelForm(Record):
             raise ValueError("need at least one modulus")
         if any(q < 2 for q in mods):
             raise ValueError("every modulus must be at least 2")
-        period = self.period
-        if math.lcm(*mods) != period:
+        if math.lcm(*mods) != self.period:
             for i, j in combinations(range(len(mods)), 2):
                 g = math.gcd(mods[i], mods[j])
                 if g > 1:
@@ -194,15 +194,28 @@ class CoprimeWheelForm(Record):
         h1 = self.pinned_h1
         if h1 is not None and not 1 <= h1 < mods[0]:
             raise ValueError(f"h1 must lie in 1..{mods[0] - 1}, got {h1}")
-        idems = _idempotents(mods)
-        first = 1 if h1 is None else 2
-        object.__setattr__(self, "free_indices", tuple(range(first, len(mods) + 1)))
-        object.__setattr__(self, "coeffs", idems[first - 1 :])
-        object.__setattr__(self, "constant", 0 if h1 is None else idems[0] * h1 % period)
 
     @cached_property
     def period(self) -> int:
         return math.prod(self.moduli)
+
+    @cached_property
+    def free_indices(self) -> tuple[int, ...]:
+        return tuple(range(1 if self.pinned_h1 is None else 2, len(self.moduli) + 1))
+
+    @cached_property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(self._idempotent(self.moduli[j - 1]) for j in self.free_indices)
+
+    @cached_property
+    def constant(self) -> int:
+        h1 = self.pinned_h1
+        return 0 if h1 is None else self._idempotent(self.moduli[0]) * h1 % self.period
+
+    def _idempotent(self, q: int) -> int:
+        """The CRT idempotent of modulus q: 1 mod q, 0 mod the other moduli."""
+        rest = self.period // q
+        return rest * pow(rest, -1, q)
 
     @property
     def divisors(self) -> tuple[int, ...]:
@@ -222,6 +235,13 @@ class CoprimeWheelForm(Record):
             (j, self.moduli[j - 1], a) for j, a in zip(self.free_indices, self.coeffs)
         )
 
+    def residue_classes(self) -> tuple[int, int, tuple[int, ...]]:
+        """The value set as (h1, q1, struck): the x = h1 (mod q1) with x != 0
+        (mod m) for every struck modulus m; h1, q1 are 0, 1 if nothing is pinned."""
+        if self.pinned_h1 is None:
+            return 0, 1, self.moduli
+        return self.pinned_h1, self.moduli[0], self.moduli[1:]
+
 
 class CanonicalWheelForm(CoprimeWheelForm):
     """The canonical form: the coprime wheel on the first r primes with h1 = 1.
@@ -237,6 +257,9 @@ class CanonicalWheelForm(CoprimeWheelForm):
     def __init__(self, basis: PrimeBasis) -> None:
         object.__setattr__(self, "basis", basis)
         super().__init__(moduli=basis.primes, pinned_h1=1)
+
+    def __post_init__(self) -> None:
+        """Nothing to check: PrimeBasis has proved the moduli are the first r primes."""
 
     @property
     def r(self) -> int:
@@ -284,12 +307,6 @@ def build_canonical(basis: PrimeBasis) -> CanonicalWheelForm:
     For r = 1 there are no residue variables and the form is 2t + 1.
     """
     return CanonicalWheelForm(basis)
-
-
-def _idempotents(moduli: tuple[int, ...]) -> tuple[int, ...]:
-    """The CRT idempotent of each modulus: 1 mod it, 0 mod the others."""
-    period = math.prod(moduli)
-    return tuple((period // q) * pow(period // q, -1, q) for q in moduli)
 
 
 def canonicalize(raw: RawWheelForm) -> CanonicalWheelForm:
@@ -389,9 +406,9 @@ def decompose_rows(form, zs: Sequence[int]) -> tuple[list[int], list[list[int]]]
         body = list(map(sub, body, map(mul, repeat(a), h)))
     ts = list(map(floordiv, body, repeat(form.period)))
     rems = list(map(mod, body, repeat(form.period)))
-    pinned = form.pinned_h1
-    pins = [] if pinned is None else list(map(mod, zs, repeat(form.moduli[0])))
-    if pins.count(pinned) < len(pins) or any(0 in h for h in columns) or any(rems):
+    h1, q1, _ = form.residue_classes()
+    pins = list(map(mod, zs, repeat(q1)))
+    if pins.count(h1) < len(pins) or any(0 in h for h in columns) or any(rems):
         for z, rem in zip(zs, rems):
             _refuse(form, z, rem)
     return ts, columns
@@ -404,11 +421,9 @@ def _refuse(form, z: int, rem: int) -> None:
     for q in form.divisors:
         if z % q == 0:
             raise ValueError(f"{z} is divisible by {q}, so it is not a value of this form")
-    pinned = form.pinned_h1
-    if pinned is not None and z % form.moduli[0] != pinned:
-        raise ValueError(
-            f"{z} = {z % form.moduli[0]} (mod {form.moduli[0]}) but the form pins h1 = {pinned}"
-        )
+    h1, q1, _ = form.residue_classes()
+    if z % q1 != h1:
+        raise ValueError(f"{z} = {z % q1} (mod {q1}) but the form pins h1 = {h1}")
     if rem:
         raise ValueError(
             f"{z} leaves remainder {rem} mod {form.period}, so the form is inconsistent"

@@ -5,7 +5,9 @@ or bench), 2 or 3, no traceback, and a command's own exit 2 or 3 is one
 `error: ` line on stderr (argparse's usage errors print their usage
 instead). Each case runs under a SIGALRM limit. Sizes stay small (r <= 12,
 narrow gen and bench windows), and size refusals come from small
---budget values, not from huge inputs.
+--budget values, not from huge inputs. A few fixed argvs at large r run
+under the same limit: the streaming commands read only residue classes,
+so they must finish in time however large the form's integers grow.
 """
 
 from __future__ import annotations
@@ -173,3 +175,21 @@ def test_random_argvs_keep_the_exit_code_contract(monkeypatch, command):
             continue
         found += [(argv, v) for v in _violations(command, code, out, err)]
     assert not found, found
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["gen", "--r", "20000", "--lo", "1", "--hi", "2"], 0, "1\n"),
+        (["bench", "--r", "3000", "--width", "1000", "--reps", "1"], 0, "method,"),
+        (["count", "--r", "5000", "--lo", "1", "--hi", "100"], 3, ""),
+    ],
+    ids=["gen", "bench", "count"],
+)
+def test_large_r_commands_finish_within_the_alarm(monkeypatch, argv, code, out):
+    monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)
+    got, stdout, err = _run(argv)
+    assert (got, stdout[: len(out)]) == (code, out), err
+    assert not list(_violations(argv[0], got, stdout, err))
+    if code == 3:
+        assert "fixed" in err and err.count("\n") == 1

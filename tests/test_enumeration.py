@@ -166,10 +166,25 @@ def test_enumeration_works_for_coprime_wheels():
     assert values == naive
 
 
+def _coprime_moduli(rng):
+    """2 to 4 pairwise coprime moduli of at least 2 with a product of at most 3000."""
+    count = rng.randint(2, 4)
+    while True:
+        mods = []
+        for q in rng.sample(range(2, 30), 28):
+            if all(math.gcd(q, m) == 1 for m in mods) and math.prod(mods) * q <= 3000:
+                mods.append(q)
+                if len(mods) == count:
+                    return tuple(mods)
+
+
+# Every pinned class of each moduli set, including classes that share a
+# factor with the first modulus (h1 = 3 mod 9), which no canonical form pins.
+COPRIME_MODULI = [(4, 9, 5, 7), (9, 4, 25)] + [_coprime_moduli(random.Random(s)) for s in range(3)]
 COPRIME_WHEELS = [
     build_coprime_wheel(moduli, h1=h1)
-    for moduli in ([4, 9, 5, 7], [9, 4, 25])
-    for h1 in (None, 1, 2)
+    for moduli in COPRIME_MODULI
+    for h1 in (None, *range(1, moduli[0]))
 ]
 
 
@@ -377,3 +392,29 @@ def test_stream_holds_one_mask_not_a_segment_of_values(lo):
         tracemalloc.stop()
     assert len(head) == 1000
     assert peak < 4 * 2**20, peak
+
+
+def test_stream_at_large_r_derives_no_big_integer():
+    form = build_canonical(PrimeBasis.first(20000))
+    assert list(enumerate_interval(form, IntervalSpec(1, 2))) == [1]
+    assert not {"coeffs", "constant", "period"} & vars(form).keys()
+
+
+@pytest.mark.parametrize("r", [23, 5000])
+def test_count_refusal_reads_no_constant(r):
+    form = build_canonical(PrimeBasis.first(r))
+    with pytest.raises(BudgetExceeded) as info:
+        count_interval(form, IntervalSpec(1, 100))
+    assert info.value.required == 2 ** (r - 1)
+    assert "constant" not in vars(form)
+
+
+def test_canonical_build_runs_no_lcm_or_product(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a canonical form was checked or multiplied out when built")
+
+    basis = PrimeBasis.first(20000)
+    monkeypatch.setattr(math, "lcm", no_work)
+    monkeypatch.setattr(math, "prod", no_work)
+    form = build_canonical(basis)
+    assert form.free_indices == tuple(range(2, 20001))
