@@ -67,11 +67,11 @@ FORMATS = ("text", "csv", "json-lines")
 CHUNK_LINES = 256
 
 
-def render_form_text(form, r: int, raw: bool) -> str:
+def render_form_text(form, raw: bool) -> str:
     """One line, variables by descending index: '30t + 6h3 + 10h2 + 15', or
     for a raw form '30t + 24(h3-1) + 50(h2-1) - 1'."""
     term = "{}(h{}-1)" if raw else "{}h{}"
-    parts = [f"{form.period}t", *(term.format(form.coeff(j), j) for j in range(r, 1, -1))]
+    parts = [f"{form.period}t", *(term.format(a, j) for j, a in reversed(form.coeff_map.items()))]
     return " + ".join(parts) + (" - 1" if raw else f" + {form.constant}")
 
 
@@ -115,14 +115,13 @@ def cmd_coeffs(args) -> int:
     basis = PrimeBasis.first(args.r)
     form = build_raw(basis) if args.raw else build_canonical(basis)
     if args.format == "csv":
-        indices = range(args.r, 1, -1)
-        terms = ["t", *(f"h{j}" for j in indices), "constant"]
-        coefficients = [form.period, *map(form.coeff, indices), form.constant]
-        write_rows("csv", ("term", "coefficient"), [(terms, coefficients)])
+        variables = [(f"h{j}", a) for j, a in reversed(form.coeff_map.items())]
+        rows = [("t", form.period), *variables, ("constant", form.constant)]
+        write_rows("csv", ("term", "coefficient"), [tuple(zip(*rows))])
     elif args.format == "json-lines":
         print(dumps(form_to_json(form)))
     else:
-        print(render_form_text(form, args.r, args.raw))
+        print(render_form_text(form, args.raw))
     return 0
 
 
@@ -185,10 +184,11 @@ def cmd_gen(args) -> int:
     if not args.explain:
         write_rows(args.format, ("z",), _chunks(stream))
         return 0
-    hs = ["%s"] * (args.r - 1)
+    names = [f"h{j}" for j in form.free_indices]
+    hs = ["%s"] * len(names)
     write_rows(
         args.format,
-        ("z", "t", *(f"h{j}" for j in range(2, args.r + 1))),
+        ("z", "t", *names),
         _explained(form, stream),
         text="%s t=%s h=[" + ",".join(hs) + "]",
         json='{"z": "%s", "t": %s, "h": [' + ", ".join(hs) + "]}",

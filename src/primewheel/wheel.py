@@ -11,10 +11,12 @@ divisible by no basis modulus:
   value = +h_j (mod q_j). The canonical form is the coprime wheel on the
   first r primes with h1 = 1; its constant is then half the period.
 
-Every form stores only its parameters. CoprimeWheelForm states its value
-set as residue classes and derives its period, idempotents and constant
-on first read (CanonicalWheelForm adds its prime basis, which has proved
-the moduli coprime); RawWheelForm derives its coefficients when built.
+Every form stores only its parameters and answers the same questions:
+free_indices, coeffs, coeff(j), coeff_map, period and constant.
+CoprimeWheelForm states its value set as residue classes and derives its
+period, idempotents and constant on first read (CanonicalWheelForm adds
+its prime basis, which has proved the moduli coprime and holds the
+period); RawWheelForm derives its coefficients when built.
 Coefficients from outside are compared with the derived ones where they
 arrive, in form_from_json and in canonicalize(). canonicalize() maps a
 raw form onto the canonical one through the substitution
@@ -113,7 +115,20 @@ class PrimeBasis(Record):
         return math.prod(self.primes)
 
 
-class RawWheelForm(Record):
+class _Form(Record):
+    """What every form answers from its free indices and coefficients. It
+    has no fields; RawWheelForm and CoprimeWheelForm supply both."""
+
+    def coeff(self, j: int) -> int:
+        """The coefficient of h_j for a free index j."""
+        return self.coeffs[_slot(j, self.free_indices)]
+
+    @property
+    def coeff_map(self) -> dict[int, int]:
+        return dict(zip(self.free_indices, self.coeffs))
+
+
+class RawWheelForm(_Form):
     """A wheel form as first assembled: coefficients B_j, constant -1.
 
     B_r = p_r*x'_r - 1 and, going down, B_j = (p_j*x'_j - 1) * prod(p_q*x'_q
@@ -139,8 +154,7 @@ class RawWheelForm(Record):
             raise ValueError("need one solution per index 2..r")
         primes = self.basis.primes
         lead = 1
-        for j in range(2, r + 1):
-            x, y = self.solutions[j - 2]
+        for j, (x, y) in zip(self.free_indices, self.solutions):
             lead *= primes[j - 2]
             if primes[j - 1] * x - lead * y != 1:
                 raise ValueError(f"stored solution for index {j} fails its unit equation")
@@ -150,13 +164,13 @@ class RawWheelForm(Record):
     def period(self) -> int:
         return self.basis.primorial
 
-    def coeff(self, j: int) -> int:
-        """B_j for 2 <= j <= r."""
-        return self.coeffs[_slot(j, range(2, self.basis.r + 1))]
+    @cached_property
+    def free_indices(self) -> tuple[int, ...]:
+        return tuple(range(2, self.basis.r + 1))
 
     def representative(self, j: int) -> tuple[int, int]:
         """The stored (x'_j, t'_j) pair."""
-        return self.solutions[_slot(j, range(2, self.basis.r + 1))]
+        return self.solutions[_slot(j, self.free_indices)]
 
     def residue_axes(self) -> tuple[tuple[int, int, int], ...]:
         """Refused: only an idempotent form has residue axes."""
@@ -165,7 +179,7 @@ class RawWheelForm(Record):
     residue_classes = residue_axes
 
 
-class CoprimeWheelForm(Record):
+class CoprimeWheelForm(_Form):
     """Idempotent wheel form over arbitrary pairwise coprime moduli.
 
     The fields are the moduli and pinned_h1, checked when built; the
@@ -217,23 +231,9 @@ class CoprimeWheelForm(Record):
         rest = self.period // q
         return rest * pow(rest, -1, q)
 
-    @property
-    def divisors(self) -> tuple[int, ...]:
-        return self.moduli
-
-    def coeff(self, j: int) -> int:
-        """The coefficient of h_j for a free index j."""
-        return self.coeffs[_slot(j, self.free_indices)]
-
-    @property
-    def coeff_map(self) -> dict[int, int]:
-        return dict(zip(self.free_indices, self.coeffs))
-
     def residue_axes(self) -> tuple[tuple[int, int, int], ...]:
         """(index, modulus, coefficient) per residue variable, ascending index."""
-        return tuple(
-            (j, self.moduli[j - 1], a) for j, a in zip(self.free_indices, self.coeffs)
-        )
+        return tuple(zip(self.free_indices, self.residue_classes()[2], self.coeffs))
 
     def residue_classes(self) -> tuple[int, int, tuple[int, ...]]:
         """The value set as (h1, q1, struck): the x = h1 (mod q1) with x != 0
@@ -264,6 +264,10 @@ class CanonicalWheelForm(CoprimeWheelForm):
     @property
     def r(self) -> int:
         return self.basis.r
+
+    @property
+    def period(self) -> int:
+        return self.basis.primorial
 
 
 def _slot(j: int, indices) -> int:
@@ -369,10 +373,7 @@ def evaluate(form, t: int, h: Mapping[int, int]) -> int:
 
 def evaluate_raw(raw: RawWheelForm, t: int, h: Mapping[int, int]) -> int:
     """Value of a raw form at (t, h): t*P + sum(B_j * (h_j - 1)) - 1."""
-    primes = raw.basis.primes
-    axes = tuple(
-        (j, primes[j - 1], b) for j, b in zip(range(2, raw.basis.r + 1), raw.coeffs)
-    )
+    axes = tuple(zip(raw.free_indices, raw.basis.primes[1:], raw.coeffs))
     _check_assignment(axes, h)
     return t * raw.period + sum(b * (h[j] - 1) for j, _, b in axes) + raw.constant
 
@@ -418,7 +419,7 @@ def _refuse(form, z: int, rem: int) -> None:
     """Raise decompose's message for z, whose body leaves `rem` mod the period,
     if it fails a check: the first dividing modulus, the pinned residue,
     then the remainder."""
-    for q in form.divisors:
+    for q in form.moduli:
         if z % q == 0:
             raise ValueError(f"{z} is divisible by {q}, so it is not a value of this form")
     h1, q1, _ = form.residue_classes()
@@ -444,40 +445,31 @@ def build_coprime_wheel(moduli: Iterable[int], h1: int | None = None) -> Coprime
 
 def form_to_json(form) -> dict:
     """Stable JSON shape for any form type; integers as decimal strings."""
-    # A canonical form is also a CoprimeWheelForm, so it is matched first.
-    if isinstance(form, CanonicalWheelForm):
-        return {
-            "r": form.r,
-            "primorial": str(form.period),
-            "coeffs": {str(j): str(a) for j, a in form.coeff_map.items()},
-            "constant": str(form.constant),
-            "convention": "plus-h",
-        }
-    if isinstance(form, RawWheelForm):
-        return {
-            "r": form.basis.r,
-            "primorial": str(form.period),
-            "coeffs": {
-                str(j): str(b)
-                for j, b in zip(range(2, form.basis.r + 1), form.coeffs)
-            },
-            "constant": str(form.constant),
-            "convention": "minus-h",
-            "representatives": {
-                str(j): [str(x), str(y)]
-                for j, (x, y) in zip(range(2, form.basis.r + 1), form.solutions)
-            },
-        }
-    if isinstance(form, CoprimeWheelForm):
+    if not isinstance(form, _Form):
+        raise TypeError(f"not a wheel form: {type(form).__name__}")
+    coeffs = {str(j): str(a) for j, a in form.coeff_map.items()}
+    if not isinstance(form, (RawWheelForm, CanonicalWheelForm)):
         return {
             "moduli": [str(q) for q in form.moduli],
             "period": str(form.period),
-            "coeffs": {str(j): str(a) for j, a in form.coeff_map.items()},
+            "coeffs": coeffs,
             "constant": str(form.constant),
             "pinned_h1": form.pinned_h1,
             "convention": "plus-h",
         }
-    raise TypeError(f"not a wheel form: {type(form).__name__}")
+    raw = isinstance(form, RawWheelForm)
+    data = {
+        "r": form.basis.r,
+        "primorial": str(form.period),
+        "coeffs": coeffs,
+        "constant": str(form.constant),
+        "convention": "minus-h" if raw else "plus-h",
+    }
+    if raw:
+        data["representatives"] = {
+            str(j): [str(x), str(y)] for j, (x, y) in zip(form.free_indices, form.solutions)
+        }
+    return data
 
 
 def form_from_json(data: Mapping) -> RawWheelForm | CanonicalWheelForm | CoprimeWheelForm:
@@ -492,19 +484,21 @@ def form_from_json(data: Mapping) -> RawWheelForm | CanonicalWheelForm | Coprime
         if "moduli" in data:
             pinned = data.get("pinned_h1")
             form = CoprimeWheelForm(tuple(data["moduli"]), None if pinned is None else int(pinned))
-            coeffs = tuple(int(data["coeffs"][str(j)]) for j in form.free_indices)
-            return _matching(form, coeffs, int(data["constant"]))
-        basis = PrimeBasis.first(int(data["r"]))
-        indices = range(2, basis.r + 1)
-        coeffs = tuple(int(data["coeffs"][str(j)]) for j in indices)
-        if data.get("convention") == "minus-h":
-            raw = RawWheelForm(basis, tuple(data["representatives"][str(j)] for j in indices))
-            if int(data["constant"]) != raw.constant:
-                raise ValueError("raw forms carry the constant -1")
-            bad = [j for j, b, want in zip(indices, coeffs, raw.coeffs) if b != want]
-            if bad:
-                raise ValueError(f"coefficient for index {bad[-1]} inconsistent with solutions")
-            return raw
-        return _matching(CanonicalWheelForm(basis), coeffs, int(data["constant"]))
+        else:
+            form = CanonicalWheelForm(PrimeBasis.first(int(data["r"])))
+            if data.get("convention") == "minus-h":
+                # A raw form has the canonical form's variables, h2..hr.
+                solutions = tuple(data["representatives"][str(j)] for j in form.free_indices)
+                form = RawWheelForm(form.basis, solutions)
+        coeffs = tuple(int(data["coeffs"][str(j)]) for j in form.free_indices)
+        constant = int(data["constant"])
     except KeyError as err:
         raise ValueError(f"form JSON is missing the key {err.args[0]!r}") from None
+    if not isinstance(form, RawWheelForm):
+        return _matching(form, coeffs, constant)
+    if constant != form.constant:
+        raise ValueError("raw forms carry the constant -1")
+    for j, b, want in zip(form.free_indices, coeffs, form.coeffs):
+        if b != want:
+            raise ValueError(f"coefficient for index {j} inconsistent with solutions")
+    return form

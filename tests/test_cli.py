@@ -248,6 +248,14 @@ def test_bench_csv_shape(capsys):
         assert float(cells[3]) >= 0
 
 
+def test_bench_mismatch_exits_1_with_one_stderr_line(capsys, monkeypatch):
+    rough_sieve = oracle.rough_sieve
+    monkeypatch.setattr(oracle, "rough_sieve", lambda *args, **kw: rough_sieve(*args, **kw)[1:])
+    code, out, err = run(capsys, "bench", "--r", "3", "--width", "100", "--reps", "1")
+    assert (code, out) == (1, "")
+    assert err == "mismatch between wheel enumeration and rough sieve: 1 extra, 0 missing\n"
+
+
 def test_bench_rejects_zero_width(capsys):
     code, _, err = run(capsys, "bench", "--r", "3", "--width", "0")
     assert code == 2

@@ -190,7 +190,7 @@ COPRIME_WHEELS = [
 
 def _oracle_count(form, spec):
     """Count of the form's values in spec, from the brute-force divisibility scan."""
-    values = oracle.coprime_scan(spec, form.divisors)
+    values = oracle.coprime_scan(spec, form.moduli)
     if getattr(form, "pinned_h1", None) is not None:
         values = [x for x in values if x % form.moduli[0] == form.pinned_h1]
     return len(values)
@@ -314,7 +314,7 @@ def test_narrow_window_builds_no_table(monkeypatch):
     form = build_canonical(PrimeBasis.first(8))
     spec = IntervalSpec(10**9, 10**9 + 1000)
     values = list(enumerate_interval(form, spec))
-    assert values == oracle.coprime_scan(spec, form.divisors)
+    assert values == oracle.coprime_scan(spec, form.moduli)
     assert theorems.verify_theorem1(PrimeBasis.first(8), 1).verdict == "pass"
 
 
@@ -335,7 +335,7 @@ def test_enumerate_refuses_oversized_tables_before_iterating(monkeypatch):
     # The first 50 values lie below 400: 1 and the primes from 29 on.
     for width in (10, 10**12):
         head = list(islice(enumerate_interval(form, IntervalSpec(0, width)), 50))
-        assert head == oracle.coprime_scan(IntervalSpec(0, min(width, 400)), form.divisors)[:50]
+        assert head == oracle.coprime_scan(IntervalSpec(0, min(width, 400)), form.moduli)[:50]
 
 
 @pytest.mark.parametrize("r", range(9, 15))
@@ -349,7 +349,7 @@ def test_enumerate_past_the_table_cap_matches_the_scan(monkeypatch, r):
         for lo in (0, rng.randrange(0, 10**9), straddle, 2**64 + rng.randrange(0, 10**20)):
             spec = IntervalSpec(lo, lo + rng.randrange(1, 3000))
             values = list(enumerate_interval(form, spec))
-            assert values == oracle.coprime_scan(spec, form.divisors), (segment, spec)
+            assert values == oracle.coprime_scan(spec, form.moduli), (segment, spec)
             assert len(values) == count_interval(form, spec)
 
 
@@ -375,7 +375,7 @@ def test_wide_r8_window_builds_no_table(monkeypatch):
     # The window spans 2e6 candidates, so one segment seam lies inside it.
     seam = spec.lo + 2 * enumeration.SEGMENT
     near = IntervalSpec(seam - 1000, seam + 1000)
-    assert [v for v in values if near.lo <= v < near.hi] == oracle.coprime_scan(near, form.divisors)
+    assert [v for v in values if near.lo <= v < near.hi] == oracle.coprime_scan(near, form.moduli)
 
 
 @pytest.mark.parametrize("lo", [10**12, 10**20])

@@ -11,6 +11,7 @@ from primewheel import (
     CanonicalWheelForm,
     CoprimeWheelForm,
     PrimeBasis,
+    RawWheelForm,
     build_canonical,
     build_coprime_wheel,
     build_raw,
@@ -82,6 +83,44 @@ def test_form_from_json_rejects_tampered_blobs(index):
     coeffs[first] = str(int(coeffs[first]) + 1)
     with pytest.raises(ValueError):
         form_from_json({**shape, "coeffs": coeffs})
+
+
+@pytest.mark.parametrize("index", range(4), ids=["canonical", "raw", "pinned", "free"])
+def test_every_form_answers_the_same_surface(index):
+    form, shape = _shapes()[index]
+    assert form.free_indices == tuple(map(int, shape["coeffs"]))
+    assert form.coeffs == tuple(map(int, shape["coeffs"].values()))
+    assert form.coeff_map == dict(zip(form.free_indices, form.coeffs))
+    assert tuple(map(form.coeff, form.free_indices)) == form.coeffs
+    assert form.period == int(shape.get("primorial") or shape["period"])
+    assert form.constant == int(shape["constant"])
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ({**RAW_R3, "r": 1, "coeffs": {}, "representatives": {}},
+         "raw forms need at least two basis primes"),
+        ({**RAW_R3, "representatives": {"2": ["1", "1"], "3": ["5", "5"]}},
+         "stored solution for index 3 fails its unit equation"),
+        ({**CANONICAL_R3, "constant": "-1"}, r"constant outside \[0, period\)"),
+        ({**COPRIME_PINNED, "constant": "270"}, r"constant outside \[0, period\)"),
+    ],
+    ids=["raw-r1", "raw-representative", "canonical-constant", "pinned-constant"],
+)
+def test_form_from_json_names_the_tampered_parameter(blob, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        form_from_json(blob)
+
+
+def test_raw_form_needs_one_solution_per_index():
+    with pytest.raises(ValueError, match=r"^need one solution per index 2\.\.r$"):
+        RawWheelForm(PrimeBasis.first(3), ((1, 1),))
+
+
+def test_form_to_json_refuses_what_is_not_a_form():
+    with pytest.raises(TypeError, match="^not a wheel form: PrimeBasis$"):
+        form_to_json(PrimeBasis.first(3))
 
 
 @pytest.mark.parametrize("r", range(1, 9))

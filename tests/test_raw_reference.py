@@ -98,10 +98,10 @@ def test_raw_coefficients_telescope(r):
         assert sum(raw.coeffs) == product - 1
 
 
-def test_raw_form_names_the_highest_tampered_coefficient():
+def test_raw_form_names_the_first_tampered_coefficient():
     raw = build_raw(PrimeBasis.first(5))
     blob = form_to_json(raw)
-    for tampered, named in (((2,), 2), ((2, 4), 4), ((3, 4, 5), 5)):
+    for tampered, named in (((2,), 2), ((2, 3), 2), ((2, 4), 2), ((3, 4, 5), 3), ((5,), 5)):
         coeffs = {str(j): str(b + (j in tampered)) for j, b in zip(range(2, 6), raw.coeffs)}
         with pytest.raises(ValueError, match=f"^coefficient for index {named} inconsistent"):
             form_from_json({**blob, "coeffs": coeffs})

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from primewheel import oracle, theorems
+from primewheel import cli, oracle, theorems
 from primewheel.enumeration import IntervalSpec
 from primewheel.theorems import COUNTEREXAMPLE_CAP, Counterexample, VerificationReport
 from primewheel.wheel import PrimeBasis
@@ -329,3 +329,21 @@ def test_late_value_leaves_a_full_missing_list(monkeypatch):
     report = _check(monkeypatch, 3, 2, 1, lambda v, w: v[12:] + [v[0]])
     assert len(report.details["set_equality"]["missing"]) == COUNTEREXAMPLE_CAP
     assert report.details["set_equality"]["out_of_order"] == [str(_window(3, 2, 1).lo)]
+
+
+def test_failing_report_prints_its_counterexamples_as_text(monkeypatch, capsys):
+    window = IntervalSpec(7, 49)
+    stream = FAULTS["missing"](oracle.coprime_scan(window, PrimeBasis.first(3)), window)
+    monkeypatch.setattr(theorems, "enumerate_interval", lambda form, spec: iter(stream))
+    assert cli.main(["verify", "theorem1", "--r", "3", "--n", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1:8] == [
+        "verdict: fail",
+        "interval: [7, 49)",
+        "checked: 11",
+        "witnesses_pass: 11",
+        "counterexamples:",
+        "  - value=13 reason=in the oracle scan but never enumerated",
+        "  - value=13 reason=prime in the window but never enumerated",
+    ]
