@@ -35,8 +35,9 @@ def _size(n: int) -> str:
         return str(n)
     # (bits - 1) * log10(2) is at most log10(n), so counting up from it ends at len(str(n)).
     digits = int((n.bit_length() - 1) * 0.30102999566398120)
-    while 10**digits <= n:
-        digits += 1
+    power = 10**digits  # built once: each rebuild of a millions-digit power costs seconds
+    while power <= n:
+        digits, power = digits + 1, power * 10
     return f"a number of {digits} digits"
 
 

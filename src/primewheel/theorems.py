@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import eq, le, mod, mul
+from operator import le
 
 from . import oracle
 from ._record import Record, fresh
-from .diophantine import nth_solution, solve_unit
+from .diophantine import solve_unit
 from .enumeration import IntervalSpec, enumerate_interval
 from .errors import check_budget
 from .wheel import PrimeBasis, _prime_bound, build_canonical, build_raw
@@ -380,83 +380,40 @@ def check_identity26(basis: PrimeBasis, e: int, representative: int = 0) -> Veri
 def search_identity25(
     basis: PrimeBasis, bound: int, budget: int | None = None
 ) -> VerificationReport:
-    """Bounded witness search for the product identity
-    (2s - 1) * prod(p_i, i = 2..r-1) = x'_r * S, where S is the raw
-    coefficient sum built from x'_2..x'_{r-1}, which telescopes to
-    prod(p_i*x'_i, i = 2..r-1) - 1.
+    """Decide the product identity (2s - 1) * prod(p_i, i = 2..r-1) = x'_r * S
+    over the grid of representative indices 0..bound for x'_2..x'_r and
+    |s| <= bound, where S is the raw coefficient sum built from
+    x'_2..x'_{r-1}, which telescopes to prod(p_i*x'_i, i = 2..r-1) - 1.
 
-    Representative indices range over 0..bound for every x'_i and a
-    witness must also have |s| <= bound. A not-found outcome never claims
-    the statement false, only that no witness exists inside the grid.
-    The (bound + 1)^(r - 2) grid rows are checked against the scan budget
-    before the search starts.
+    No grid holds a witness, whatever the bound, and one prime certifies it
+    without a walk. The modulus p_2*...*p_{r-1} has the factor 3. S + 1 has
+    the factor 3*x'_2 for every representative, so S = -1 (mod 3). And
+    p_r*x'_r = 1 (mod p_1*...*p_{r-1}) keeps 3 from dividing x'_r; its
+    representatives differ by multiples of 6, so one residue covers every
+    k_r. So 3 divides no x'_r * S, and neither does the modulus.
 
-    The search never finds a witness: S = -1 mod each p_i of the modulus
-    p_2*...*p_{r-1}, and x'_r, with p_r*x'_r = 1 mod p_1*...*p_{r-1}, is a
-    unit mod each of them, so the modulus never divides x'_r * S and every
-    grid ends not-found-within-bound.
+    The residue of x'_r is read from solve_unit, so a faulty solver fails
+    the claim. checked counts the (bound + 1)^(r - 1) combinations the
+    certificate covers; the (bound + 1)^(r - 2) grid rows are checked
+    against the scan budget first.
     """
     r = basis.r
     check_claim_args("identity25", r, bound=bound)
-    rows = (bound + 1) ** (r - 2)
-    check_budget(rows, budget, "identity25 grid")
-    primes = basis.primes
-    modulus = math.prod(primes[1 : r - 1])  # p_2 * ... * p_{r-1}
-    families = {i: solve_unit(i, basis) for i in range(2, r + 1)}
-    # reps[i][k] is x'_i of representative k, worked out once per (i, k).
-    reps = {i: [nth_solution(f, k)[0] for k in range(bound + 1)] for i, f in families.items()}
-    xr_base = reps[r][0]
-    # p_i*x'_i per representative, for i = 2..r-1; the last index is walked
-    # under each prefix of the others.
-    factors = {i: [primes[i - 1] * x for x in reps[i]] for i in range(2, r)}
-    last = factors.pop(r - 1)
-    last_residues = [f % modulus for f in last]
-    witness = None
-    rows_scanned = 0
-
-    def row_witness(total: int) -> tuple[int, int] | None:
-        """(k_r, s) of the first x'_r that gives a witness with S = total."""
-        for kr, xr in enumerate(reps[r]):
-            quotient = (xr * total) // modulus
-            s = (quotient + 1) // 2
-            if quotient % 2 and abs(s) <= bound:
-                return kr, s
-        return None
-
-    for prefix in itertools.product(range(bound + 1), repeat=r - 3):
-        # The raw coefficients telescope: B_j + prod(p_q*x'_q, q > j) is
-        # prod(p_q*x'_q, q >= j), so sum(B_j, j = 2..m) = prod(p_j*x'_j, j = 2..m) - 1.
-        lead = math.prod(factors[i][k] for i, k in enumerate(prefix, start=2))
-        # Representatives of x'_r differ by multiples of p_1*...*p_{r-1},
-        # so divisibility of x'_r * S by the modulus is the same for every
-        # k_r; one test covers the whole row of the grid. With S = lead * f - 1
-        # it is taken on residues: x'_r * lead * f = x'_r (mod modulus).
-        scaled = map(mul, itertools.repeat(xr_base * lead % modulus), last_residues)
-        rests = map(mod, scaled, itertools.repeat(modulus))
-        hits = map(eq, rests, itertools.repeat(xr_base % modulus))
-        for k in itertools.compress(range(bound + 1), hits):
-            found = row_witness(lead * last[k] - 1)
-            if found:
-                kr, s = found
-                ks = enumerate((*prefix, k, kr), start=2)
-                witness = {"s": str(s), "representatives": {str(i): k_i for i, k_i in ks}}
-                break
-        if witness:
-            rows_scanned += k + 1
-            break
-        rows_scanned += bound + 1
+    check_budget((bound + 1) ** (r - 2), budget, "identity25 grid")
+    xr = solve_unit(r, basis).base_x
+    residue = xr % 3
     checked = (bound + 1) ** (r - 1)
     details = {
-        "witness": witness,
+        "certificate": {"prime": "3", "xr_residue": str(residue)},
         "grid": {"indices": r - 1, "per_index": bound + 1, "combinations": str(checked)},
-        "rows_scanned": rows_scanned,
-        "modulus": str(modulus),
+        "modulus": str(math.prod(basis.primes[1 : r - 1])),  # p_2 * ... * p_{r-1}
     }
+    bad = Counterexample(value=xr, reason=f"x'_{r} = 0 (mod 3), but p_{r}*x'_{r} = 1 (mod 3)")
     return VerificationReport(
         claim=f"identity25[r={r},bound={bound}]",
-        verdict="pass" if witness else "not-found-within-bound",
+        verdict="not-found-within-bound" if residue else "fail",
         checked=checked,
-        witnesses_pass=1 if witness else 0,
-        counterexamples=(),
+        witnesses_pass=0,
+        counterexamples=() if residue else (bad,),
         details=details,
     )

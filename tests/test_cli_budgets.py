@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -45,14 +46,18 @@ def test_identity25_budget_flag_sets_the_row_limit(capsys):
     _assert_one_knob_error(err)
     code, out, _ = run(capsys, *argv, "--budget", "1681", "--format", "json-lines")
     assert code == 1
-    assert json.loads(out)["details"]["rows_scanned"] == 41**2
+    report = json.loads(out)
+    assert report["checked"] == 41**3
+    assert report["details"]["certificate"] == {"prime": "3", "xr_residue": "1"}
 
 
 def test_identity25_library_budget():
     with pytest.raises(BudgetExceeded) as info:
         search_identity25(PrimeBasis.first(5), 40, budget=41**3 - 1)
     assert info.value.required == 41**3
-    assert search_identity25(PrimeBasis.first(5), 40, budget=41**3).details["rows_scanned"] == 41**3
+    report = search_identity25(PrimeBasis.first(5), 40, budget=41**3)
+    assert report.checked == 41**4
+    assert report.details["certificate"] == {"prime": "3", "xr_residue": "2"}
 
 
 @pytest.mark.parametrize("probe", ["omega", "spf", "factor"])
@@ -160,6 +165,18 @@ def test_refusal_messages_of_ordinary_sizes_are_unchanged():
     assert str(BudgetExceeded(10**4300, 10**5000)).startswith(
         "scan needs a number of 4301 digits but the budget is a number of 5001 digits; "
     )
+
+
+def test_digit_counts_in_refusals_are_decimal_lengths():
+    # Powers of ten and their neighbours sit where a digit count steps.
+    near = [10**k + d for k in (4299, 4300, 4301, 5000, 9999, 20000) for d in (-1, 0, 1)]
+    rng = random.Random(4300)
+    widths = rng.sample(range(14_300, 70_000), 30)
+    far = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in widths]
+    for n in near + far:
+        shown = errors._size(n)
+        digits = len(shown) if shown.isdigit() else int(shown.split()[3])
+        assert digits == len(_decimal(n)), n
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,10 @@ or bench), 2 or 3, no traceback, and a command's own exit 2 or 3 is one
 `error: ` line on stderr (argparse's usage errors print their usage
 instead). Each case runs under a SIGALRM limit. Sizes stay small (r <= 12,
 narrow gen and bench windows), and size refusals come from small
---budget values, not from huge inputs. A few fixed argvs at large r run
-under the same limit: the streaming commands read only residue classes,
-so they must finish in time however large the form's integers grow.
+--budget values, not from huge inputs. A few fixed argvs at large r or
+bound run under the same limit: the streaming commands read only residue
+classes and identity25 decides its grid by a certificate, so they must
+finish in time however large the integers or the grid grow.
 """
 
 from __future__ import annotations
@@ -177,14 +178,24 @@ def test_random_argvs_keep_the_exit_code_contract(monkeypatch, command):
     assert not found, found
 
 
+_NOT_FOUND = "claim: identity25[r=%d,bound=%d]\nverdict: not-found-within-bound\n"
+
+
 @pytest.mark.parametrize(
     "argv, code, out",
     [
         (["gen", "--r", "20000", "--lo", "1", "--hi", "2"], 0, "1\n"),
         (["bench", "--r", "3000", "--width", "1000", "--reps", "1"], 0, "method,"),
         (["count", "--r", "5000", "--lo", "1", "--hi", "100"], 3, ""),
+        (["verify", "identity25", "--r", "2000", "--bound", "0"], 1, _NOT_FOUND % (2000, 0)),
+        (["verify", "identity25", "--r", "3", "--bound", "3000000"], 1, _NOT_FOUND % (3, 3000000)),
+        (
+            ["verify", "identity25", "--r", "10", "--bound", "50", "--budget", str(51**8)],
+            1,
+            _NOT_FOUND % (10, 50),
+        ),
     ],
-    ids=["gen", "bench", "count"],
+    ids=["gen", "bench", "count", "identity25-r2000", "identity25-bound3e6", "identity25-grid51e8"],
 )
 def test_large_r_commands_finish_within_the_alarm(monkeypatch, argv, code, out):
     monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)

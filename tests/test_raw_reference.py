@@ -1,10 +1,10 @@
 """The raw-form builder and the identity checkers against the formulas they replaced.
 
-build_raw, check_identity26 and search_identity25 all read the raw
-coefficients B_j from one recurrence. Here each is compared with the
-stand-alone computation it used to carry: unit-equation solutions from the
-modular inverse, the B_j tail loop, the idempotent m * (m^-1 mod p_e) and
-the per-row tail sum of identity (25).
+build_raw and check_identity26 read the raw coefficients B_j from one
+recurrence, and search_identity25 decides its grid by a one-prime
+certificate. Here each is compared with a stand-alone computation:
+unit-equation solutions from the modular inverse, the B_j tail loop, the
+idempotent m * (m^-1 mod p_e) and the per-row tail sum of identity (25).
 """
 
 import hashlib
@@ -146,9 +146,7 @@ def _reference_identity25(basis, bound):
     modulus = math.prod(primes[1 : r - 1])
     reps = {i: [_x(primes, i, k) for k in range(bound + 1)] for i in range(2, r + 1)}
     witness = None
-    rows_scanned = 0
     for ks in itertools.product(range(bound + 1), repeat=r - 2):
-        rows_scanned += 1
         xs = {i: reps[i][ks[i - 2]] for i in range(2, r)}
         total = 0
         tail = 1
@@ -174,9 +172,8 @@ def _reference_identity25(basis, bound):
         "interval": None,
         "counterexamples": [],
         "details": {
-            "witness": witness,
+            "certificate": {"prime": "3", "xr_residue": str(reps[r][0] % 3)},
             "grid": {"indices": r - 1, "per_index": bound + 1, "combinations": str(checked)},
-            "rows_scanned": rows_scanned,
             "modulus": str(modulus),
         },
     }

@@ -2,11 +2,13 @@ import itertools
 import json
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
-from primewheel import oracle, theorems
+from primewheel import cli, oracle, theorems
+from primewheel.diophantine import nth_solution, solve_unit
 from primewheel.enumeration import IntervalSpec
 from primewheel.errors import BudgetExceeded
 from primewheel.theorems import (
@@ -160,8 +162,8 @@ def test_identity25_r3_exhausts_without_witness():
     assert report.verdict == "not-found-within-bound"
     assert report.checked == 51**2
     assert report.witnesses_pass == 0
-    assert report.details["witness"] is None
-    assert report.details["rows_scanned"] == 51
+    assert report.counterexamples == ()
+    assert report.details["certificate"] == {"prime": "3", "xr_residue": "2"}
     assert report.details["modulus"] == "3"
 
 
@@ -169,25 +171,25 @@ def test_identity25_zero_bound():
     report = search_identity25(PrimeBasis.first(3), bound=0)
     assert report.verdict == "not-found-within-bound"
     assert report.checked == 1
-    assert report.details["rows_scanned"] == 1
+    assert report.details["certificate"] == {"prime": "3", "xr_residue": "2"}
 
 
 def test_identity25_r4_grid_accounting():
     report = search_identity25(PrimeBasis.first(4), bound=50)
     assert report.verdict == "not-found-within-bound"
     assert report.checked == 51**3
-    assert report.details["rows_scanned"] == 51**2
+    assert report.details["certificate"] == {"prime": "3", "xr_residue": "1"}
     assert report.details["grid"]["combinations"] == str(51**3)
     assert report.details["modulus"] == "15"
 
 
 def _row_by_row_identity25(basis, bound):
-    """identity25's details from the plain grid walk: one product of all
+    """(witness, rows scanned) from the plain grid walk: one product of all
     r - 2 leading factors per row, and one divisibility test per row."""
     r, primes = basis.r, basis.primes
     modulus = math.prod(primes[1 : r - 1])
     reps = {
-        i: [theorems.nth_solution(theorems.solve_unit(i, basis), k)[0] for k in range(bound + 1)]
+        i: [nth_solution(solve_unit(i, basis), k)[0] for k in range(bound + 1)]
         for i in range(2, r + 1)
     }
     rows_scanned = 0
@@ -207,25 +209,36 @@ def _row_by_row_identity25(basis, bound):
 
 @pytest.mark.parametrize("r", range(3, 7))
 @pytest.mark.parametrize("bound", [0, 1, 4, 9])
-@pytest.mark.parametrize("planted", [False, True])
-def test_identity25_prefix_walk_matches_the_row_by_row_search(monkeypatch, r, bound, planted):
+def test_identity25_certificate_matches_the_row_by_row_search(r, bound):
     basis = PrimeBasis.first(r)
-    if planted:
-        modulus = math.prod(basis.primes[1 : r - 1])
-        walked, last = basis.primes[-2:]
-
-        def planted_solution(family, k):
-            """A zero x'_i makes S = -1, so rows with k_{r-1} = 3 or k_2 = 1 hold
-            witnesses; x'_r stays one class mod the modulus, as it is."""
-            if family.a == last:
-                return modulus * (2 * k + 1), 0
-            return k - (3 if family.a == walked else 1 if family.a == 3 else -1), 0
-
-        monkeypatch.setattr(theorems, "nth_solution", planted_solution)
     witness, rows_scanned = _row_by_row_identity25(basis, bound)
     report = search_identity25(basis, bound)
-    assert (report.details["witness"], report.details["rows_scanned"]) == (witness, rows_scanned)
-    assert report.verdict == ("pass" if witness else "not-found-within-bound")
+    assert witness is None and rows_scanned == (bound + 1) ** (r - 2)
+    assert report.verdict == "not-found-within-bound"
+    assert report.checked == rows_scanned * (bound + 1)
+    grid = {"indices": r - 1, "per_index": bound + 1, "combinations": str(report.checked)}
+    assert report.details["grid"] == grid
+    assert report.details["certificate"]["xr_residue"] in ("1", "2")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_identity25_fails_when_the_solver_gives_x_r_divisible_by_3(monkeypatch, capsys, fmt):
+    def faulty(i, basis):
+        return types.SimpleNamespace(base_x=3 * solve_unit(i, basis).base_x)
+
+    monkeypatch.setattr(theorems, "solve_unit", faulty)
+    code = cli.main(["verify", "identity25", "--r", "4", "--bound", "2", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    if fmt == "json-lines":
+        report = json.loads(out)
+        assert report["verdict"] == "fail" and report["witnesses_pass"] == 0
+        assert report["counterexamples"] == [
+            {"value": "39", "reason": "x'_4 = 0 (mod 3), but p_4*x'_4 = 1 (mod 3)"}
+        ]
+        assert report["details"]["certificate"] == {"prime": "3", "xr_residue": "0"}
+    else:
+        assert "verdict: fail" in out and out.count("  - value=") == 1
 
 
 @pytest.mark.parametrize("r", range(3, 9))
@@ -234,10 +247,10 @@ def test_identity25_modulus_never_divides_xr_times_s(r):
     # no grid row can hold a witness, whatever the representatives.
     basis = PrimeBasis.first(r)
     modulus = math.prod(basis.primes[1 : r - 1])
-    families = {i: theorems.solve_unit(i, basis) for i in range(2, r + 1)}
+    families = {i: solve_unit(i, basis) for i in range(2, r + 1)}
     rng = random.Random(r)
     for _ in range(200):
-        x = {i: theorems.nth_solution(f, rng.randrange(-1000, 1000))[0] for i, f in families.items()}
+        x = {i: nth_solution(f, rng.randrange(-1000, 1000))[0] for i, f in families.items()}
         s = math.prod(basis.primes[i - 1] * x[i] for i in range(2, r)) - 1
         assert (x[r] * s) % modulus != 0
 
