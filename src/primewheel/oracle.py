@@ -8,8 +8,8 @@ at a time (Bays & Hudson 1977):
 
 - _strike keeps the integers divisible by no given modulus. It serves
   coprime_scan and rough_sieve, one implementation under two names, and
-  primes_in and prime_segments, whose moduli are the primes up to the
-  square root of hi, themselves put back in front;
+  primes_in, whose moduli are the primes up to the square root of hi,
+  themselves put back in front;
 - omega_sieve gives Omega(m), the prime factors of m counted with
   multiplicity, for every m: each prime power p^k strikes its multiples,
   which gain one factor and are divided by p, and a cofactor above 1
@@ -145,27 +145,8 @@ def primes_in(interval: IntervalSpec, budget: int | None = None) -> list[int]:
     """
     check_budget(interval.hi, budget, "prime sieve")
     base = tuple(_simple_sieve(math.isqrt(interval.hi - 1)))
-    return _primes_between(interval.lo, interval.hi, base)
-
-
-def prime_segments(interval: IntervalSpec, budget: int | None = None) -> Iterator[list[int]]:
-    """The primes in [lo, hi), one list per OMEGA_SEGMENT integers from lo up,
-    as omega_sieve segments the window; the last may cover fewer.
-
-    The base primes up to sqrt(hi - 1) are sieved once for the whole
-    window, and hi is checked against the budget before the iterator is
-    returned.
-    """
-    check_budget(interval.hi, budget, "prime sieve")
-    base = tuple(_simple_sieve(math.isqrt(interval.hi - 1)))
-    starts = range(interval.lo, interval.hi, OMEGA_SEGMENT)
-    return (_primes_between(lo, min(lo + OMEGA_SEGMENT, interval.hi), base) for lo in starts)
-
-
-def _primes_between(lo: int, hi: int, base: tuple[int, ...]) -> list[int]:
-    """The primes in [lo, hi), given every prime up to sqrt(hi - 1) in `base`."""
-    inside = base[bisect_left(base, lo) : bisect_left(base, hi)]
-    return [*inside, *_strike(max(lo, 2), hi, base)]
+    inside = base[bisect_left(base, interval.lo) : bisect_left(base, interval.hi)]
+    return [*inside, *_strike(max(interval.lo, 2), interval.hi, base)]
 
 
 def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[list[int]]:
@@ -175,9 +156,10 @@ def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[l
     from lo up; the last may be shorter. The primes up to sqrt(hi - 1)
     are sieved once. In a segment every multiple of a prime power
     p^k < hi gains one factor and is divided by p; what is left of m is
-    then 1 or a single prime above sqrt(hi - 1), which adds one. The
-    width and sqrt(hi - 1) are checked against the budget before the
-    iterator is returned.
+    then 1 or a single prime above sqrt(hi - 1), which adds one. So the
+    entries equal to 1 are the primes: a base prime counts itself, a
+    larger one its cofactor. The width and sqrt(hi - 1) are checked
+    against the budget before the iterator is returned.
     """
     if interval.lo < 1:
         raise ValueError("omega is defined for m >= 1")

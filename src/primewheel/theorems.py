@@ -108,10 +108,10 @@ def check_claim_args(
             )
 
 
-def theorem1_interval(basis: PrimeBasis, n: int) -> IntervalSpec:
+def theorem1_interval(basis: PrimeBasis, n: int, budget: int | None = None) -> IntervalSpec:
     """The window [p_{r+1}^n, p_{r+1}^(n+1)), with p_{r+1} from the oracle sieve."""
     check_claim_args("theorem1", basis.r, n=n)
-    (p,) = _primes_after(basis, 1)
+    (p,) = _primes_after(basis, 1, budget)
     return IntervalSpec(p**n, p ** (n + 1))
 
 
@@ -140,42 +140,45 @@ def _interval_report(
     The report merges two ascending streams, the enumeration grouped by
     segment of oracle.OMEGA_SEGMENT integers and the oracle's segments:
     each segment's values are compared with its striking scan and, for
-    n = 1, its primes, as lists and only on a mismatch as sets, and their
-    Omega is read from its Omega sieve. Only counts and the capped
-    counterexamples are kept (missing and extra as their ten smallest
-    distinct values), so a passing report walks the enumeration once in
-    segment-sized memory. The merge stops at the first value off the
-    window or below an earlier window value, which correct code never
-    gives; only then is the enumeration held, walked once more into a
-    list whose sorted window values go through the same merge. Values off
-    the window are extra for (a) and (c), Omega comes by trial division
-    in enumeration order, and out_of_order lists the first ten distinct
-    window values enumerated after a larger one. Any other failing report
-    walks the enumeration a second time to count witnesses_pass, the
-    values that are none of the counterexamples. Budgets are checked
-    before the first value is enumerated: the scan width, then for n = 1
-    the prime sieve's hi, then the Omega sieve's.
+    n = 1, its primes, the m whose Omega is 1, as lists and only on a
+    mismatch as sets, and their Omega is read from its Omega sieve. Only
+    counts and the capped counterexamples are kept (missing and extra as
+    their ten smallest distinct values), so a passing report walks the
+    enumeration once in segment-sized memory. The merge stops at the
+    first value off the window or below an earlier window value, which
+    correct code never gives; only then is the enumeration held, walked
+    once more into a list whose sorted window values go through the same
+    merge. Values off the window are extra for (a) and (c), Omega comes
+    by trial division in enumeration order, and out_of_order lists the
+    first ten distinct window values enumerated after a larger one. Any
+    other failing report walks the enumeration a second time to count
+    witnesses_pass, the values that are none of the counterexamples.
+    Budgets are checked before the first value is enumerated: the scan
+    width, then the Omega sieve's width and base primes.
     """
     check_budget(interval.width, budget, "coprime scan")
     form = build_canonical(basis)
     lo, hi, size = interval.lo, interval.hi, oracle.OMEGA_SEGMENT
-    none = itertools.repeat(None)
 
-    def merge(values, omegas, primes) -> tuple | None:
+    def merge(values, omegas) -> tuple | None:
         """The capped fault lists and the count of ascending window values,
-        or None at the first other value; omega_bad stays empty without omegas."""
+        or None at the first other value."""
         # Each fault list that is not empty fails its subcheck.
         missing: list[int] = []  # in the scan but never enumerated, ascending
         extra: list[int] = []  # enumerated but not in the scan, ascending
         pe_missing: list[int] = []  # n = 1: primes never enumerated
         pe_extra: list[int] = []  # n = 1: enumerated but not prime
         omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
-        segments = zip(itertools.count(), range(lo, hi, size), omegas, primes)
+        segments = zip(itertools.count(), range(lo, hi, size), omegas)
 
-        def close(seg_lo, seg_primes, run) -> None:
-            scan = oracle.coprime_scan(IntervalSpec(seg_lo, min(seg_lo + size, hi)), basis, budget)
-            for want, lost, unwanted in ((scan, missing, extra), (seg_primes, pe_missing, pe_extra)):
-                if want is not None and run != want:
+        def close(seg_lo, seg_omegas, run) -> None:
+            seg = IntervalSpec(seg_lo, min(seg_lo + size, hi))
+            checks = [(oracle.coprime_scan(seg, basis, budget), missing, extra)]
+            if n == 1:  # the primes are the m whose Omega is 1
+                primes = itertools.compress(range(seg.lo, seg.hi), map((1).__eq__, seg_omegas))
+                checks.append((list(primes), pe_missing, pe_extra))
+            for want, lost, unwanted in checks:
+                if run != want:
                     _keep_smallest(lost, set(want).difference(run))
                     _keep_smallest(unwanted, set(run).difference(want))
 
@@ -185,28 +188,26 @@ def _interval_report(
             if key < 0 or run[0] < top or not all(map(le, run, run[1:])):
                 return None
             checked, top = checked + len(run), run[-1]
-            for index, seg_lo, seg_omegas, seg_primes in segments:
-                close(seg_lo, seg_primes, run if index == key else [])
+            for index, seg_lo, seg_omegas in segments:
+                close(seg_lo, seg_omegas, run if index == key else [])
                 if index == key:
                     break
-            if seg_omegas is not None and len(omega_bad) < COUNTEREXAMPLE_CAP:
+            if len(omega_bad) < COUNTEREXAMPLE_CAP:
                 oms = list(map(seg_omegas.__getitem__, map((-seg_lo).__add__, run)))
                 if min(oms) < 1 or max(oms) > n:
                     bad = ((v, om) for v, om in zip(run, oms) if not 1 <= om <= n)
                     omega_bad += itertools.islice(bad, COUNTEREXAMPLE_CAP - len(omega_bad))
-        for _, seg_lo, _, seg_primes in segments:
-            close(seg_lo, seg_primes, [])
+        for _, seg_lo, seg_omegas in segments:
+            close(seg_lo, seg_omegas, [])
         return missing, extra, pe_missing, pe_extra, omega_bad, checked
 
-    got = enumerate_interval(form, interval)
-    primes = oracle.prime_segments(interval, budget) if n == 1 else none
-    merged = merge(got, oracle.omega_sieve(interval, budget), primes)
+    merged = merge(enumerate_interval(form, interval), oracle.omega_sieve(interval, budget))
     held, disorder = None, []  # window values enumerated after a larger one
     if merged is None:
         held = list(enumerate_interval(form, interval))
         window = [v for v in held if lo <= v < hi]
-        primes = oracle.prime_segments(interval, budget) if n == 1 else none
-        missing, extra, pe_missing, pe_extra, _, _ = merge(sorted(window), none, primes)
+        omegas = oracle.omega_sieve(interval, budget)  # read for the n = 1 primes
+        missing, extra, pe_missing, pe_extra, _, _ = merge(sorted(window), omegas)
         off = [v for v in held if not lo <= v < hi]
         _keep_smallest(extra, off)
         _keep_smallest(pe_extra, off)  # read only when n = 1
@@ -268,7 +269,7 @@ def verify_theorem1(basis: PrimeBasis, n: int, budget: int | None = None) -> Ver
     """Check the window claim: in [p_{r+1}^n, p_{r+1}^(n+1)) the wheel
     enumerates exactly the integers whose smallest prime factor exceeds
     p_r, each with 1..n prime factors; for n = 1 those are the primes."""
-    interval = theorem1_interval(basis, n)
+    interval = theorem1_interval(basis, n, budget)
     return _interval_report(
         claim=f"theorem1[r={basis.r},n={n}]",
         basis=basis,
@@ -280,11 +281,11 @@ def verify_theorem1(basis: PrimeBasis, n: int, budget: int | None = None) -> Ver
     )
 
 
-def bertrand_condition(r: int, s: int, n: int) -> bool:
+def bertrand_condition(r: int, s: int, n: int, budget: int | None = None) -> bool:
     """Exact test of p_{r+1} > 2^((n+1)(s-1))."""
     if r < 1 or s < 1 or n < 1:
         raise ValueError("r, s and n must be at least 1")
-    (p,) = _primes_after(PrimeBasis.first(r), 1)
+    (p,) = _primes_after(PrimeBasis.first(r), 1, budget)
     return p > 2 ** ((n + 1) * (s - 1))
 
 
@@ -303,7 +304,7 @@ def verify_corollary2(
     check_claim_args("corollary2", basis.r, s=s, n=n)
     p = _primes_after(basis, s, budget)[-1]
     interval = IntervalSpec(p**n, p ** (n + 1))
-    condition = bertrand_condition(basis.r, s, n)
+    condition = bertrand_condition(basis.r, s, n, budget)
     extra = {"condition_met": condition}
     if not condition:
         extra["informational"] = True
@@ -318,22 +319,23 @@ def verify_corollary2(
     )
 
 
-def pi_approx(basis: PrimeBasis) -> Fraction:
+def pi_approx(basis: PrimeBasis, budget: int | None = None) -> Fraction:
     """Density-based estimate of the prime count below p_{r+1}^2, as an exact rational:
     r + p_{r+1}^2 * (prod(p_l - 1) - 1) / prod(p_l)."""
     from fractions import Fraction  # loaded here, so no other claim pays for it
 
-    (p,) = _primes_after(basis, 1)
+    (p,) = _primes_after(basis, 1, budget)
     phi = math.prod(q - 1 for q in basis.primes)
     return basis.r + Fraction(p * p * (phi - 1), basis.primorial)
 
 
 def compare_pi(basis: PrimeBasis, budget: int | None = None) -> tuple[Fraction, int, Fraction]:
     """(approx, exact, rel_error) with exact = sieve count of primes in [1, p_{r+1}^2)
-    and rel_error = |approx - exact| / exact."""
-    (p,) = _primes_after(basis, 1)
-    approx = pi_approx(basis)
+    and rel_error = |approx - exact| / exact. The sieve's budget is checked
+    before the density formula takes its products over the basis."""
+    (p,) = _primes_after(basis, 1, budget)
     exact = len(oracle.primes_in(IntervalSpec(1, p * p), budget=budget))
+    approx = pi_approx(basis, budget)
     return approx, exact, abs(approx - exact) / exact
 
 

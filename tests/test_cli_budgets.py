@@ -220,6 +220,48 @@ def test_corollary2_with_a_large_shift_finds_its_primes_with_one_sieve():
     assert done.stderr.startswith("error: coprime scan needs ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "theorem1", "--r", "3", "--n", "1", "--budget", "42"),
+        ("verify", "corollary2", "--r", "3", "--s", "2", "--n", "1", "--budget", "110"),
+    ],
+)
+def test_n1_report_needs_only_its_window_and_omega_sieve_budgets(capsys, monkeypatch, argv):
+    # The n = 1 primes are read from the Omega sieve, so a budget below hi
+    # that covers the window's width is enough.
+    monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (code, out) == run(capsys, *argv[:-2])[:2]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda budget: theorems.theorem1_interval(PrimeBasis.first(3), 1, budget=budget),
+        lambda budget: theorems.bertrand_condition(3, 2, 1, budget=budget),
+        lambda budget: theorems.pi_approx(PrimeBasis.first(3), budget=budget),
+        lambda budget: theorems.verify_theorem1(PrimeBasis.first(3), 1, budget=budget),
+    ],
+    ids=["theorem1_interval", "bertrand_condition", "pi_approx", "verify_theorem1"],
+)
+def test_the_caller_budget_reaches_the_next_prime_sieve(call):
+    # p_4 = 7 is found by a sieve below _prime_bound(4) = 12, which is
+    # refused before the window [7, 49) is.
+    with pytest.raises(BudgetExceeded, match="^prime sieve needs 12 "):
+        call(11)
+
+
+def test_compare_pi_checks_its_sieve_before_the_density_formula(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("took the density products before the sieve was checked")
+
+    monkeypatch.setattr(theorems, "pi_approx", no_work)
+    with pytest.raises(BudgetExceeded, match="^prime sieve needs 49 "):
+        theorems.compare_pi(PrimeBasis.first(3), budget=48)
+
+
 @pytest.mark.parametrize("r", ["0", "2"])
 def test_identity26_refuses_a_basis_too_small_before_its_e(capsys, r):
     code, out, err = run(capsys, "verify", "identity26", "--r", r, "--e", "11")

@@ -7,8 +7,9 @@ instead). Each case runs under a SIGALRM limit. Sizes stay small (r <= 12,
 narrow gen and bench windows), and size refusals come from small
 --budget values, not from huge inputs. A few fixed argvs at large r or
 bound run under the same limit: the streaming commands read only residue
-classes and identity25 decides its grid by a certificate, so they must
-finish in time however large the integers or the grid grow.
+classes, identity25 decides its grid by a certificate and count
+--pi-approx checks its sieve before the density formula, so they must
+finish or refuse in time however large the integers or the grid grow.
 """
 
 from __future__ import annotations
@@ -182,25 +183,40 @@ _NOT_FOUND = "claim: identity25[r=%d,bound=%d]\nverdict: not-found-within-bound\
 
 
 @pytest.mark.parametrize(
-    "argv, code, out",
+    "argv, code, out, knob",
     [
-        (["gen", "--r", "20000", "--lo", "1", "--hi", "2"], 0, "1\n"),
-        (["bench", "--r", "3000", "--width", "1000", "--reps", "1"], 0, "method,"),
-        (["count", "--r", "5000", "--lo", "1", "--hi", "100"], 3, ""),
-        (["verify", "identity25", "--r", "2000", "--bound", "0"], 1, _NOT_FOUND % (2000, 0)),
-        (["verify", "identity25", "--r", "3", "--bound", "3000000"], 1, _NOT_FOUND % (3, 3000000)),
+        (["gen", "--r", "20000", "--lo", "1", "--hi", "2"], 0, "1\n", None),
+        (["bench", "--r", "3000", "--width", "1000", "--reps", "1"], 0, "method,", None),
+        (["count", "--r", "5000", "--lo", "1", "--hi", "100"], 3, "", "fixed"),
+        (["count", "--r", "100000", "--pi-approx"], 3, "", "--budget"),
+        (["verify", "identity25", "--r", "2000", "--bound", "0"], 1, _NOT_FOUND % (2000, 0), None),
+        (
+            ["verify", "identity25", "--r", "3", "--bound", "3000000"],
+            1,
+            _NOT_FOUND % (3, 3000000),
+            None,
+        ),
         (
             ["verify", "identity25", "--r", "10", "--bound", "50", "--budget", str(51**8)],
             1,
             _NOT_FOUND % (10, 50),
+            None,
         ),
     ],
-    ids=["gen", "bench", "count", "identity25-r2000", "identity25-bound3e6", "identity25-grid51e8"],
+    ids=[
+        "gen",
+        "bench",
+        "count",
+        "pi-approx",
+        "identity25-r2000",
+        "identity25-bound3e6",
+        "identity25-grid51e8",
+    ],
 )
-def test_large_r_commands_finish_within_the_alarm(monkeypatch, argv, code, out):
+def test_large_r_commands_finish_within_the_alarm(monkeypatch, argv, code, out, knob):
     monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)
     got, stdout, err = _run(argv)
     assert (got, stdout[: len(out)]) == (code, out), err
     assert not list(_violations(argv[0], got, stdout, err))
     if code == 3:
-        assert "fixed" in err and err.count("\n") == 1
+        assert knob in err and err.count("\n") == 1

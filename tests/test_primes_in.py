@@ -1,5 +1,6 @@
 """primes_in, the base primes put back in front of one striking scan,
-against per-value trial division; prime_segments against primes_in."""
+against per-value trial division; the Omega = 1 entries of omega_sieve,
+segment by segment, against primes_in."""
 
 import random
 
@@ -7,7 +8,6 @@ import pytest
 
 from primewheel import oracle
 from primewheel.enumeration import IntervalSpec
-from primewheel.errors import BudgetExceeded
 
 
 def _is_prime(m: int) -> bool:
@@ -31,24 +31,21 @@ def test_primes_in_across_segment_seams(monkeypatch, lo, hi):
 
 
 @pytest.mark.parametrize("segment", [7, 64, 4096])
-def test_prime_segments_equal_primes_in_over_random_windows(monkeypatch, segment):
+def test_omega_sieve_ones_equal_primes_in_over_random_windows(monkeypatch, segment):
+    # Omega is defined from m = 1, so windows start there. Those with
+    # lo <= isqrt(hi - 1) hold their own base primes, which count
+    # themselves; every larger prime counts its cofactor.
     monkeypatch.setattr(oracle, "OMEGA_SEGMENT", segment)
     rng = random.Random(segment)
-    windows = [(0, 2), (0, 200), (2, 3), (97, 98)]
+    windows = [(1, 2), (1, 200), (2, 3), (97, 98), (2, 10**4), (40, 5000)]
     for _ in range(40):
-        lo = rng.choice([0, rng.randrange(300), rng.randrange(10**6), rng.randrange(10**9)])
+        lo = rng.choice([1, *(rng.randrange(1, top) for top in (300, 10**6, 10**9))])
         windows.append((lo, lo + rng.randrange(1, 5 * segment)))
     for lo, hi in windows:
-        interval = IntervalSpec(lo, hi)
-        segments = list(oracle.prime_segments(interval, budget=hi))
-        assert len(segments) == len(range(lo, hi, segment)), (lo, hi)
-        assert sum(segments, []) == oracle.primes_in(interval, budget=hi), (lo, hi)
-        for seg_lo, primes in zip(range(lo, hi, segment), segments):
-            assert all(seg_lo <= p < min(seg_lo + segment, hi) for p in primes), (lo, hi)
-
-
-def test_prime_segments_check_hi_before_sieving():
-    with pytest.raises(BudgetExceeded, match="prime sieve"):
-        oracle.prime_segments(IntervalSpec(10, 1001), budget=1000)
-    segments = oracle.prime_segments(IntervalSpec(10, 1000), budget=1000)
-    assert sum(segments, []) == oracle.primes_in(IntervalSpec(10, 1000))
+        starts = range(lo, hi, segment)
+        segments = list(oracle.omega_sieve(IntervalSpec(lo, hi), budget=hi))
+        assert len(segments) == len(starts), (lo, hi)
+        for seg_lo, omegas in zip(starts, segments):
+            seg = IntervalSpec(seg_lo, min(seg_lo + segment, hi))
+            ones = [m for m, om in zip(range(seg.lo, seg.hi), omegas) if om == 1]
+            assert ones == oracle.primes_in(seg, budget=hi), (lo, hi, seg_lo)
