@@ -16,9 +16,9 @@ wheel.decompose_rows call. json-lines fields are decimal strings,
 except --explain's t and h and a verify report's counters, which are
 JSON numbers; verify --format csv prints the text report.
 Output is deterministic for fixed arguments; only bench timing columns
-vary run to run. The scan budget of count, verify, bench and oracle can
-be overridden with --budget or the PRIMEWHEEL_SCAN_BUDGET environment
-variable, as an integer of at least 1.
+vary run to run. The scan budget of coeffs, count, verify, bench and
+oracle can be overridden with --budget or the PRIMEWHEEL_SCAN_BUDGET
+environment variable, as an integer of at least 1.
 A subcommand imports only what it runs: theorems and oracle load on
 first use and json only where JSON is printed, so gen, coeffs and
 count --lo/--hi never load the claim checkers.
@@ -41,6 +41,7 @@ from .wheel import (
     PrimeBasis,
     build_canonical,
     build_raw,
+    coeff_bits_bound,
     decompose_rows,
     form_to_json,
 )
@@ -110,9 +111,9 @@ def _budget(args) -> int | None:
 
 
 def cmd_coeffs(args) -> int:
-    if not 1 <= args.r <= args.max_r:
-        raise ValueError(f"r must lie in 1..{args.max_r} (use --max-r to raise the cap)")
+    budget = _budget(args)
     basis = PrimeBasis.first(args.r)
+    check_budget(coeff_bits_bound(basis, args.raw), budget, "coefficient bits")
     form = build_raw(basis) if args.raw else build_canonical(basis)
     if args.format == "csv":
         variables = [(f"h{j}", a) for j, a in reversed(form.coeff_map.items())]
@@ -214,7 +215,7 @@ def cmd_count(args) -> int:
             approx, rel = f"{float(approx):.3f}", f"{float(rel):.4f}"
         write_rows(args.format, ("approx", "exact", "rel_error"), [([approx], [exact], [rel])])
     else:
-        total = count_interval(build_canonical(basis), interval)
+        total = count_interval(build_canonical(basis), interval, budget)
         write_rows(args.format, ("count",), [([total],)])
     return 0
 
@@ -338,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="print the form for the first r primes")
     p.add_argument("r", type=int)
     p.add_argument("--raw", action="store_true", help="pre-reduction coefficients")
-    p.add_argument("--max-r", type=int, default=50)
     _add_format(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("gen", help="stream wheel values in [lo, hi)")

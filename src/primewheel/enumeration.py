@@ -12,7 +12,8 @@ walks small offsets and only survivors become big ints, since CPython's
 range steps by generic int arithmetic there. sorted_block_residues is
 the sieve of one period, kept as a table; a form with more than
 MAX_BLOCK_RESIDUES residues per period is refused before it is sieved.
-Counting is Legendre's inclusion-exclusion over the same moduli.
+Counting is Legendre's inclusion-exclusion over the same moduli, its 2^k
+terms under the caller's work budget.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from typing import Iterator, NamedTuple
 from ._record import Record
 from .errors import check_budget
 
+# Residues per period table: a fixed cap on the memory sorted_block_residues keeps.
 MAX_BLOCK_RESIDUES = 4_000_000
 # Candidates per sieve segment: one mask byte each, so a mask is at most 1 MB.
 SEGMENT = 1 << 20
-_FIXED_CAP = f"this cap is fixed at {MAX_BLOCK_RESIDUES} (no flag or environment variable changes it)"
 
 
 class IntervalSpec(Record):
@@ -66,7 +67,10 @@ def sorted_block_residues(form) -> tuple[int, ...]:
     value is sieved.
     """
     size = math.prod(m - 1 for m in form.residue_classes()[2])
-    remedy = _FIXED_CAP + "; enumerate_interval and count_interval need no table"
+    remedy = (
+        f"this cap on the table's memory is fixed at {MAX_BLOCK_RESIDUES} (no flag or"
+        " environment variable changes it); enumerate_interval and count_interval need no table"
+    )
     check_budget(size, MAX_BLOCK_RESIDUES, "residue table", remedy)
     return tuple(enumerate_interval(form, IntervalSpec(0, form.period)))
 
@@ -108,19 +112,18 @@ def _sieve(
             yield map(add, repeat(seg), compress(range(0, len(mask) * pin, pin), mask))
 
 
-def count_interval(form, interval: IntervalSpec) -> int:
+def count_interval(form, interval: IntervalSpec, budget: int | None = None) -> int:
     """len(list(enumerate_interval(form, interval))), without materializing values.
 
     Legendre's inclusion-exclusion (Lehmer 1959): summing mu(d) * #{x in
     [lo, hi) : x = constant (mod q1*d)} over the squarefree products d of
     the k struck moduli, since the constant is h1 mod q1 and 0 mod each
-    struck modulus. The 2^k terms are budget-guarded before the constant
-    is read.
+    struck modulus. The 2^k terms are work, checked against `budget`
+    (the default scan budget for None) before the constant is read; the
+    recursion holds only k frames.
     """
     _, pin, struck = form.residue_classes()
-    terms = 2 ** len(struck)
-    what = f"inclusion-exclusion over {len(struck)} axes"
-    check_budget(terms, MAX_BLOCK_RESIDUES, what, _FIXED_CAP)
+    check_budget(2 ** len(struck), budget, f"inclusion-exclusion over {len(struck)} axes")
     return _legendre(interval, form.constant, pin, struck)
 
 

@@ -1,4 +1,12 @@
-"""Shared error types and the one budget check every capped operation uses."""
+"""Shared error types and the one budget check every capped operation uses.
+
+One rule decides every cap. A cap on work (integers scanned or sieved,
+trial divisors, identity25 grid rows, inclusion-exclusion terms,
+coefficient bits) is a check_budget against the scan budget, which
+--budget and SCAN_BUDGET_ENV override. A cap on memory is a named fixed
+constant beside what it guards, and its remedy says what memory that is
+and that no knob raises it. Either cap is checked before the work starts.
+"""
 
 from __future__ import annotations
 
@@ -11,12 +19,12 @@ _DECIMAL_LIMIT = 10**4300
 
 
 class BudgetExceeded(RuntimeError):
-    """A scan, sieve or table build would exceed its configured budget.
+    """An operation would exceed its work budget or a fixed memory cap.
 
     Carries the budget that was in force and the size the operation would
     actually need, so callers can retry with an explicit override. The
-    message names the knobs that lift a scan budget; a cap that no knob
-    controls passes a `remedy` saying what does.
+    message names the knobs that lift a work budget; a fixed memory cap
+    passes a `remedy` saying what does.
     """
 
     def __init__(self, required: int, budget: int, what: str = "scan", remedy: str | None = None):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import combinations, compress, islice, repeat
+from itertools import accumulate, combinations, compress, islice, repeat
 from operator import floordiv, mod, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 
+# Candidates of the basis sieve: a fixed cap on its memory, one byte per candidate.
+BASIS_SIEVE_LIMIT = 10_000_000
+
+
 def _prime_bound(k: int) -> int:
     """An integer above p_k, the k-th prime: p_k < k(ln k + ln ln k) for k >= 6
     (Rosser & Schoenfeld, Illinois J. Math. 6, 1962), and p_5 = 11."""
@@ -71,7 +75,7 @@ def _first_primes(r: int) -> tuple[int, ...]:
     """The first r primes, by one sieve of Eratosthenes below _prime_bound(r), sized first."""
     limit = _prime_bound(r)
     remedy = "no flag or environment variable raises this fixed limit, so use a smaller r"
-    check_budget(limit, None, "basis prime sieve", remedy)
+    check_budget(limit, BASIS_SIEVE_LIMIT, "basis prime sieve", remedy)
     flags = bytearray(2) + bytearray(b"\x01") * (limit - 2)
     for p in range(2, math.isqrt(limit - 1) + 1):
         if flags[p]:
@@ -286,13 +290,35 @@ def build_raw(basis: PrimeBasis, representatives: int | Mapping[int, int] = 0) -
     index -> family member. The default 0 is the least-positive solution.
     Smaller bases have fixed closed forms; use build_canonical for those.
     """
-    if basis.r < 3:
-        raise ValueError("closed forms cover r < 3; use build_canonical")
+    _check_raw_basis(basis)
     indices = range(2, basis.r + 1)
     if not isinstance(representatives, Mapping):
         representatives = dict.fromkeys(indices, representatives)
     solutions = tuple(nth_solution(solve_unit(j, basis), representatives.get(j, 0)) for j in indices)
     return RawWheelForm(basis=basis, solutions=solutions)
+
+
+def _check_raw_basis(basis: PrimeBasis) -> None:
+    if basis.r < 3:
+        raise ValueError("closed forms cover r < 3; use build_canonical")
+
+
+def coeff_bits_bound(basis: PrimeBasis, raw: bool) -> int:
+    """An upper bound on sum(a.bit_length() for a in form.coeffs), in O(r)
+    and before the period or any coefficient is built.
+
+    S_q = bits(p_1) + ... + bits(p_q) is at least bits(p_1*...*p_q). A
+    canonical A_j is below P, so the r - 1 of them hold at most (r - 1)*S_r
+    bits. A raw B_j is below the product of p_q*x'_q over q >= j, where the
+    least x'_q is below p_1*...*p_{q-1}, so bits(B_j) <= S_j + ... + S_r and
+    the raw total is at most the sum of (q - 1)*S_q over q = 2..r. A raw
+    basis of r < 3 is refused first, as build_raw refuses it.
+    """
+    sums = list(accumulate(p.bit_length() for p in basis))
+    if not raw:
+        return (basis.r - 1) * sums[-1]
+    _check_raw_basis(basis)
+    return sum(q * s for q, s in enumerate(sums[1:], 1))
 
 
 def _raw_coeffs(primes: tuple[int, ...], xs: Iterable[int]) -> tuple[int, ...]:

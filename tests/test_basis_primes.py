@@ -13,7 +13,7 @@ import pytest
 
 from primewheel import oracle, theorems, wheel
 from primewheel.enumeration import IntervalSpec
-from primewheel.errors import DEFAULT_SCAN_BUDGET, SCAN_BUDGET_ENV, BudgetExceeded
+from primewheel.errors import SCAN_BUDGET_ENV, BudgetExceeded
 from primewheel.wheel import PrimeBasis, build_raw, form_from_json, form_to_json
 
 
@@ -77,7 +77,8 @@ def test_a_basis_past_the_fixed_limit_is_refused_before_sieving(monkeypatch, r):
     monkeypatch.setattr(wheel, "bytearray", no_sieve, raising=False)
     with pytest.raises(BudgetExceeded, match="no flag or environment variable raises") as info:
         PrimeBasis.first(r)
-    assert (info.value.required, info.value.budget) == (wheel._prime_bound(r), DEFAULT_SCAN_BUDGET)
+    assert info.value.required == wheel._prime_bound(r)
+    assert info.value.budget == wheel.BASIS_SIEVE_LIMIT
 
 
 def test_gen_past_the_basis_limit_exits_3_with_one_error_line():

@@ -71,13 +71,21 @@ def test_coeffs_json_reconstructs_the_form(capsys):
 
 
 def test_coeffs_r_cap(capsys):
-    code, _, err = run(capsys, "coeffs", "60")
-    assert code == 2
-    assert "max-r" in err
-    code, out, _ = run(capsys, "coeffs", "60", "--max-r", "60")
+    # coeffs is capped by a bound on its coefficient bits, not by r.
+    code, out, _ = run(capsys, "coeffs", "60")
     assert code == 0
     assert out.startswith("2464790648711579")
     assert out.count(" + ") == 60  # h60..h2 plus the constant
+    code, out, err = run(capsys, "coeffs", "928")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: coefficient bits needs ") and "--budget" in err
+    code, out, _ = run(capsys, "coeffs", "928", "--budget", "20000000")
+    assert code == 0
+    assert out.count(" + ") == 928
+    # Usage errors come before the budget, however small it is.
+    for argv, message in [(("0",), "r must be at least 1"), (("2", "--raw"), "closed forms")]:
+        code, out, err = run(capsys, "coeffs", *argv, "--budget", "1")
+        assert (code, out) == (2, "") and message in err
 
 
 def test_gen_plain_golden(capsys):

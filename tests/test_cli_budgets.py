@@ -1,4 +1,5 @@
-"""Budget refusals: scans, sieves, the identity25 grid and the trial-division probes."""
+"""Budget refusals: scans, sieves, the identity25 grid, the trial-division
+probes, count's inclusion-exclusion terms and coeffs' coefficient bits."""
 
 import json
 import math
@@ -108,6 +109,12 @@ def _skip_the_window_check(monkeypatch):
         (("oracle", "primes", "--lo", "1", "--hi", "100", "--budget", "5"), "prime sieve", None),
         (("verify", "theorem1", "--r", "3", "--n", "2", "--budget", "100"), "omega sieve",
          _skip_the_window_check),
+        (("coeffs", "928"), "coefficient bits", None),
+        (("coeffs", "156", "--raw"), "coefficient bits", None),
+        (("count", "--r", "25", "--lo", "1", "--hi", "100"), "inclusion-exclusion over 24 axes",
+         None),
+        (("count", "--r", "5", "--lo", "1", "--hi", "100", "--budget", "15"),
+         "inclusion-exclusion over 4 axes", None),
     ],
 )
 def test_scan_refusals_name_their_knob(capsys, monkeypatch, argv, what, setup):
@@ -134,9 +141,9 @@ def test_refusal_past_the_int_string_limit_names_its_knob(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("coeffs", "300", "--max-r", "300"),
-        ("coeffs", "300", "--max-r", "300", "--format", "json-lines"),
-        ("coeffs", "300", "--max-r", "300", "--format", "csv"),
+        ("coeffs", "300"),
+        ("coeffs", "300", "--format", "json-lines"),
+        ("coeffs", "300", "--format", "csv"),
         ("coeffs", "40", "--raw"),
     ],
 )

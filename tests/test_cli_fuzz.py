@@ -7,9 +7,10 @@ instead). Each case runs under a SIGALRM limit. Sizes stay small (r <= 12,
 narrow gen and bench windows), and size refusals come from small
 --budget values, not from huge inputs. A few fixed argvs at large r or
 bound run under the same limit: the streaming commands read only residue
-classes, identity25 decides its grid by a certificate and count
---pi-approx checks its sieve before the density formula, so they must
-finish or refuse in time however large the integers or the grid grow.
+classes, identity25 decides its grid by a certificate, count
+--pi-approx checks its sieve before the density formula and coeffs
+bounds its coefficient bits before building any, so they must finish or
+refuse in time however large the integers or the grid grow.
 """
 
 from __future__ import annotations
@@ -58,9 +59,7 @@ def _coeffs(rng):
     argv = ["coeffs", str(_r(rng))]
     if rng.random() < 0.5:
         argv.append("--raw")
-    if rng.random() < 0.3:
-        argv += ["--max-r", str(_pick(rng, [3, 12], [-1, 0]))]
-    return argv + _format(rng)
+    return argv + _format(rng) + _budget(rng)
 
 
 def _gen(rng):
@@ -187,7 +186,9 @@ _NOT_FOUND = "claim: identity25[r=%d,bound=%d]\nverdict: not-found-within-bound\
     [
         (["gen", "--r", "20000", "--lo", "1", "--hi", "2"], 0, "1\n", None),
         (["bench", "--r", "3000", "--width", "1000", "--reps", "1"], 0, "method,", None),
-        (["count", "--r", "5000", "--lo", "1", "--hi", "100"], 3, "", "fixed"),
+        (["coeffs", "100000"], 3, "", "--budget"),
+        (["coeffs", "20000", "--raw"], 3, "", "--budget"),
+        (["count", "--r", "5000", "--lo", "1", "--hi", "100"], 3, "", "--budget"),
         (["count", "--r", "100000", "--pi-approx"], 3, "", "--budget"),
         (["verify", "identity25", "--r", "2000", "--bound", "0"], 1, _NOT_FOUND % (2000, 0), None),
         (
@@ -206,6 +207,8 @@ _NOT_FOUND = "claim: identity25[r=%d,bound=%d]\nverdict: not-found-within-bound\
     ids=[
         "gen",
         "bench",
+        "coeffs",
+        "coeffs-raw",
         "count",
         "pi-approx",
         "identity25-r2000",

@@ -17,7 +17,7 @@ from primewheel.enumeration import (
     enumerate_interval,
     sorted_block_residues,
 )
-from primewheel.errors import BudgetExceeded
+from primewheel.errors import DEFAULT_SCAN_BUDGET, BudgetExceeded
 from primewheel.wheel import PrimeBasis, build_canonical, build_coprime_wheel
 
 
@@ -244,11 +244,14 @@ def test_count_interval_refuses_too_many_terms_before_any_work(monkeypatch):
         raise AssertionError("counting started before the term budget was checked")
 
     monkeypatch.setattr(enumeration, "_legendre", no_work)
-    form = build_canonical(PrimeBasis.first(23))
+    # r = 25 has 2^24 terms, past the default budget; r = 23 has 2^22.
     with pytest.raises(BudgetExceeded) as info:
-        count_interval(form, IntervalSpec(0, 10))
-    assert info.value.required == 2**22
-    assert info.value.budget == MAX_BLOCK_RESIDUES
+        count_interval(build_canonical(PrimeBasis.first(25)), IntervalSpec(0, 10))
+    assert info.value.required == 2**24
+    assert info.value.budget == DEFAULT_SCAN_BUDGET
+    with pytest.raises(BudgetExceeded) as info:
+        count_interval(build_canonical(PrimeBasis.first(23)), IntervalSpec(0, 10), 2**22 - 1)
+    assert (info.value.required, info.value.budget) == (2**22, 2**22 - 1)
 
 
 def test_residue_table_equals_walk_and_sort_table():
@@ -404,7 +407,7 @@ def test_stream_at_large_r_derives_no_big_integer():
 def test_count_refusal_reads_no_constant(r):
     form = build_canonical(PrimeBasis.first(r))
     with pytest.raises(BudgetExceeded) as info:
-        count_interval(form, IntervalSpec(1, 100))
+        count_interval(form, IntervalSpec(1, 100), budget=2 ** (r - 1) - 1)
     assert info.value.required == 2 ** (r - 1)
     assert "constant" not in vars(form)
 

@@ -18,6 +18,7 @@ from primewheel.wheel import (
     build_coprime_wheel,
     build_raw,
     canonicalize,
+    coeff_bits_bound,
     decompose,
     evaluate,
     evaluate_raw,
@@ -224,6 +225,15 @@ def test_raw_and_canonical_coefficients_are_negatives(r):
     P = basis.primorial
     for j in range(2, r + 1):
         assert (-raw.coeff(j)) % P == form.coeff(j)
+
+
+def test_coeff_bits_bound_is_within_twice_the_true_bits():
+    cases = [(build_canonical, r, False) for r in range(1, 301)]
+    cases += [(build_raw, r, True) for r in range(3, 201)]
+    for build, r, raw in cases:
+        basis = PrimeBasis.first(r)
+        bits = sum(a.bit_length() for a in build(basis).coeffs)
+        assert bits <= coeff_bits_bound(basis, raw) <= 2 * bits, (r, raw)
 
 
 def test_coprime_wheel_on_first_primes_matches_canonical():
