@@ -325,7 +325,7 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
         "--budget",
         type=int,
         default=None,
-        help=f"scan budget override (also {SCAN_BUDGET_ENV})",
+        help=f"work budget (also {SCAN_BUDGET_ENV})",
     )
 
 

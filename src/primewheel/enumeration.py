@@ -13,7 +13,8 @@ range steps by generic int arithmetic there. sorted_block_residues is
 the sieve of one period, kept as a table; a form with more than
 MAX_BLOCK_RESIDUES residues per period is refused before it is sieved.
 Counting is Legendre's inclusion-exclusion over the same moduli, its 2^k
-terms under the caller's work budget.
+terms under the caller's work budget and its k moduli under the fixed
+MAX_COUNT_MODULI.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .errors import check_budget
 
 # Residues per period table: a fixed cap on the memory sorted_block_residues keeps.
 MAX_BLOCK_RESIDUES = 4_000_000
+# Struck moduli count_interval accepts: a fixed cap on its recursion's stack, one frame each.
+MAX_COUNT_MODULI = 512
 # Candidates per sieve segment: one mask byte each, so a mask is at most 1 MB.
 SEGMENT = 1 << 20
 
@@ -120,10 +123,16 @@ def count_interval(form, interval: IntervalSpec, budget: int | None = None) -> i
     the k struck moduli, since the constant is h1 mod q1 and 0 mod each
     struck modulus. The 2^k terms are work, checked against `budget`
     (the default scan budget for None) before the constant is read; the
-    recursion holds only k frames.
+    recursion holds k frames, so k is then checked against the fixed
+    MAX_COUNT_MODULI.
     """
     _, pin, struck = form.residue_classes()
     check_budget(2 ** len(struck), budget, f"inclusion-exclusion over {len(struck)} axes")
+    remedy = (
+        f"this cap on the recursion's stack is fixed at {MAX_COUNT_MODULI} (no flag or"
+        " environment variable changes it)"
+    )
+    check_budget(len(struck), MAX_COUNT_MODULI, "inclusion-exclusion axes", remedy)
     return _legendre(interval, form.constant, pin, struck)
 
 

@@ -9,11 +9,12 @@ at a time (Bays & Hudson 1977):
 - _strike keeps the integers divisible by no given modulus. It serves
   coprime_scan and rough_sieve, one implementation under two names, and
   primes_in, whose moduli are the primes up to the square root of hi,
-  themselves put back in front;
+  found by the same scan on [2, sqrt(hi - 1)] and put back in front;
 - omega_sieve gives Omega(m), the prime factors of m counted with
   multiplicity, for every m: each prime power p^k strikes its multiples,
   which gain one factor and are divided by p, and a cofactor above 1
-  left at the end is one more prime.
+  left at the end is one more prime. Its base primes come from
+  primes_in's scan too.
 
 factor_profile is the per-value trial division, kept as the single-value
 probe. Every scan is guarded by a budget (default ten million, checked by
@@ -125,28 +126,23 @@ def _strike(lo: int, hi: int, moduli: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _simple_sieve(limit: int) -> list[int]:
-    """Primes <= limit by plain Eratosthenes."""
-    if limit < 2:
-        return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return [i for i, flag in enumerate(flags) if flag]
-
-
 def primes_in(interval: IntervalSpec, budget: int | None = None) -> list[int]:
     """Exact primes in [lo, hi) by a segmented sieve of Eratosthenes.
 
-    The base primes up to sqrt(hi - 1) strike every multiple, themselves
+    The base primes up to sqrt(hi - 1) come from the same sieve run on
+    [2, sqrt(hi - 1) + 1); they strike every multiple, themselves
     included, so those in [lo, hi) are put back in front.
     """
     check_budget(interval.hi, budget, "prime sieve")
-    base = tuple(_simple_sieve(math.isqrt(interval.hi - 1)))
-    inside = base[bisect_left(base, interval.lo) : bisect_left(base, interval.hi)]
-    return [*inside, *_strike(max(interval.lo, 2), interval.hi, base)]
+    return _primes(interval.lo, interval.hi)
+
+
+def _primes(lo: int, hi: int) -> list[int]:
+    """primes_in without the budget check. Every base prime is at most
+    sqrt(hi - 1) < hi; the recursion stops once that root is below 2."""
+    root = math.isqrt(hi - 1)
+    base = tuple(_primes(2, root + 1)) if root >= 2 else ()
+    return [*base[bisect_left(base, lo) :], *_strike(max(lo, 2), hi, base)]
 
 
 def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[list[int]]:
@@ -154,19 +150,20 @@ def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[l
 
     The iterator yields one list per segment of OMEGA_SEGMENT integers,
     from lo up; the last may be shorter. The primes up to sqrt(hi - 1)
-    are sieved once. In a segment every multiple of a prime power
-    p^k < hi gains one factor and is divided by p; what is left of m is
-    then 1 or a single prime above sqrt(hi - 1), which adds one. So the
-    entries equal to 1 are the primes: a base prime counts itself, a
-    larger one its cofactor. The width and sqrt(hi - 1) are checked
-    against the budget before the iterator is returned.
+    are sieved once, by primes_in's striking scan. In a segment every
+    multiple of a prime power p^k < hi gains one factor and is divided
+    by p; what is left of m is then 1 or a single prime above
+    sqrt(hi - 1), which adds one. So the entries equal to 1 are the
+    primes: a base prime counts itself, a larger one its cofactor. The
+    width and sqrt(hi - 1) are checked against the budget before the
+    iterator is returned.
     """
     if interval.lo < 1:
         raise ValueError("omega is defined for m >= 1")
     check_budget(interval.width, budget, "omega sieve")
     root = math.isqrt(interval.hi - 1)
     check_budget(root, budget, "omega sieve base primes")
-    return _omega_segments(interval, _simple_sieve(root))
+    return _omega_segments(interval, _primes(2, root + 1))
 
 
 def _omega_segments(interval: IntervalSpec, base: list[int]) -> Iterator[list[int]]:

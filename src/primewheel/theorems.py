@@ -59,24 +59,6 @@ class VerificationReport(Record):
             "details": self.details,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "VerificationReport":
-        interval = data.get("interval")
-        return cls(
-            claim=data["claim"],
-            verdict=data["verdict"],
-            checked=int(data["checked"]),
-            witnesses_pass=int(data["witnesses_pass"]),
-            interval=None
-            if interval is None
-            else IntervalSpec(int(interval["lo"]), int(interval["hi"])),
-            counterexamples=tuple(
-                Counterexample(value=int(c["value"]), reason=c["reason"])
-                for c in data["counterexamples"]
-            ),
-            details=data.get("details", {}),
-        )
-
 
 def _primes_after(basis: PrimeBasis, s: int, budget: int | None = None) -> list[int]:
     """p_{r+1}..p_{r+s}, from one oracle sieve up to _prime_bound(r + s), whose

@@ -37,24 +37,6 @@ from ._record import Record
 from .diophantine import nth_solution, solve_unit
 from .errors import check_budget
 
-__all__ = [
-    "PrimeBasis",
-    "RawWheelForm",
-    "CanonicalWheelForm",
-    "CoprimeWheelForm",
-    "build_raw",
-    "build_canonical",
-    "canonicalize",
-    "evaluate",
-    "evaluate_raw",
-    "decompose",
-    "decompose_rows",
-    "build_coprime_wheel",
-    "form_to_json",
-    "form_from_json",
-]
-
-
 # Candidates of the basis sieve: a fixed cap on its memory, one byte per candidate.
 BASIS_SIEVE_LIMIT = 10_000_000
 

@@ -189,6 +189,12 @@ _NOT_FOUND = "claim: identity25[r=%d,bound=%d]\nverdict: not-found-within-bound\
         (["coeffs", "100000"], 3, "", "--budget"),
         (["coeffs", "20000", "--raw"], 3, "", "--budget"),
         (["count", "--r", "5000", "--lo", "1", "--hi", "100"], 3, "", "--budget"),
+        (
+            ["count", "--r", "1000", "--lo", "1", "--hi", "100", "--budget", str(10**302)],
+            3,
+            "",
+            "fixed",
+        ),
         (["count", "--r", "100000", "--pi-approx"], 3, "", "--budget"),
         (["verify", "identity25", "--r", "2000", "--bound", "0"], 1, _NOT_FOUND % (2000, 0), None),
         (
@@ -210,6 +216,7 @@ _NOT_FOUND = "claim: identity25[r=%d,bound=%d]\nverdict: not-found-within-bound\
         "coeffs",
         "coeffs-raw",
         "count",
+        "count-past-the-fixed-cap",
         "pi-approx",
         "identity25-r2000",
         "identity25-bound3e6",

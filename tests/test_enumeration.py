@@ -10,6 +10,7 @@ import pytest
 from primewheel import enumeration, oracle, theorems
 from primewheel.enumeration import (
     MAX_BLOCK_RESIDUES,
+    MAX_COUNT_MODULI,
     BlockCount,
     IntervalSpec,
     count_block,
@@ -252,6 +253,12 @@ def test_count_interval_refuses_too_many_terms_before_any_work(monkeypatch):
     with pytest.raises(BudgetExceeded) as info:
         count_interval(build_canonical(PrimeBasis.first(23)), IntervalSpec(0, 10), 2**22 - 1)
     assert (info.value.required, info.value.budget) == (2**22, 2**22 - 1)
+    # Past the fixed cap on struck moduli a budget of 2^k terms does not help.
+    k = MAX_COUNT_MODULI + 1
+    with pytest.raises(BudgetExceeded) as info:
+        count_interval(build_canonical(PrimeBasis.first(k + 1)), IntervalSpec(0, 10), 2**k)
+    assert (info.value.required, info.value.budget) == (k, MAX_COUNT_MODULI)
+    assert "fixed" in str(info.value)
 
 
 def test_residue_table_equals_walk_and_sort_table():

@@ -24,7 +24,9 @@ def test_primes_in_every_small_window():
             assert oracle.primes_in(IntervalSpec(lo, hi)) == want, (lo, hi)
 
 
-@pytest.mark.parametrize("lo,hi", [(0, 400), (5, 300), (150, 2000)])
+@pytest.mark.parametrize(
+    "lo,hi", [(0, 400), (5, 300), (150, 2000), (44400, 44600), (10100, 10202)]
+)
 def test_primes_in_across_segment_seams(monkeypatch, lo, hi):
     monkeypatch.setattr(oracle, "_SEGMENT", 37)
     assert oracle.primes_in(IntervalSpec(lo, hi)) == [m for m in range(lo, hi) if _is_prime(m)]
