@@ -1,8 +1,8 @@
 """Sorted streaming and counting of wheel-form values over intervals.
 
 A form's values are its residue classes (form.residue_classes()): the
-x = h1 (mod q1) that are 0 mod none of its struck moduli. The stream and
-the table read only those. enumerate_interval streams them with a
+x = h1 (mod q1) that are 0 mod none of its struck moduli. The stream, the
+count and the table read only those. enumerate_interval streams them with a
 segmented sieve (Bays & Hudson 1977; Pritchard 1983): one byte per
 candidate x, SEGMENT candidates at a time, class 0 struck out per struck
 modulus, so its memory is one mask whatever the form. Each segment's
@@ -12,9 +12,9 @@ walks small offsets and only survivors become big ints, since CPython's
 range steps by generic int arithmetic there. sorted_block_residues is
 the sieve of one period, kept as a table; a form with more than
 MAX_BLOCK_RESIDUES residues per period is refused before it is sieved.
-Counting is Legendre's inclusion-exclusion over the same moduli, its 2^k
-terms under the caller's work budget and its k moduli under the fixed
-MAX_COUNT_MODULI.
+Counting is Legendre's inclusion-exclusion over the same moduli, skipping
+each term whose product of moduli reaches hi; the at most min(2^k, hi)
+terms it counts are under the caller's work budget.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .errors import check_budget
 
 # Residues per period table: a fixed cap on the memory sorted_block_residues keeps.
 MAX_BLOCK_RESIDUES = 4_000_000
-# Struck moduli count_interval accepts: a fixed cap on its recursion's stack, one frame each.
-MAX_COUNT_MODULI = 512
 # Candidates per sieve segment: one mask byte each, so a mask is at most 1 MB.
 SEGMENT = 1 << 20
 
@@ -118,31 +116,28 @@ def _sieve(
 def count_interval(form, interval: IntervalSpec, budget: int | None = None) -> int:
     """len(list(enumerate_interval(form, interval))), without materializing values.
 
-    Legendre's inclusion-exclusion (Lehmer 1959): summing mu(d) * #{x in
-    [lo, hi) : x = constant (mod q1*d)} over the squarefree products d of
-    the k struck moduli, since the constant is h1 mod q1 and 0 mod each
-    struck modulus. The 2^k terms are work, checked against `budget`
-    (the default scan budget for None) before the constant is read; the
-    recursion holds k frames, so k is then checked against the fixed
-    MAX_COUNT_MODULI.
+    Legendre's inclusion-exclusion (Lehmer 1959) over the products s of
+    struck moduli; a term counts x = h1 (mod q1), 0 (mod s) from its first
+    hit s * (h1 * s^-1 mod q1), so no constant or period is derived. No
+    value is 0, so from lo >= 1 a term counts nothing once s reaches hi.
+    With the moduli ascending, a term is a leaf once s times the next
+    modulus reaches hi; a stack of (s, sign, next index) holds at most
+    k + 1 entries. Leaves have distinct s below hi, so min(2^k, hi) terms
+    are checked against `budget` (None: the default) before any is counted.
     """
-    _, pin, struck = form.residue_classes()
-    check_budget(2 ** len(struck), budget, f"inclusion-exclusion over {len(struck)} axes")
-    remedy = (
-        f"this cap on the recursion's stack is fixed at {MAX_COUNT_MODULI} (no flag or"
-        " environment variable changes it)"
-    )
-    check_budget(len(struck), MAX_COUNT_MODULI, "inclusion-exclusion axes", remedy)
-    return _legendre(interval, form.constant, pin, struck)
-
-
-def _legendre(interval: IntervalSpec, constant: int, d: int, moduli: tuple[int, ...]) -> int:
-    """#{x in [lo, hi) : x = constant (mod d), x != constant (mod m) for m in moduli}."""
-    if moduli:
-        m, rest = moduli[0], moduli[1:]
-        return _legendre(interval, constant, d, rest) - _legendre(interval, constant, d * m, rest)
-    first = constant % d
-    return (interval.hi - first + d - 1) // d - (interval.lo - first + d - 1) // d
+    h1, pin, struck = form.residue_classes()
+    moduli = sorted(struck)
+    lo, hi = max(interval.lo, 1), interval.hi
+    check_budget(min(1 << len(moduli), hi), budget, f"inclusion-exclusion over {len(moduli)} axes")
+    total, stack = 0, [(1, 1, 0)]
+    while stack:
+        s, sign, i = stack.pop()
+        if i < len(moduli) and s * moduli[i] < hi:
+            stack += (s, sign, i + 1), (s * moduli[i], -sign, i + 1)
+        else:
+            d, first = pin * s, s * (h1 * pow(s, -1, pin) % pin)
+            total += sign * ((first - lo) // d - (first - hi) // d)
+    return total
 
 
 def count_block(basis) -> BlockCount:

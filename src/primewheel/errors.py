@@ -1,11 +1,11 @@
 """Shared error types and the one budget check every capped operation uses.
 
 One rule decides every cap. A cap on work (integers scanned or sieved,
-trial divisors, identity25 grid rows, inclusion-exclusion terms,
-coefficient bits) is a check_budget against the scan budget, which
---budget and SCAN_BUDGET_ENV override. A cap on memory is a named fixed
-constant beside what it guards, and its remedy says what memory that is
-and that no knob raises it. Either cap is checked before the work starts.
+trial divisors, identity25 grid rows, inclusion-exclusion terms, claim
+window and coefficient bits) is a check_budget against the scan budget,
+which --budget and SCAN_BUDGET_ENV override. A cap on memory (the basis
+sieve, the residue table) is a fixed constant beside what it guards, and
+its remedy says so. Either cap is checked before the work starts.
 """
 
 from __future__ import annotations

@@ -90,10 +90,14 @@ def check_claim_args(
             )
 
 
-def theorem1_interval(basis: PrimeBasis, n: int, budget: int | None = None) -> IntervalSpec:
-    """The window [p_{r+1}^n, p_{r+1}^(n+1)), with p_{r+1} from the oracle sieve."""
+def theorem1_interval(
+    basis: PrimeBasis, n: int, budget: int | None = None, s: int = 1
+) -> IntervalSpec:
+    """The window [p^n, p^(n+1)), p = p_{r+s} from the oracle sieve (s > 1 for
+    corollary2), once (n + 1) * p.bit_length(), at most its width, fits the budget."""
     check_claim_args("theorem1", basis.r, n=n)
-    (p,) = _primes_after(basis, 1, budget)
+    p = _primes_after(basis, s, budget)[-1]
+    check_budget((n + 1) * p.bit_length(), budget, "claim window bits")
     return IntervalSpec(p**n, p ** (n + 1))
 
 
@@ -264,11 +268,11 @@ def verify_theorem1(basis: PrimeBasis, n: int, budget: int | None = None) -> Ver
 
 
 def bertrand_condition(r: int, s: int, n: int, budget: int | None = None) -> bool:
-    """Exact test of p_{r+1} > 2^((n+1)(s-1))."""
+    """Exact test of p_{r+1} > 2^((n+1)(s-1)): p > 2^e when p - 1 has over e bits."""
     if r < 1 or s < 1 or n < 1:
         raise ValueError("r, s and n must be at least 1")
     (p,) = _primes_after(PrimeBasis.first(r), 1, budget)
-    return p > 2 ** ((n + 1) * (s - 1))
+    return (p - 1).bit_length() > (n + 1) * (s - 1)
 
 
 def verify_corollary2(
@@ -284,8 +288,7 @@ def verify_corollary2(
     informational.
     """
     check_claim_args("corollary2", basis.r, s=s, n=n)
-    p = _primes_after(basis, s, budget)[-1]
-    interval = IntervalSpec(p**n, p ** (n + 1))
+    interval = theorem1_interval(basis, n, budget, s)
     condition = bertrand_condition(basis.r, s, n, budget)
     extra = {"condition_met": condition}
     if not condition:

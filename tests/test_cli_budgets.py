@@ -111,8 +111,8 @@ def _skip_the_window_check(monkeypatch):
          _skip_the_window_check),
         (("coeffs", "928"), "coefficient bits", None),
         (("coeffs", "156", "--raw"), "coefficient bits", None),
-        (("count", "--r", "25", "--lo", "1", "--hi", "100"), "inclusion-exclusion over 24 axes",
-         None),
+        (("count", "--r", "25", "--lo", "1", "--hi", "100000000"),
+         "inclusion-exclusion over 24 axes", None),
         (("count", "--r", "5", "--lo", "1", "--hi", "100", "--budget", "15"),
          "inclusion-exclusion over 4 axes", None),
     ],

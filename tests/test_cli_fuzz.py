@@ -4,13 +4,15 @@ Every run must keep the exit-code contract: exit 0, 1 (only from verify
 or bench), 2 or 3, no traceback, and a command's own exit 2 or 3 is one
 `error: ` line on stderr (argparse's usage errors print their usage
 instead). Each case runs under a SIGALRM limit. Sizes stay small (r <= 12,
-narrow gen and bench windows), and size refusals come from small
---budget values, not from huge inputs. A few fixed argvs at large r or
-bound run under the same limit: the streaming commands read only residue
-classes, identity25 decides its grid by a certificate, count
---pi-approx checks its sieve before the density formula and coeffs
-bounds its coefficient bits before building any, so they must finish or
-refuse in time however large the integers or the grid grow.
+r <= 40 for count windows below 10^6, narrow gen and bench windows), and
+size refusals come from small --budget values, not from huge inputs. A
+few fixed argvs at large r, bound or n run under the same limit: the
+streaming commands and count read only residue classes, identity25
+decides its grid by a certificate, count --pi-approx checks its sieve
+before the density formula, coeffs bounds its coefficient bits before
+building any and the window claims bound their window's bits before
+building it, so they must finish or refuse in time however large the
+integers or the grid grow.
 """
 
 from __future__ import annotations
@@ -71,15 +73,17 @@ def _gen(rng):
 
 
 def _count(rng):
-    argv = ["count", "--r", str(_r(rng))]
+    # A window below 10^6 skips the terms whose product of struck moduli
+    # reaches hi, so up to r = 40 it crosses that boundary.
+    argv = ["count", "--r", str(_pick(rng, [1, 2, 3, 5, 8, 12, 16, 20, 25, 30, 35, 40], [-1, 0]))]
     mode = _pick(rng, ["block", "pi", "window", "window"], ["both", "none"])
     if mode in ("block", "both"):
         argv.append("--block")
     if mode in ("pi", "both"):
         argv.append("--pi-approx")
     if mode == "window":
-        # Inclusion-exclusion costs the same at any width.
-        lo, hi = _window(rng, 10**9)
+        lo = _pick(rng, [1, 2, 97, 10**5], [-10, 0]) + rng.randrange(50)
+        hi = lo + _pick(rng, [1, rng.randrange(1, 10**6 - lo)], [-5, 0])
         argv += ["--lo", str(lo), "--hi", str(hi)]
     return argv + _format(rng) + _budget(rng)
 
@@ -188,13 +192,14 @@ _NOT_FOUND = "claim: identity25[r=%d,bound=%d]\nverdict: not-found-within-bound\
         (["bench", "--r", "3000", "--width", "1000", "--reps", "1"], 0, "method,", None),
         (["coeffs", "100000"], 3, "", "--budget"),
         (["coeffs", "20000", "--raw"], 3, "", "--budget"),
-        (["count", "--r", "5000", "--lo", "1", "--hi", "100"], 3, "", "--budget"),
+        (["count", "--r", "5000", "--lo", "1", "--hi", "100"], 0, "1\n", None),
         (
             ["count", "--r", "1000", "--lo", "1", "--hi", "100", "--budget", str(10**302)],
-            3,
-            "",
-            "fixed",
+            0,
+            "1\n",
+            None,
         ),
+        (["count", "--r", "627325", "--lo", "1", "--hi", "100"], 0, "1\n", None),
         (["count", "--r", "100000", "--pi-approx"], 3, "", "--budget"),
         (["verify", "identity25", "--r", "2000", "--bound", "0"], 1, _NOT_FOUND % (2000, 0), None),
         (
@@ -209,6 +214,13 @@ _NOT_FOUND = "claim: identity25[r=%d,bound=%d]\nverdict: not-found-within-bound\
             _NOT_FOUND % (10, 50),
             None,
         ),
+        (["verify", "theorem1", "--r", "3", "--n", "1000000000000"], 3, "", "--budget"),
+        (
+            ["verify", "corollary2", "--r", "3", "--s", "600000", "--n", "100000"],
+            3,
+            "",
+            "--budget",
+        ),
     ],
     ids=[
         "gen",
@@ -216,11 +228,14 @@ _NOT_FOUND = "claim: identity25[r=%d,bound=%d]\nverdict: not-found-within-bound\
         "coeffs",
         "coeffs-raw",
         "count",
-        "count-past-the-fixed-cap",
+        "count-budget-1e302",
+        "count-r627325",
         "pi-approx",
         "identity25-r2000",
         "identity25-bound3e6",
         "identity25-grid51e8",
+        "theorem1-n1e12",
+        "corollary2-s600000",
     ],
 )
 def test_large_r_commands_finish_within_the_alarm(monkeypatch, argv, code, out, knob):

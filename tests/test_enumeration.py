@@ -10,7 +10,6 @@ import pytest
 from primewheel import enumeration, oracle, theorems
 from primewheel.enumeration import (
     MAX_BLOCK_RESIDUES,
-    MAX_COUNT_MODULI,
     BlockCount,
     IntervalSpec,
     count_block,
@@ -244,21 +243,47 @@ def test_count_interval_refuses_too_many_terms_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("counting started before the term budget was checked")
 
-    monkeypatch.setattr(enumeration, "_legendre", no_work)
-    # r = 25 has 2^24 terms, past the default budget; r = 23 has 2^22.
+    # Every counted term takes one modular inverse.
+    monkeypatch.setattr(enumeration, "pow", no_work, raising=False)
+    # r = 25 has 2^24 terms below 10^8, past the default budget; r = 23 has 2^22.
     with pytest.raises(BudgetExceeded) as info:
-        count_interval(build_canonical(PrimeBasis.first(25)), IntervalSpec(0, 10))
+        count_interval(build_canonical(PrimeBasis.first(25)), IntervalSpec(0, 10**8))
     assert info.value.required == 2**24
     assert info.value.budget == DEFAULT_SCAN_BUDGET
     with pytest.raises(BudgetExceeded) as info:
-        count_interval(build_canonical(PrimeBasis.first(23)), IntervalSpec(0, 10), 2**22 - 1)
+        count_interval(build_canonical(PrimeBasis.first(23)), IntervalSpec(0, 10**8), 2**22 - 1)
     assert (info.value.required, info.value.budget) == (2**22, 2**22 - 1)
-    # Past the fixed cap on struck moduli a budget of 2^k terms does not help.
-    k = MAX_COUNT_MODULI + 1
+    # Below 2^k the window's hi bounds the terms, each with its own product below hi.
     with pytest.raises(BudgetExceeded) as info:
-        count_interval(build_canonical(PrimeBasis.first(k + 1)), IntervalSpec(0, 10), 2**k)
-    assert (info.value.required, info.value.budget) == (k, MAX_COUNT_MODULI)
-    assert "fixed" in str(info.value)
+        count_interval(build_canonical(PrimeBasis.first(40)), IntervalSpec(5, 10**6), 10**6 - 1)
+    assert (info.value.required, info.value.budget) == (10**6, 10**6 - 1)
+
+
+def _struck_products(rng, struck, count):
+    """`count` products of 1 to 3 distinct moduli from `struck`, none if it is empty."""
+    if not struck:
+        return []
+    return [math.prod(rng.sample(struck, rng.randint(1, min(3, len(struck))))) for _ in range(count)]
+
+
+def test_count_interval_matches_the_scan_and_the_stream_on_narrow_windows():
+    rng = random.Random(1959)
+    forms = [build_canonical(PrimeBasis.first(r)) for r in range(1, 31)] + COPRIME_WHEELS
+    for form in forms:
+        struck = form.residue_classes()[2]
+        windows = [IntervalSpec(0, rng.randrange(1, 3000))]
+        # hi one below, at and one above a product of struck moduli, where
+        # the terms with that product start counting nothing.
+        for s in _struck_products(rng, struck, 3):
+            for hi in (s - 1, s, s + 1):
+                windows.append(IntervalSpec(max(0, hi - rng.randrange(1, 3000)), hi))
+        if len(struck) <= 14:  # past 2^64 every one of the 2^k terms is counted
+            lo = 2**64 + rng.randrange(10**20)
+            windows.append(IntervalSpec(lo, lo + rng.randrange(1, 3000)))
+        for spec in windows:
+            got = count_interval(form, spec)
+            assert got == _oracle_count(form, spec), (form, spec)
+            assert got == sum(1 for _ in enumerate_interval(form, spec)), (form, spec)
 
 
 def test_residue_table_equals_walk_and_sort_table():
@@ -410,13 +435,10 @@ def test_stream_at_large_r_derives_no_big_integer():
     assert not {"coeffs", "constant", "period"} & vars(form).keys()
 
 
-@pytest.mark.parametrize("r", [23, 5000])
-def test_count_refusal_reads_no_constant(r):
-    form = build_canonical(PrimeBasis.first(r))
-    with pytest.raises(BudgetExceeded) as info:
-        count_interval(form, IntervalSpec(1, 100), budget=2 ** (r - 1) - 1)
-    assert info.value.required == 2 ** (r - 1)
-    assert "constant" not in vars(form)
+def test_count_at_large_r_derives_no_big_integer():
+    form = build_canonical(PrimeBasis.first(20000))
+    assert count_interval(form, IntervalSpec(1, 100)) == 1
+    assert not {"coeffs", "constant", "period"} & vars(form).keys()
 
 
 def test_canonical_build_runs_no_lcm_or_product(monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -64,6 +65,37 @@ def test_bertrand_condition_frozen():
         bertrand_condition(0, 1, 1)
     with pytest.raises(ValueError):
         bertrand_condition(3, 1, 0)
+
+
+def test_bertrand_condition_equals_the_power_test():
+    for r in range(1, 30):
+        (p,) = theorems._primes_after(PrimeBasis.first(r), 1)
+        for s, n in itertools.product(range(1, 7), range(1, 5)):
+            assert bertrand_condition(r, s, n) == (p > 2 ** ((n + 1) * (s - 1))), (r, s, n)
+
+
+def test_bertrand_condition_builds_no_power():
+    bertrand_condition(3, 2, 1)  # the basis and the prime sieve, outside the trace
+    tracemalloc.start()
+    try:
+        # 2^((n + 1)(s - 1)) would be a 1.25 MB int here.
+        assert bertrand_condition(3, 1001, 10**4) is False
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+
+
+def test_claim_window_bits_are_checked_before_the_window():
+    with pytest.raises(BudgetExceeded, match="^claim window bits needs 3000000000003 "):
+        theorem1_interval(PrimeBasis.first(3), 10**12)
+    with pytest.raises(BudgetExceeded, match="^claim window bits needs 4000000000004 "):
+        verify_corollary2(PrimeBasis.first(3), 2, 10**12)
+    # [7^4, 7^5) has (4 + 1) * 3 bits by this bound.
+    with pytest.raises(BudgetExceeded) as info:
+        theorem1_interval(PrimeBasis.first(3), 4, budget=14)
+    assert (info.value.required, info.value.budget) == (15, 14)
+    assert theorem1_interval(PrimeBasis.first(3), 4, budget=15) == IntervalSpec(7**4, 7**5)
 
 
 def test_bertrand_condition_monotone_in_r():
