@@ -435,6 +435,15 @@ def test_stream_at_large_r_derives_no_big_integer():
     assert not {"coeffs", "constant", "period"} & vars(form).keys()
 
 
+@pytest.mark.parametrize("r", [23, 5000])
+def test_count_refusal_reads_no_constant(r):
+    form = build_canonical(PrimeBasis.first(r))
+    with pytest.raises(BudgetExceeded) as info:
+        count_interval(form, IntervalSpec(1, 2**r), budget=2 ** (r - 1) - 1)
+    assert info.value.required == 2 ** (r - 1)
+    assert "constant" not in vars(form)
+
+
 def test_count_at_large_r_derives_no_big_integer():
     form = build_canonical(PrimeBasis.first(20000))
     assert count_interval(form, IntervalSpec(1, 100)) == 1
