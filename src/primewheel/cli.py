@@ -406,7 +406,7 @@ def main(argv=None) -> int:
         return 2
     # Commands print exact integers of any size, so the interpreter's int-to-str
     # digit limit (where it has one) is lifted while one runs. Argparse above
-    # still parses under it, and refusals give such sizes by their digit count.
+    # still parses under it, and refusals give such sizes by their bit length.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)

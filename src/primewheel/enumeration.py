@@ -10,7 +10,7 @@ values come from one lazy C iterator over its mask, and the segments are
 chained, so no bytecode runs per value; past sys.maxsize the iterator
 walks small offsets and only survivors become big ints, since CPython's
 range steps by generic int arithmetic there. sorted_block_residues is
-the sieve of one period, kept as a table; a form with more than
+the sieve of one period, returned as a tuple; a form with more than
 MAX_BLOCK_RESIDUES residues per period is refused before it is sieved.
 Counting is Legendre's inclusion-exclusion over the same moduli, skipping
 each term whose product of moduli reaches hi; the at most min(2^k, hi)
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add
 from typing import Iterator, NamedTuple
@@ -29,7 +28,7 @@ from typing import Iterator, NamedTuple
 from ._record import Record
 from .errors import check_budget
 
-# Residues per period table: a fixed cap on the memory sorted_block_residues keeps.
+# Residues per period table: a fixed cap on all the memory sorted_block_residues holds.
 MAX_BLOCK_RESIDUES = 4_000_000
 # Candidates per sieve segment: one mask byte each, so a mask is at most 1 MB.
 SEGMENT = 1 << 20
@@ -59,13 +58,12 @@ class BlockCount(NamedTuple):
     interior: int
 
 
-@lru_cache(maxsize=8)
 def sorted_block_residues(form) -> tuple[int, ...]:
     """Every residue of the form's value set in [0, period), ascending.
 
-    The sieve of one period; its size is the product of (m - 1) over the
-    struck moduli m and is refused past MAX_BLOCK_RESIDUES before any
-    value is sieved.
+    The sieve of one period, built afresh on each call; its size is the
+    product of (m - 1) over the struck moduli m and is refused past
+    MAX_BLOCK_RESIDUES before any value is sieved.
     """
     size = math.prod(m - 1 for m in form.residue_classes()[2])
     remedy = (

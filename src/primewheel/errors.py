@@ -14,7 +14,7 @@ from __future__ import annotations
 DEFAULT_SCAN_BUDGET = 10_000_000
 # The environment variable the CLI reads a scan budget from, besides --budget.
 SCAN_BUDGET_ENV = "PRIMEWHEEL_SCAN_BUDGET"
-# Sizes from here up are shown by their digit count, whatever the interpreter's digit limit.
+# Sizes from here up are shown by their bit length, which builds no integer.
 _DECIMAL_LIMIT = 10**4300
 
 
@@ -38,15 +38,10 @@ class BudgetExceeded(RuntimeError):
 
 
 def _size(n: int) -> str:
-    """n in decimal or, past 4,300 digits (Python's default int-to-str limit), its digit count."""
+    """n in decimal or, past 4,300 digits (Python's default int-to-str limit), its bit length."""
     if n < _DECIMAL_LIMIT:
         return str(n)
-    # (bits - 1) * log10(2) is at most log10(n), so counting up from it ends at len(str(n)).
-    digits = int((n.bit_length() - 1) * 0.30102999566398120)
-    power = 10**digits  # built once: each rebuild of a millions-digit power costs seconds
-    while power <= n:
-        digits, power = digits + 1, power * 10
-    return f"a number of {digits} digits"
+    return f"a number of {n.bit_length()} bits"
 
 
 def check_budget(required: int, budget: int | None, what: str, remedy: str | None = None) -> None:

@@ -237,7 +237,7 @@ class CanonicalWheelForm(CoprimeWheelForm):
     P/2; values of the form satisfy value = +h_j (mod p_j). The basis is
     the only parameter, and CoprimeWheelForm derives the rest. A canonical
     form never equals the coprime wheel with the same coefficients, so
-    their JSON shapes and cache keys stay apart.
+    their JSON shapes and their equality stay apart.
     """
 
     def __init__(self, basis: PrimeBasis) -> None:
@@ -406,7 +406,9 @@ def decompose_rows(form, zs: Sequence[int]) -> tuple[list[int], list[list[int]]]
     (naming the offender) and, for a pinned form, z outside the pinned
     residue slice; the canonical form pins h1 = 1, the odd integers. A
     z that fails a check raises decompose's message for the first such z
-    in the order of zs.
+    in the order of zs. Each h_j is z mod q_j, so once z is in the pinned
+    slice its body z - C - sum(A_j * h_j) is 0 mod every modulus of any
+    constructed form, and t is the body's exact quotient by the period.
     """
     axes = form.residue_axes()
     columns = [list(map(mod, zs, repeat(q))) for _, q, _ in axes]
@@ -414,29 +416,23 @@ def decompose_rows(form, zs: Sequence[int]) -> tuple[list[int], list[list[int]]]
     for (_, _, a), h in zip(axes, columns):
         body = list(map(sub, body, map(mul, repeat(a), h)))
     ts = list(map(floordiv, body, repeat(form.period)))
-    rems = list(map(mod, body, repeat(form.period)))
     h1, q1, _ = form.residue_classes()
     pins = list(map(mod, zs, repeat(q1)))
-    if pins.count(h1) < len(pins) or any(0 in h for h in columns) or any(rems):
-        for z, rem in zip(zs, rems):
-            _refuse(form, z, rem)
+    if pins.count(h1) < len(pins) or any(0 in h for h in columns):
+        for z in zs:
+            _refuse(form, z)
     return ts, columns
 
 
-def _refuse(form, z: int, rem: int) -> None:
-    """Raise decompose's message for z, whose body leaves `rem` mod the period,
-    if it fails a check: the first dividing modulus, the pinned residue,
-    then the remainder."""
+def _refuse(form, z: int) -> None:
+    """Raise decompose's message for z if it fails a check: the first
+    dividing modulus, then the pinned residue."""
     for q in form.moduli:
         if z % q == 0:
             raise ValueError(f"{z} is divisible by {q}, so it is not a value of this form")
     h1, q1, _ = form.residue_classes()
     if z % q1 != h1:
         raise ValueError(f"{z} = {z % q1} (mod {q1}) but the form pins h1 = {h1}")
-    if rem:
-        raise ValueError(
-            f"{z} leaves remainder {rem} mod {form.period}, so the form is inconsistent"
-        )
 
 
 def build_coprime_wheel(moduli: Iterable[int], h1: int | None = None) -> CoprimeWheelForm:
@@ -485,8 +481,9 @@ def form_from_json(data: Mapping) -> RawWheelForm | CanonicalWheelForm | Coprime
 
     Each form is rebuilt from its parameters (moduli and pinned h1, r, or
     the raw solutions), and the blob's coefficients and constant must equal
-    the derived ones. A blob with a key missing raises ValueError naming
-    it, as a tampered value does.
+    the derived ones, as must its period (or primorial) and convention
+    where it gives them. A blob with a key missing raises ValueError
+    naming it, as a tampered value does.
     """
     try:
         if "moduli" in data:
@@ -502,11 +499,19 @@ def form_from_json(data: Mapping) -> RawWheelForm | CanonicalWheelForm | Coprime
         constant = int(data["constant"])
     except KeyError as err:
         raise ValueError(f"form JSON is missing the key {err.args[0]!r}") from None
-    if not isinstance(form, RawWheelForm):
-        return _matching(form, coeffs, constant)
-    if constant != form.constant:
-        raise ValueError("raw forms carry the constant -1")
-    for j, b, want in zip(form.free_indices, coeffs, form.coeffs):
-        if b != want:
-            raise ValueError(f"coefficient for index {j} inconsistent with solutions")
+    raw = isinstance(form, RawWheelForm)
+    if raw:
+        if constant != form.constant:
+            raise ValueError("raw forms carry the constant -1")
+        for j, b, want in zip(form.free_indices, coeffs, form.coeffs):
+            if b != want:
+                raise ValueError(f"coefficient for index {j} inconsistent with solutions")
+    else:
+        _matching(form, coeffs, constant)
+    key = "period" if "moduli" in data else "primorial"
+    if key in data and int(data[key]) != form.period:
+        raise ValueError(f"{key} differs from the period of the form its parameters give")
+    convention = "minus-h" if raw else "plus-h"
+    if data.get("convention", convention) != convention:
+        raise ValueError(f"convention {data['convention']!r} is not this form's {convention!r}")
     return form

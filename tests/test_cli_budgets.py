@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -127,12 +128,12 @@ def test_scan_refusals_name_their_knob(capsys, monkeypatch, argv, what, setup):
 
 
 def test_refusal_past_the_int_string_limit_names_its_knob(capsys):
-    # The window [7^100000, 7^100001) is 84,511 digits wide, past the
-    # 4,300-digit limit on int-to-str conversion.
+    # The window [7^100000, 7^100001) is 84,511 digits (280,739 bits) wide,
+    # past the 4,300-digit limit on int-to-str conversion.
     code, out, err = run(capsys, "verify", "theorem1", "--r", "3", "--n", "100000")
     assert (code, out) == (3, "")
     _assert_one_knob_error(err)
-    assert err.startswith("error: coprime scan needs a number of 84511 digits but the budget is ")
+    assert err.startswith("error: coprime scan needs a number of 280739 bits but the budget is ")
 
 
 @pytest.mark.skipif(
@@ -170,20 +171,32 @@ def test_refusal_messages_of_ordinary_sizes_are_unchanged():
         f"{SCAN_BUDGET_ENV} to at least {10**4300 - 1} to run this"
     )
     assert str(BudgetExceeded(10**4300, 10**5000)).startswith(
-        "scan needs a number of 4301 digits but the budget is a number of 5001 digits; "
+        "scan needs a number of 14285 bits but the budget is a number of 16610 bits; "
     )
 
 
-def test_digit_counts_in_refusals_are_decimal_lengths():
-    # Powers of ten and their neighbours sit where a digit count steps.
+def test_refusal_sizes_are_decimal_below_the_limit_and_bit_lengths_from_it():
+    # Powers of ten and their neighbours sit where the wording steps.
     near = [10**k + d for k in (4299, 4300, 4301, 5000, 9999, 20000) for d in (-1, 0, 1)]
     rng = random.Random(4300)
     widths = rng.sample(range(14_300, 70_000), 30)
     far = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in widths]
     for n in near + far:
-        shown = errors._size(n)
-        digits = len(shown) if shown.isdigit() else int(shown.split()[3])
-        assert digits == len(_decimal(n)), n
+        want = str(n) if n < 10**4300 else f"a number of {n.bit_length()} bits"
+        assert errors._size(n) == want, n
+
+
+def test_refusal_size_builds_no_integer():
+    n = 1 << 20_000_000
+    errors._size(1)  # the module's constants, outside the trace
+    tracemalloc.start()
+    try:
+        # Its digit count would take a 2.5 MB power of ten to find.
+        assert errors._size(n) == "a number of 20000001 bits"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
 
 
 @pytest.mark.parametrize(

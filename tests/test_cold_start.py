@@ -244,6 +244,7 @@ def test_cached_properties_and_cache_keys():
     assert basis.primorial == 210 and vars(basis)["primorial"] == 210
     form = build_canonical(basis)
     table = sorted_block_residues(form)
-    hits = sorted_block_residues.cache_info().hits
-    assert sorted_block_residues(build_canonical(PrimeBasis.first(4))) is table
-    assert sorted_block_residues.cache_info().hits == hits + 1
+    # The table keeps no cache: each call sieves its period afresh.
+    again = sorted_block_residues(build_canonical(PrimeBasis.first(4)))
+    assert again == table and again is not table
+    assert not hasattr(sorted_block_residues, "cache_info")

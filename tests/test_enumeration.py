@@ -18,7 +18,14 @@ from primewheel.enumeration import (
     sorted_block_residues,
 )
 from primewheel.errors import DEFAULT_SCAN_BUDGET, BudgetExceeded
-from primewheel.wheel import PrimeBasis, build_canonical, build_coprime_wheel
+from primewheel.wheel import (
+    PrimeBasis,
+    build_canonical,
+    build_coprime_wheel,
+    decompose,
+    decompose_rows,
+    evaluate,
+)
 
 
 def test_interval_spec_validation():
@@ -237,6 +244,25 @@ def test_count_interval_is_additive_past_two_to_the_64():
             assert whole == parts
         spec = IntervalSpec(2**64 + 12345, 2**64 + 12345 + form.period)
         assert count_interval(form, spec) == math.prod(m - 1 for _, m, _ in form.residue_axes())
+
+
+def test_decompose_and_evaluate_are_inverse_past_two_to_the_64():
+    # decompose's t is the exact quotient of z's body by the period; this
+    # holds the invariant for every form type, pinned and unpinned.
+    rng = random.Random(2**64)
+    for form in [build_canonical(PrimeBasis.first(r)) for r in range(1, 13)] + COPRIME_WHEELS:
+        axes = form.residue_axes()
+        for _ in range(20):
+            t = rng.randrange(2**64, 2**64 + 10**30)
+            h = {j: rng.randrange(1, q) for j, q, _ in axes}
+            z = evaluate(form, t, h)
+            assert z > 2**64 and decompose(form, z) == (t, h), (form, t, h)
+        lo = 2**64 + rng.randrange(0, 10**30)
+        zs = list(islice(enumerate_interval(form, IntervalSpec(lo, lo + 10**6)), 200))
+        ts, columns = decompose_rows(form, zs)
+        for i, z in enumerate(zs):
+            h = {j: column[i] for (j, _, _), column in zip(axes, columns)}
+            assert evaluate(form, ts[i], h) == z, (form, z)
 
 
 def test_count_interval_refuses_too_many_terms_before_any_work(monkeypatch):

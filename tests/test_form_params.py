@@ -66,6 +66,13 @@ def test_round_trip_and_every_tampered_blob_is_refused(mods):
         for bad in (form.constant - 1, form.constant + 1):
             with pytest.raises(ValueError, match="constant"):
                 form_from_json({**blob, "constant": str(bad)})
+        for bad in (form.period - 1, form.period + 1, mods[0], 2 * form.period):
+            with pytest.raises(ValueError, match="^period differs "):
+                form_from_json({**blob, "period": str(bad)})
+        assert form_from_json({**blob, "period": form.period}) == form  # compared as integers
+        for bad in ("minus-h", "bogus", None):
+            with pytest.raises(ValueError, match=f"^convention {bad!r} is not this form's 'plus-h'$"):
+                form_from_json({**blob, "convention": bad})
 
 
 def _old_refusal(mods):

@@ -158,13 +158,6 @@ def test_decompose_names_the_offending_divisor():
         decompose(form, 35)
 
 
-def test_decompose_rejects_an_inconsistent_form_without_assert():
-    form = build_canonical(PrimeBasis.first(3))
-    object.__setattr__(form, "constant", 16)  # bypasses construction checks
-    with pytest.raises(ValueError, match="remainder"):
-        decompose(form, 31)
-
-
 def test_round_trip_random():
     rng = random.Random(271828)
     for _ in range(500):
@@ -286,12 +279,22 @@ def test_json_round_trip_canonical():
     form = build_canonical(PrimeBasis.first(5))
     blob = json.dumps(form_to_json(form))
     assert form_from_json(json.loads(blob)) == form
+    data = form_to_json(build_canonical(PrimeBasis.first(3)))
+    with pytest.raises(ValueError, match="^primorial differs "):
+        form_from_json({**data, "primorial": "31"})
+    with pytest.raises(ValueError, match="^convention 'bogus' is not this form's 'plus-h'$"):
+        form_from_json({**data, "convention": "bogus"})
 
 
 def test_json_round_trip_raw():
     raw = build_raw(PrimeBasis.first(4), representatives=1)
     blob = json.dumps(form_to_json(raw))
     assert form_from_json(json.loads(blob)) == raw
+    data = json.loads(blob)
+    with pytest.raises(ValueError, match="^primorial differs "):
+        form_from_json({**data, "primorial": "211"})
+    with pytest.raises(ValueError):  # read as the canonical form, whose coefficients differ
+        form_from_json({**data, "convention": "plus-h"})
 
 
 def test_json_round_trip_coprime():
@@ -299,6 +302,11 @@ def test_json_round_trip_coprime():
         wheel = build_coprime_wheel([4, 9, 5], h1=h1)
         blob = json.dumps(form_to_json(wheel))
         assert form_from_json(json.loads(blob)) == wheel
+        data = json.loads(blob)
+        with pytest.raises(ValueError, match="^period differs "):
+            form_from_json({**data, "period": "7"})
+        with pytest.raises(ValueError, match="^convention 'minus-h' is not this form's 'plus-h'$"):
+            form_from_json({**data, "convention": "minus-h"})
 
 
 def test_json_values_are_decimal_strings():
