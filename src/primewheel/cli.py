@@ -232,7 +232,7 @@ def cmd_verify(args) -> int:
     elif args.claim == "identity25":
         report = theorems.search_identity25(basis, args.bound, budget=budget)
     else:
-        report = theorems.check_identity26(basis, args.e, representative=args.k)
+        report = theorems.check_identity26(basis, args.e, args.k, budget=budget)
     print(dumps(report.to_json()) if args.format == "json-lines" else render_report_text(report))
     return 0 if report.verdict == "pass" else 1
 
@@ -247,36 +247,28 @@ def cmd_bench(args) -> int:
     interval = IntervalSpec(args.lo, args.lo + args.width)
     basis = PrimeBasis.first(args.r)
     form = build_canonical(basis)
-    # The sieve checks its budget first, so a refused window is never enumerated.
-    sieve_values = oracle.rough_sieve(interval, basis, budget=budget)
-    wheel_values = list(enumerate_interval(form, interval))
-    if wheel_values != sieve_values:
-        wheel_set, sieve_set = set(wheel_values), set(sieve_values)
-        print(
-            "mismatch between wheel enumeration and rough sieve: "
-            f"{len(wheel_set - sieve_set)} extra, {len(sieve_set - wheel_set)} missing",
-            file=sys.stderr,
-        )
-        return 1
+    rows = []
+    for rep in range(args.reps):
+        # The sieve runs first and checks its budget, so a refused window is never enumerated.
+        start = time.perf_counter()
+        sieve_values = oracle.rough_sieve(interval, basis, budget=budget)
+        middle = time.perf_counter()
+        wheel_values = list(enumerate_interval(form, interval))
+        end = time.perf_counter()
+        if rep == 0 and wheel_values != sieve_values:
+            wheel_set, sieve_set = set(wheel_values), set(sieve_values)
+            print(
+                "mismatch between wheel enumeration and rough sieve: "
+                f"{len(wheel_set - sieve_set)} extra, {len(sieve_set - wheel_set)} missing",
+                file=sys.stderr,
+            )
+            return 1
+        rows.append(("wheel", interval.width, len(wheel_values), f"{end - middle:.6f}"))
+        rows.append(("sieve", interval.width, len(sieve_values), f"{middle - start:.6f}"))
+        del sieve_values, wheel_values  # so no list outlives its repetition
     header = ("method", "interval_width", "values_emitted", "wall_time")
-    columns = zip(*_timed_runs(form, basis, interval, args.reps, budget))
-    write_rows("csv", header, [tuple(columns)])
+    write_rows("csv", header, [tuple(zip(*rows))])
     return 0
-
-
-def _timed_runs(form, basis, interval, reps: int, budget) -> Iterator[tuple]:
-    """One bench row per timed run, yielded after its clock stops, so
-    writing the row is not timed."""
-    runs = (
-        ("wheel", lambda: list(enumerate_interval(form, interval))),
-        ("sieve", lambda: oracle.rough_sieve(interval, basis, budget=budget)),
-    )
-    for _ in range(reps):
-        for method, run in runs:
-            start = time.perf_counter()
-            emitted = len(run())
-            elapsed = time.perf_counter() - start
-            yield method, interval.width, emitted, f"{elapsed:.6f}"
 
 
 def cmd_oracle(args) -> int:

@@ -17,7 +17,7 @@ from ._record import Record, fresh
 from .diophantine import solve_unit
 from .enumeration import IntervalSpec, enumerate_interval
 from .errors import check_budget
-from .wheel import PrimeBasis, _prime_bound, build_canonical, build_raw
+from .wheel import PrimeBasis, _prime_bound, build_canonical, build_raw, coeff_bits_bound
 
 COUNTEREXAMPLE_CAP = 10
 
@@ -98,7 +98,8 @@ def theorem1_interval(
     check_claim_args("theorem1", basis.r, n=n)
     p = _primes_after(basis, s, budget)[-1]
     check_budget((n + 1) * p.bit_length(), budget, "claim window bits")
-    return IntervalSpec(p**n, p ** (n + 1))
+    low = p**n
+    return IntervalSpec(low, low * p)
 
 
 def _keep_smallest(capped: list, values) -> None:
@@ -324,42 +325,46 @@ def compare_pi(basis: PrimeBasis, budget: int | None = None) -> tuple[Fraction, 
     return approx, exact, abs(approx - exact) / exact
 
 
-def check_identity26(basis: PrimeBasis, e: int, representative: int = 0) -> VerificationReport:
+def check_identity26(
+    basis: PrimeBasis, e: int, representative: int = 0, budget: int | None = None
+) -> VerificationReport:
     """Check, modulo the period, that the canonical coefficient A_e (the CRT
     idempotent for p_e) equals -B_e, the raw coefficient
     -(p_e*x'_e - 1) * prod(p_q*x'_q for q > e) built from the chosen
     unit-equation representative. Both sides come from their own builders;
     neither goes through canonicalize, which assumes this congruence. The
-    two sides differ as integers; only the congruence is claimed."""
+    two sides differ as integers; only the congruence is claimed.
+
+    Both whole forms are built, so their bits are checked first: each form's
+    coeff_bits_bound, plus bits(|k| + 1) for each of the r*(r - 1)/2 factors
+    p_q*x'_q (q >= j) of the B_j, as x'_q = base + k*M with 0 < base < M =
+    p_1*...*p_{q-1}, and a bit per B_j for its -1 (x'_j != 0, so
+    |p_j*x'_j - 1| <= 2*|p_j*x'_j|).
+    """
     r = basis.r
     check_claim_args("identity26", r, e=e)
+    bits = coeff_bits_bound(basis, False) + coeff_bits_bound(basis, True) + r - 1
+    bits += r * (r - 1) // 2 * (abs(representative) + 1).bit_length()
+    check_budget(bits, budget, "coefficient bits")
     period = basis.primorial
     lhs = build_canonical(basis).coeff(e)
     rhs = -build_raw(basis, representative).coeff(e)
-    ok = (lhs - rhs) % period == 0
+    lhs_residue, rhs_residue = lhs % period, rhs % period
+    ok = lhs_residue == rhs_residue
     details = {
         "lhs": str(lhs),
         "rhs": str(rhs),
         "modulus": str(period),
-        "lhs_residue": str(lhs % period),
-        "rhs_residue": str(rhs % period),
+        "lhs_residue": str(lhs_residue),
+        "rhs_residue": str(rhs_residue),
     }
-    counterexamples = (
-        ()
-        if ok
-        else (
-            Counterexample(
-                value=lhs % period,
-                reason=f"lhs residue {lhs % period} != rhs residue {rhs % period} (mod {period})",
-            ),
-        )
-    )
+    reason = "lhs residue {lhs_residue} != rhs residue {rhs_residue} (mod {modulus})"
     return VerificationReport(
         claim=f"identity26[r={r},e={e},k={representative}]",
         verdict="pass" if ok else "fail",
         checked=1,
         witnesses_pass=1 if ok else 0,
-        counterexamples=counterexamples,
+        counterexamples=() if ok else (Counterexample(lhs_residue, reason.format_map(details)),),
         details=details,
     )
 
@@ -386,14 +391,16 @@ def search_identity25(
     """
     r = basis.r
     check_claim_args("identity25", r, bound=bound)
-    check_budget((bound + 1) ** (r - 2), budget, "identity25 grid")
-    xr = solve_unit(r, basis).base_x
+    rows = (bound + 1) ** (r - 2)
+    check_budget(rows, budget, "identity25 grid")
+    family = solve_unit(r, basis)
+    xr = family.base_x
     residue = xr % 3
-    checked = (bound + 1) ** (r - 1)
+    checked = rows * (bound + 1)
     details = {
         "certificate": {"prime": "3", "xr_residue": str(residue)},
         "grid": {"indices": r - 1, "per_index": bound + 1, "combinations": str(checked)},
-        "modulus": str(math.prod(basis.primes[1 : r - 1])),  # p_2 * ... * p_{r-1}
+        "modulus": str(family.b // 2),  # b = p_1 * ... * p_{r-1}
     }
     bad = Counterexample(value=xr, reason=f"x'_{r} = 0 (mod 3), but p_{r}*x'_{r} = 1 (mod 3)")
     return VerificationReport(

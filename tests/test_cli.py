@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,36 @@ def test_bench_mismatch_exits_1_with_one_stderr_line(capsys, monkeypatch):
     code, out, err = run(capsys, "bench", "--r", "3", "--width", "100", "--reps", "1")
     assert (code, out) == (1, "")
     assert err == "mismatch between wheel enumeration and rough sieve: 1 extra, 0 missing\n"
+
+
+def test_bench_times_each_method_once_per_repetition(capsys, monkeypatch):
+    # The first repetition's two lists are the mismatch check; no run is
+    # untimed, and no sieve list outlives its repetition.
+    calls, earlier = [], []
+    enumerate_interval, rough_sieve = cli.enumerate_interval, oracle.rough_sieve
+
+    class Values(list):
+        """A list that a weak reference can follow."""
+
+    def wheel(*args):
+        calls.append("wheel")
+        return enumerate_interval(*args)
+
+    def sieve(*args, **kwargs):
+        calls.append("sieve")
+        assert all(ref() is None for ref in earlier), "an earlier repetition's list is alive"
+        values = Values(rough_sieve(*args, **kwargs))
+        earlier.append(weakref.ref(values))
+        return values
+
+    monkeypatch.setattr(cli, "enumerate_interval", wheel)
+    monkeypatch.setattr(oracle, "rough_sieve", sieve)
+    code, out, _ = run(capsys, "bench", "--r", "3", "--width", "100", "--reps", "2")
+    assert code == 0
+    assert calls == ["sieve", "wheel"] * 2
+    assert [line.split(",")[:3] for line in out.splitlines()[1:]] == [
+        ["wheel", "100", "26"], ["sieve", "100", "26"]
+    ] * 2
 
 
 def test_bench_rejects_zero_width(capsys):

@@ -116,6 +116,8 @@ def _skip_the_window_check(monkeypatch):
          "inclusion-exclusion over 24 axes", None),
         (("count", "--r", "5", "--lo", "1", "--hi", "100", "--budget", "15"),
          "inclusion-exclusion over 4 axes", None),
+        (("verify", "identity26", "--r", "155", "--e", "2"), "coefficient bits", None),
+        (("verify", "identity26", "--r", "5", "--budget", "1"), "coefficient bits", None),
     ],
 )
 def test_scan_refusals_name_their_knob(capsys, monkeypatch, argv, what, setup):
@@ -314,7 +316,8 @@ def test_count_prints_phi_past_the_int_string_limit(capsys):
     not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
 )
 def test_identity26_prints_its_sides_past_the_int_string_limit(capsys):
-    code, out, err = run(capsys, "verify", "identity26", "--r", "400", "--e", "2")
+    argv = ("verify", "identity26", "--r", "400", "--e", "2", "--budget", "300000000")
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     # A_2 is below the ~1,200-digit primorial; the raw side -B_2 is far past the limit.
     rhs = next(line for line in out.splitlines() if line.startswith("detail rhs: "))

@@ -214,6 +214,7 @@ _NOT_FOUND = "claim: identity25[r=%d,bound=%d]\nverdict: not-found-within-bound\
             _NOT_FOUND % (10, 50),
             None,
         ),
+        (["verify", "identity26", "--r", "1500", "--e", "2"], 3, "", "--budget"),
         (["verify", "theorem1", "--r", "3", "--n", "1000000000000"], 3, "", "--budget"),
         (
             ["verify", "corollary2", "--r", "3", "--s", "600000", "--n", "100000"],
@@ -234,6 +235,7 @@ _NOT_FOUND = "claim: identity25[r=%d,bound=%d]\nverdict: not-found-within-bound\
         "identity25-r2000",
         "identity25-bound3e6",
         "identity25-grid51e8",
+        "identity26-r1500",
         "theorem1-n1e12",
         "corollary2-s600000",
     ],

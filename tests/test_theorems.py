@@ -22,7 +22,7 @@ from primewheel.theorems import (
     verify_corollary2,
     verify_theorem1,
 )
-from primewheel.wheel import PrimeBasis, build_canonical
+from primewheel.wheel import PrimeBasis, build_canonical, build_raw
 
 
 def test_theorem1_interval_frozen():
@@ -180,6 +180,17 @@ def test_identity26_all_small_cases():
                 assert report.details["lhs_residue"] == report.details["rhs_residue"]
 
 
+@pytest.mark.parametrize("r", range(3, 41))
+def test_identity26_budget_bounds_the_bits_of_both_forms(r):
+    basis = PrimeBasis.first(r)
+    canonical = sum(a.bit_length() for a in build_canonical(basis).coeffs)
+    for k in (-5, -1, 0, 1, 7, 10**30):
+        with pytest.raises(BudgetExceeded, match="^coefficient bits needs ") as info:
+            check_identity26(basis, 2, k, budget=1)
+        raw = sum(a.bit_length() for a in build_raw(basis, k).coeffs)
+        assert canonical + raw <= info.value.required, k
+
+
 def test_identity26_rejects_bad_index():
     basis = PrimeBasis.first(4)
     with pytest.raises(ValueError):
@@ -255,7 +266,8 @@ def test_identity25_certificate_matches_the_row_by_row_search(r, bound):
 @pytest.mark.parametrize("fmt", ["text", "json-lines"])
 def test_identity25_fails_when_the_solver_gives_x_r_divisible_by_3(monkeypatch, capsys, fmt):
     def faulty(i, basis):
-        return types.SimpleNamespace(base_x=3 * solve_unit(i, basis).base_x)
+        family = solve_unit(i, basis)
+        return types.SimpleNamespace(base_x=3 * family.base_x, b=family.b)
 
     monkeypatch.setattr(theorems, "solve_unit", faulty)
     code = cli.main(["verify", "identity25", "--r", "4", "--bound", "2", "--format", fmt])
@@ -284,6 +296,22 @@ def test_identity25_modulus_never_divides_xr_times_s(r):
         x = {i: nth_solution(f, rng.randrange(-1000, 1000))[0] for i, f in families.items()}
         s = math.prod(basis.primes[i - 1] * x[i] for i in range(2, r)) - 1
         assert (x[r] * s) % modulus != 0
+
+
+@pytest.mark.parametrize("r", range(3, 41))
+def test_identity25_reads_its_modulus_from_the_solver_family(monkeypatch, r):
+    basis = PrimeBasis.first(r)
+    products = []
+    prod = math.prod
+
+    def counted(*args, **kwargs):
+        products.append(args)
+        return prod(*args, **kwargs)
+
+    monkeypatch.setattr(math, "prod", counted)
+    report = search_identity25(basis, bound=0)
+    assert len(products) == 1  # solve_unit's p_1 * ... * p_{r-1}
+    assert report.details["modulus"] == str(prod(basis.primes[1 : r - 1]))
 
 
 def test_identity25_input_validation():
