@@ -20,14 +20,15 @@ _EXPORTS = {
         "enumeration": "BlockCount IntervalSpec count_block count_interval enumerate_interval "
         "sorted_block_residues",
         "errors": "BudgetExceeded",
+        "forms": "RawWheelForm build_raw canonicalize decompose evaluate evaluate_raw "
+        "form_from_json form_to_json",
         "oracle": "FactorProfile coprime_scan factor_profile is_k_almost omega omega_sieve "
         "primes_in rough_sieve spf",
         "theorems": "Counterexample VerificationReport bertrand_condition check_identity26 "
         "compare_pi pi_approx search_identity25 theorem1_interval verify_corollary2 "
         "verify_theorem1",
-        "wheel": "CanonicalWheelForm CoprimeWheelForm PrimeBasis RawWheelForm build_canonical "
-        "build_coprime_wheel build_raw canonicalize decompose evaluate evaluate_raw "
-        "form_from_json form_to_json",
+        "wheel": "CanonicalWheelForm CoprimeWheelForm PrimeBasis build_canonical "
+        "build_coprime_wheel",
     }.items()
     for name in names.split()
 }

@@ -12,39 +12,39 @@ write_rows, the one place that knows the format rules. It takes a table
 as chunks of columns, a stream CHUNK_LINES values at a time, and formats
 and writes each chunk with one % operation and one call, not one call
 per row; gen --explain decomposes a whole chunk with one
-wheel.decompose_rows call. json-lines fields are decimal strings,
+forms.decompose_rows call. json-lines fields are decimal strings,
 except --explain's t and h and a verify report's counters, which are
 JSON numbers; verify --format csv prints the text report.
 Output is deterministic for fixed arguments; only bench timing columns
 vary run to run. The scan budget of coeffs, count, verify, bench and
 oracle can be overridden with --budget or the PRIMEWHEEL_SCAN_BUDGET
 environment variable, as an integer of at least 1.
-A subcommand imports only what it runs: theorems and oracle load on
-first use and json only where JSON is printed, so gen, coeffs and
-count --lo/--hi never load the claim checkers.
+A subcommand imports only what it runs: theorems, oracle and forms (the
+raw form, decompose_rows and the JSON shape) load on first use and json
+only where JSON is printed, so gen, coeffs and count --lo/--hi never
+load the claim checkers, and gen without --explain and count never load
+forms or the unit-equation solver.
+
+`python -m primewheel`, `python -m primewheel.cli` and the `primewheel`
+script all end through run(), which freezes the collector before exit;
+main(argv) returns the exit code and leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from importlib import import_module
 from itertools import chain, islice
-from typing import Iterable, Iterator
 
 from .enumeration import IntervalSpec, count_block, count_interval, enumerate_interval
 from .errors import SCAN_BUDGET_ENV, BudgetExceeded, check_budget
-from .wheel import (
-    PrimeBasis,
-    build_canonical,
-    build_raw,
-    coeff_bits_bound,
-    decompose_rows,
-    form_to_json,
-)
+from .wheel import PrimeBasis, build_canonical
 
 
 class _Deferred:
@@ -59,6 +59,7 @@ class _Deferred:
         return getattr(import_module(self._name), attr)
 
 
+forms = _Deferred("forms")
 oracle = _Deferred("oracle")
 theorems = _Deferred("theorems")
 
@@ -113,14 +114,14 @@ def _budget(args) -> int | None:
 def cmd_coeffs(args) -> int:
     budget = _budget(args)
     basis = PrimeBasis.first(args.r)
-    check_budget(coeff_bits_bound(basis, args.raw), budget, "coefficient bits")
-    form = build_raw(basis) if args.raw else build_canonical(basis)
+    check_budget(forms.coeff_bits_bound(basis, args.raw), budget, "coefficient bits")
+    form = forms.build_raw(basis) if args.raw else build_canonical(basis)
     if args.format == "csv":
         variables = [(f"h{j}", a) for j, a in reversed(form.coeff_map.items())]
         rows = [("t", form.period), *variables, ("constant", form.constant)]
         write_rows("csv", ("term", "coefficient"), [tuple(zip(*rows))])
     elif args.format == "json-lines":
-        print(dumps(form_to_json(form)))
+        print(dumps(forms.form_to_json(form)))
     else:
         print(render_form_text(form, args.raw))
     return 0
@@ -174,7 +175,7 @@ def _explained(form, stream: Iterable[int]) -> Iterator[tuple[list, ...]]:
     """The z, t, h_2, ..., h_r columns of each chunk of the stream; one
     decompose_rows call per chunk checks its values."""
     for (zs,) in _chunks(stream):
-        ts, hs = decompose_rows(form, zs)
+        ts, hs = forms.decompose_rows(form, zs)
         yield (zs, ts, *hs)
 
 
@@ -424,5 +425,17 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def run() -> None:
+    """Exit with main()'s code for the arguments in sys.argv."""
+    code = main()
+    # Exit-time collection would walk every object left alive, and nothing
+    # in the package needs it: no module defines __del__ or registers an
+    # atexit or weakref callback, and main has flushed stdout. Frozen
+    # objects are skipped by those passes; finalization still flushes and
+    # closes the standard streams.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import chain, compress, repeat
 from operator import add
-from typing import Iterator, NamedTuple
 
 from ._record import Record
 from .errors import check_budget
@@ -51,11 +52,10 @@ class IntervalSpec(Record):
         return self.hi - self.lo
 
 
-class BlockCount(NamedTuple):
-    """Residue counts for one period: phi per block, phi - 1 strictly inside the first."""
-
-    phi: int
-    interior: int
+BlockCount = namedtuple("BlockCount", "phi interior")
+BlockCount.__doc__ = (
+    "Residue counts for one period: phi per block, phi - 1 strictly inside the first."
+)
 
 
 def sorted_block_residues(form) -> tuple[int, ...]:

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from itertools import compress, repeat
 from operator import add, floordiv, lt
-from typing import Iterator
 
 from ._record import Record
 from .enumeration import IntervalSpec

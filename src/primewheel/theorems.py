@@ -4,6 +4,9 @@ Each checker scans honestly against the oracle module and returns a
 VerificationReport; nothing here is allowed to assume the claim it is
 checking. Claims are addressed by short stable ids (theorem1, corollary2,
 identity25, identity26) which also name the CLI verify subcommands.
+Modules that only one claim needs are imported when it runs: forms (the
+raw form) by check_identity26 and fractions by pi_approx, so the window
+claims compile neither.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from ._record import Record, fresh
 from .diophantine import solve_unit
 from .enumeration import IntervalSpec, enumerate_interval
 from .errors import check_budget
-from .wheel import PrimeBasis, _prime_bound, build_canonical, build_raw, coeff_bits_bound
+from .wheel import PrimeBasis, _prime_bound, build_canonical
 
 COUNTEREXAMPLE_CAP = 10
 
@@ -341,6 +344,8 @@ def check_identity26(
     p_1*...*p_{q-1}, and a bit per B_j for its -1 (x'_j != 0, so
     |p_j*x'_j - 1| <= 2*|p_j*x'_j|).
     """
+    from .forms import build_raw, coeff_bits_bound  # here, so no other claim compiles them
+
     r = basis.r
     check_claim_args("identity26", r, e=e)
     bits = coeff_bits_bound(basis, False) + coeff_bits_bound(basis, True) + r - 1

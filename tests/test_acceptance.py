@@ -21,15 +21,8 @@ from primewheel.theorems import (
     search_identity25,
     verify_theorem1,
 )
-from primewheel.wheel import (
-    PrimeBasis,
-    build_canonical,
-    build_coprime_wheel,
-    build_raw,
-    canonicalize,
-    decompose,
-    evaluate,
-)
+from primewheel.forms import build_raw, canonicalize, decompose, evaluate
+from primewheel.wheel import PrimeBasis, build_canonical, build_coprime_wheel
 
 # Frozen canonical rows: {r: (period, coeffs for h2..hr, constant)}.
 CANONICAL_ROWS = {

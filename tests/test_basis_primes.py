@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from primewheel import oracle, theorems, wheel
+from primewheel import forms, oracle, theorems, wheel
 from primewheel.enumeration import IntervalSpec
 from primewheel.errors import SCAN_BUDGET_ENV, BudgetExceeded
-from primewheel.wheel import PrimeBasis, build_raw, form_from_json, form_to_json
+from primewheel.forms import build_raw, form_from_json, form_to_json
+from primewheel.wheel import PrimeBasis
 
 
 def _trial_division_primes(count: int) -> list[int]:
@@ -100,8 +101,8 @@ def test_build_raw_derives_the_coefficients_once(monkeypatch):
         calls.append(primes)
         return raw_coeffs(primes, xs)
 
-    raw_coeffs = wheel._raw_coeffs
-    monkeypatch.setattr(wheel, "_raw_coeffs", counting)
+    raw_coeffs = forms._raw_coeffs
+    monkeypatch.setattr(forms, "_raw_coeffs", counting)
     raw = build_raw(PrimeBasis.first(6))
     assert len(calls) == 1
     assert raw.coeffs == raw_coeffs(raw.basis.primes, (x for x, _ in raw.solutions))

@@ -12,7 +12,8 @@ from primewheel import cli, oracle
 from primewheel.cli import SCAN_BUDGET_ENV, main
 from primewheel.enumeration import MAX_BLOCK_RESIDUES, IntervalSpec
 from primewheel.theorems import verify_theorem1
-from primewheel.wheel import PrimeBasis, build_canonical, evaluate, form_from_json
+from primewheel.forms import evaluate, form_from_json
+from primewheel.wheel import PrimeBasis, build_canonical
 
 COEFFS_TEXT = {
     1: "2t + 1",

@@ -13,7 +13,8 @@ import primewheel
 from primewheel import oracle
 from primewheel.cli import CHUNK_LINES, main
 from primewheel.enumeration import IntervalSpec, count_interval, enumerate_interval
-from primewheel.wheel import PrimeBasis, build_canonical, decompose
+from primewheel.forms import decompose
+from primewheel.wheel import PrimeBasis, build_canonical
 
 FORMATS = ("text", "csv", "json-lines")
 COUNTS = (0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1)

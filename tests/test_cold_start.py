@@ -1,7 +1,9 @@
-"""What a fresh primewheel process loads, and the frozen records that replaced dataclasses.
+"""What a fresh primewheel process loads and how it exits, and the frozen
+records that replaced dataclasses.
 
 Each subcommand runs cli.main in its own interpreter, which reports the
-modules that were not loaded before primewheel was imported. The record
+modules that were not loaded before primewheel was imported. The process
+entry point, and only it, freezes the collector before exit. The record
 literals below (reprs, equality across classes, hashing, refused
 assignment) and the package's public names are those of the
 @dataclass(frozen=True) records and the eagerly importing package they
@@ -9,6 +11,7 @@ replaced.
 """
 
 import copy
+import gc
 import os
 import pickle
 import subprocess
@@ -44,20 +47,26 @@ sys.stderr.write("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
-def _loaded(body: str, *argv: str) -> set[str]:
+def _loaded(body: str, *argv: str, flags: tuple[str, ...] = ()) -> set[str]:
     env = {**os.environ, "PYTHONPATH": SRC}
     env.pop("PRIMEWHEEL_SCAN_BUDGET", None)
     done = subprocess.run(
-        [sys.executable, "-c", _REPORT.format(body=body), *argv],
+        [sys.executable, *flags, "-c", _REPORT.format(body=body), *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     return set(done.stderr.split("\n"))
 
 
-def _run_main(*argv: str) -> set[str]:
-    body = "from primewheel import cli\nassert cli.main(sys.argv[1:]) == 0\nsys.stdout.flush()"
-    return _loaded(body, *argv)
+_MAIN = "from primewheel import cli\nassert cli.main(sys.argv[1:]) == 0\nsys.stdout.flush()"
+# Fails the run if a loaded module defines the raw form, that is, compiled it.
+_NO_RAW_FORM = (
+    "assert not [m for m in list(sys.modules.values()) if 'RawWheelForm' in vars(m)]"
+)
+
+
+def _run_main(*argv: str, flags: tuple[str, ...] = ()) -> set[str]:
+    return _loaded(_MAIN, *argv, flags=flags)
 
 
 PAPER_ONLY = {"primewheel.theorems", "primewheel.oracle", "dataclasses", "fractions"}
@@ -82,6 +91,74 @@ def test_count_interval_loads_no_claim_checker(fmt):
     loaded = _run_main("count", "--r", "5", "--lo", "1", "--hi", "10000", "--format", fmt)
     assert "primewheel.enumeration" in loaded
     assert not loaded & PAPER_ONLY
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--r", "4", "--lo", "1", "--hi", "500"),
+        ("gen", "--r", "4", "--lo", "1", "--hi", "500", "--format", "csv"),
+        ("gen", "--r", "4", "--lo", "1", "--hi", "500", "--format", "json-lines"),
+        ("count", "--r", "5", "--lo", "1", "--hi", "10000"),
+        ("count", "--r", "5", "--block"),
+    ],
+    ids=" ".join,
+)
+def test_stream_and_count_compile_neither_the_raw_form_nor_the_solver(argv):
+    loaded = _loaded(f"{_MAIN}\n{_NO_RAW_FORM}", *argv)
+    assert "primewheel.enumeration" in loaded
+    assert not loaded & {"primewheel.forms", "primewheel.diophantine"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "theorem1", "--r", "3", "--n", "2"), ("verify", "corollary2", "--r", "3")],
+    ids=" ".join,
+)
+def test_window_claims_compile_no_raw_form(argv):
+    loaded = _loaded(f"{_MAIN}\n{_NO_RAW_FORM}", *argv)
+    assert "primewheel.theorems" in loaded
+    assert "primewheel.forms" not in loaded
+
+
+def test_gen_without_site_loads_no_typing():
+    loaded = _run_main("gen", "--r", "4", "--lo", "1", "--hi", "500", flags=("-S",))
+    assert "primewheel.enumeration" in loaded
+    assert "typing" not in loaded
+
+
+def test_python_m_primewheel_exits_with_the_collector_frozen():
+    # run_module with alter_sys runs the package's __main__ as -m does.
+    body = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write('frozen %d' % gc.get_freeze_count()))\n"
+        "runpy.run_module('primewheel', run_name='__main__', alter_sys=True)"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PRIMEWHEEL_SCAN_BUDGET", None)
+    done = subprocess.run(
+        [sys.executable, "-c", body, "count", "--r", "3", "--block"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "phi=8 interior=7\n")
+    label, count = done.stderr.split()
+    assert label == "frozen" and int(count) > 0
+
+
+def test_only_the_process_entry_point_freezes_the_collector(capsys, monkeypatch):
+    from primewheel import cli
+
+    before = gc.get_freeze_count()
+    assert cli.main(["count", "--r", "3", "--block"]) == 0
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(sys, "argv", ["primewheel", "count", "--r", "3", "--block"])
+    try:
+        with pytest.raises(SystemExit) as done:
+            cli.run()
+        assert done.value.code == 0 and gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr() == ("phi=8 interior=7\n" * 2, "")
 
 
 def test_verify_theorem1_loads_no_dataclasses_or_fractions():
@@ -110,7 +187,7 @@ ALL = [
     "build_coprime_wheel", "build_raw", "canonicalize", "check_identity26", "compare_pi",
     "coprime_scan", "count_block", "count_interval", "decompose", "diophantine",
     "enumerate_interval", "enumeration", "errors", "evaluate", "evaluate_raw",
-    "factor_profile", "form_from_json", "form_to_json", "is_k_almost", "nth_solution",
+    "factor_profile", "form_from_json", "form_to_json", "forms", "is_k_almost", "nth_solution",
     "omega", "omega_sieve", "oracle", "pi_approx", "primes_in", "rough_sieve",
     "search_identity25", "solve_linear", "solve_unit", "sorted_block_residues", "spf",
     "theorem1_interval", "theorems", "verify_corollary2", "verify_theorem1", "wheel",

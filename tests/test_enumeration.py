@@ -18,14 +18,8 @@ from primewheel.enumeration import (
     sorted_block_residues,
 )
 from primewheel.errors import DEFAULT_SCAN_BUDGET, BudgetExceeded
-from primewheel.wheel import (
-    PrimeBasis,
-    build_canonical,
-    build_coprime_wheel,
-    decompose,
-    decompose_rows,
-    evaluate,
-)
+from primewheel.forms import decompose, decompose_rows, evaluate
+from primewheel.wheel import PrimeBasis, build_canonical, build_coprime_wheel
 
 
 def test_interval_spec_validation():

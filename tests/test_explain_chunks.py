@@ -8,14 +8,8 @@ import math
 import pytest
 
 from primewheel.cli import CHUNK_LINES, main
-from primewheel.wheel import (
-    PrimeBasis,
-    build_canonical,
-    build_coprime_wheel,
-    decompose,
-    decompose_rows,
-    evaluate,
-)
+from primewheel.forms import decompose, decompose_rows, evaluate
+from primewheel.wheel import PrimeBasis, build_canonical, build_coprime_wheel
 
 FORMATS = ("text", "csv", "json-lines")
 # Windows that end inside, on and just past a chunk edge, and past two.

@@ -6,15 +6,8 @@ import random
 
 import pytest
 
-from primewheel.wheel import (
-    CoprimeWheelForm,
-    PrimeBasis,
-    build_coprime_wheel,
-    build_raw,
-    canonicalize,
-    form_from_json,
-    form_to_json,
-)
+from primewheel.forms import build_raw, canonicalize, form_from_json, form_to_json
+from primewheel.wheel import CoprimeWheelForm, PrimeBasis, build_coprime_wheel
 
 
 def _coprime_moduli(rng):

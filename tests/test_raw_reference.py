@@ -15,14 +15,8 @@ import math
 import pytest
 
 from primewheel.theorems import check_identity26, search_identity25
-from primewheel.wheel import (
-    PrimeBasis,
-    build_canonical,
-    build_raw,
-    canonicalize,
-    form_from_json,
-    form_to_json,
-)
+from primewheel.forms import build_raw, canonicalize, form_from_json, form_to_json
+from primewheel.wheel import PrimeBasis, build_canonical
 
 MAPPING = {2: 3, 4: -1, 7: 2, 9: 11}
 # SHA-256 of json.dumps([form_to_json(build_raw(first(r), reps)) for r in 3..10

@@ -22,7 +22,8 @@ from primewheel.theorems import (
     verify_corollary2,
     verify_theorem1,
 )
-from primewheel.wheel import PrimeBasis, build_canonical, build_raw
+from primewheel.forms import build_raw
+from primewheel.wheel import PrimeBasis, build_canonical
 
 
 def test_theorem1_interval_frozen():

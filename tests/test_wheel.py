@@ -11,11 +11,8 @@ from primewheel.enumeration import (
     enumerate_interval,
     sorted_block_residues,
 )
-from primewheel.wheel import (
-    PrimeBasis,
+from primewheel.forms import (
     RawWheelForm,
-    build_canonical,
-    build_coprime_wheel,
     build_raw,
     canonicalize,
     coeff_bits_bound,
@@ -25,6 +22,7 @@ from primewheel.wheel import (
     form_from_json,
     form_to_json,
 )
+from primewheel.wheel import PrimeBasis, build_canonical, build_coprime_wheel
 
 # Frozen coefficient rows (h-index 2..r ascending) and constants, r = 1..8.
 CANONICAL_ROWS = {
