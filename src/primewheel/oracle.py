@@ -12,9 +12,9 @@ at a time (Bays & Hudson 1977):
   found by the same scan on [2, sqrt(hi - 1)] and put back in front;
 - omega_sieve gives Omega(m), the prime factors of m counted with
   multiplicity, for every m: each prime power p^k strikes its multiples,
-  which gain one factor and are divided by p, and a cofactor above 1
-  left at the end is one more prime. Its base primes come from
-  primes_in's scan too.
+  which gain one factor and a byte-wide log weight of p, and m's weight
+  sum tells whether a prime above sqrt(hi - 1), one more factor, divides
+  it. Its base primes come from primes_in's scan too.
 
 factor_profile is the per-value trial division, kept as the single-value
 probe. Every scan is guarded by a budget (default ten million, checked by
@@ -27,22 +27,27 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import compress, repeat
-from operator import add, floordiv, lt
+from itertools import compress
 
 from ._record import Record
 from .enumeration import IntervalSpec
 from .errors import check_budget
 
 _SEGMENT = 1 << 20
-# Integers per omega_sieve segment. The segment sets the sieve's memory:
-# at 2^12 `verify theorem1 --r 8 --n 2` peaks at 16.9 MB RSS, as before
-# the sieve; at 2^14 it peaked at 17.2 MB and `--r 5 --n 4` at 18.2 MB.
-OMEGA_SEGMENT = 1 << 12
-# bytes.translate table that adds one to every count. Omega(m) < log2(hi),
-# and a window whose base primes can be sieved has hi < 2^128, so a count
-# never reaches 255.
+# Integers per omega_sieve segment. The segment sets the sieve's memory
+# (two bytearrays and the list it yields): at 2^14 `verify theorem1 --r 5
+# --n 4` peaks at 17.3 MB RSS and `--r 400 --n 1` at 17.8 MB, against 17.4
+# and 17.6 MB with a Python int per integer at 2^12.
+OMEGA_SEGMENT = 1 << 14
+# omega_sieve refuses a window whose hi - 1 has more bits: its log weights
+# would have scale 1, too coarse to tell a cofactor above sqrt(hi - 1), and
+# its base primes would reach 2^63, which no run sieves.
+OMEGA_MAX_BITS = 127
+# bytes.translate table that adds one to every count. Omega(m) < log2(hi)
+# <= OMEGA_MAX_BITS, so a count never reaches 255.
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"
+# Its slice [w : w + 256] is the table that adds w to every byte below 256 - w.
+_TURN = bytes(range(256)) * 2
 
 
 class FactorProfile(Record):
@@ -149,34 +154,71 @@ def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[l
     """Omega(m), prime factors counted with multiplicity, for every m in [lo, hi).
 
     The iterator yields one list per segment of OMEGA_SEGMENT integers,
-    from lo up; the last may be shorter. The primes up to sqrt(hi - 1)
-    are sieved once, by primes_in's striking scan. In a segment every
-    multiple of a prime power p^k < hi gains one factor and is divided
-    by p; what is left of m is then 1 or a single prime above
-    sqrt(hi - 1), which adds one. So the entries equal to 1 are the
-    primes: a base prime counts itself, a larger one its cofactor. The
-    width and sqrt(hi - 1) are checked against the budget before the
-    iterator is returned.
+    from lo up; the last may be shorter. The primes up to root =
+    isqrt(hi - 1) are sieved once, by primes_in's striking scan. Each m is
+    s * c, with no prime above root in s and c = 1 or one prime above
+    root. In a segment each multiple of a prime power p^k < hi gains one
+    factor and the weight w_p = bits(p^S) - 1 = floor(S * log2(p)), where
+    b = bits(hi - 1) and S = 255 // b. So the count is Omega(s), and c > 1
+    adds one: the entries equal to 1 are the primes.
+
+    The weight sum W tells c without a division (logarithmic sieving,
+    Crandall & Pomerance, Prime Numbers, 2nd ed., section 6.1). w_2 = S is
+    exact and each of the K odd factors of s loses less than 1 to the
+    floor, so S * log2(s) - K < W <= S * log2(s) < S * b <= 255: no byte
+    wraps. On a piece [x, y) of a segment inside one [2^j, 2^(j+1)), c > 1
+    gives s <= smax = (y - 1) // (root + 1), so W <= U = bits(smax^S) - 1
+    (U = -1 when smax = 0), and c = 1 gives s = m >= x and K <=
+    floor(log3(y - 1)), so W >= L = bits(x^S) - 1 - floor(log3(y - 1)).
+    So W <= U is c > 1 whenever U < L, which holds for b <= OMEGA_MAX_BITS:
+    (root + 1)^2 > 2^(b - 1) and y <= 2^(j + 1) give U < S * (j + 1 -
+    (b - 1) / 2), while L > S * j - 0.631 * b, and S >= 2 closes that gap
+    from b = 9; the tests check every piece for hi < 2^18. At b = 128,
+    S = 1 and the margin fails.
+
+    The width and root are checked against the budget, then b against
+    OMEGA_MAX_BITS, before the iterator is returned.
     """
     if interval.lo < 1:
         raise ValueError("omega is defined for m >= 1")
     check_budget(interval.width, budget, "omega sieve")
     root = math.isqrt(interval.hi - 1)
     check_budget(root, budget, "omega sieve base primes")
-    return _omega_segments(interval, _primes(2, root + 1))
+    remedy = "no flag or environment variable raises this fixed limit, so use a smaller window"
+    check_budget((interval.hi - 1).bit_length(), OMEGA_MAX_BITS, "omega sieve bits", remedy)
+    return _omega_segments(interval, root, _primes(2, root + 1))
 
 
-def _omega_segments(interval: IntervalSpec, base: list[int]) -> Iterator[list[int]]:
+def _cut(y: int, root: int, scale: int) -> int:
+    """U + 1 for a piece of omega_sieve's window that ends below y: the
+    number of weight sums that flag a cofactor above root."""
+    return (((y - 1) // (root + 1)) ** scale).bit_length()
+
+
+def _omega_segments(interval: IntervalSpec, root: int, base: list[int]) -> Iterator[list[int]]:
+    scale = 255 // (interval.hi - 1).bit_length()
+    turns = [_TURN[w : w + 256] for w in range(256)]  # shared by primes of one weight
+    adds = [turns[(p**scale).bit_length() - 1] for p in base]
     for seg_lo in range(interval.lo, interval.hi, OMEGA_SEGMENT):
         seg_hi = min(seg_lo + OMEGA_SEGMENT, interval.hi)
         count = bytearray(seg_hi - seg_lo)
-        rest = list(range(seg_lo, seg_hi))
-        for p in base:
+        weight = bytearray(seg_hi - seg_lo)
+        for p, add_w in zip(base, adds):
             # A power of p at or above seg_hi divides nothing in the segment.
             q = p
             while q < seg_hi:
                 start = -seg_lo % q
                 count[start::q] = count[start::q].translate(_PLUS_ONE)
-                rest[start::q] = map(floordiv, rest[start::q], repeat(p))
+                weight[start::q] = weight[start::q].translate(add_w)
                 q *= p
-        yield list(map(add, count, map(lt, repeat(1), rest)))
+        x = seg_lo
+        while x < seg_hi:  # weight sums become cofactor flags, piece by piece
+            y = min(seg_hi, 1 << x.bit_length())
+            cut = _cut(y, root, scale)
+            piece = slice(x - seg_lo, y - seg_lo)
+            weight[piece] = weight[piece].translate(b"\x01" * cut + bytes(256 - cut))
+            x = y
+        # A count is below 128 and a flag 0 or 1, so no byte of their sum
+        # carries: the segments add as integers.
+        total = int.from_bytes(count, "little") + int.from_bytes(weight, "little")
+        yield list(total.to_bytes(seg_hi - seg_lo, "little"))

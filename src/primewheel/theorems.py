@@ -98,11 +98,17 @@ def theorem1_interval(
 ) -> IntervalSpec:
     """The window [p^n, p^(n+1)), p = p_{r+s} from the oracle sieve (s > 1 for
     corollary2), once (n + 1) * p.bit_length(), at most its width, fits the budget."""
+    return _claim_window(basis, n, budget, s)[1]
+
+
+def _claim_window(basis: PrimeBasis, n: int, budget: int | None, s: int) -> tuple[int, IntervalSpec]:
+    """p_{r+1} and theorem1_interval's window, from the one sieve that finds both."""
     check_claim_args("theorem1", basis.r, n=n)
-    p = _primes_after(basis, s, budget)[-1]
+    primes = _primes_after(basis, s, budget)
+    p = primes[-1]
     check_budget((n + 1) * p.bit_length(), budget, "claim window bits")
     low = p**n
-    return IntervalSpec(low, low * p)
+    return primes[0], IntervalSpec(low, low * p)
 
 
 def _keep_smallest(capped: list, values) -> None:
@@ -173,9 +179,10 @@ def _interval_report(
                     _keep_smallest(unwanted, set(run).difference(want))
 
         checked, top = 0, lo
-        for key, run in itertools.groupby(values, lambda v: (v - lo) // size if lo <= v < hi else -1):
+        for key, run in itertools.groupby(values, lambda v: (v - lo) // size):
             run = list(run)
-            if key < 0 or run[0] < top or not all(map(le, run, run[1:])):
+            # Ascending from top and below hi, so all of it lies in segment `key`.
+            if run[0] < top or run[-1] >= hi or not all(map(le, run, run[1:])):
                 return None
             checked, top = checked + len(run), run[-1]
             for index, seg_lo, seg_omegas in segments:
@@ -276,6 +283,11 @@ def bertrand_condition(r: int, s: int, n: int, budget: int | None = None) -> boo
     if r < 1 or s < 1 or n < 1:
         raise ValueError("r, s and n must be at least 1")
     (p,) = _primes_after(PrimeBasis.first(r), 1, budget)
+    return _bertrand(p, s, n)
+
+
+def _bertrand(p: int, s: int, n: int) -> bool:
+    """bertrand_condition for p = p_{r+1}."""
     return (p - 1).bit_length() > (n + 1) * (s - 1)
 
 
@@ -292,8 +304,8 @@ def verify_corollary2(
     informational.
     """
     check_claim_args("corollary2", basis.r, s=s, n=n)
-    interval = theorem1_interval(basis, n, budget, s)
-    condition = bertrand_condition(basis.r, s, n, budget)
+    p, interval = _claim_window(basis, n, budget, s)
+    condition = _bertrand(p, s, n)
     extra = {"condition_met": condition}
     if not condition:
         extra["informational"] = True
@@ -311,9 +323,14 @@ def verify_corollary2(
 def pi_approx(basis: PrimeBasis, budget: int | None = None) -> Fraction:
     """Density-based estimate of the prime count below p_{r+1}^2, as an exact rational:
     r + p_{r+1}^2 * (prod(p_l - 1) - 1) / prod(p_l)."""
+    (p,) = _primes_after(basis, 1, budget)
+    return _density_estimate(basis, p)
+
+
+def _density_estimate(basis: PrimeBasis, p: int) -> Fraction:
+    """pi_approx for p = p_{r+1}."""
     from fractions import Fraction  # loaded here, so no other claim pays for it
 
-    (p,) = _primes_after(basis, 1, budget)
     phi = math.prod(q - 1 for q in basis.primes)
     return basis.r + Fraction(p * p * (phi - 1), basis.primorial)
 
@@ -324,7 +341,7 @@ def compare_pi(basis: PrimeBasis, budget: int | None = None) -> tuple[Fraction, 
     before the density formula takes its products over the basis."""
     (p,) = _primes_after(basis, 1, budget)
     exact = len(oracle.primes_in(IntervalSpec(1, p * p), budget=budget))
-    approx = pi_approx(basis, budget)
+    approx = _density_estimate(basis, p)
     return approx, exact, abs(approx - exact) / exact
 
 

@@ -279,7 +279,7 @@ def test_compare_pi_checks_its_sieve_before_the_density_formula(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("took the density products before the sieve was checked")
 
-    monkeypatch.setattr(theorems, "pi_approx", no_work)
+    monkeypatch.setattr(theorems, "_density_estimate", no_work)
     with pytest.raises(BudgetExceeded, match="^prime sieve needs 49 "):
         theorems.compare_pi(PrimeBasis.first(3), budget=48)
 

@@ -27,6 +27,15 @@ def test_omega_sieve_from_one_and_two(lo, hi):
     _assert_matches_trial_division(lo, hi)
 
 
+def _rounding_margin_values():
+    # Each odd factor loses up to 1 to the floor of its log weight, so
+    # powers of 3 lose the most; a power of 2 loses nothing.
+    yield from (3**k for k in range(1, 21))
+    yield from (2**a * 3**b for a in range(1, 30, 3) for b in range(1, 20, 2) if 2**a * 3**b < 10**10)
+    # Prime squares just below 2^20, past 2^32 and just below 10^13.
+    yield from (1021**2, 65537**2, 3162277**2)
+
+
 def test_omega_sieve_at_prime_powers_and_prime_squares():
     for p in (2, 3, 5, 7, 31, 97, 1009):
         for k in range(1, 8):
@@ -36,6 +45,10 @@ def test_omega_sieve_at_prime_powers_and_prime_squares():
             _assert_matches_trial_division(max(1, q - 3), q + 4)
             # q is the last value, so sqrt(hi - 1) is exactly p when k = 2.
             _assert_matches_trial_division(max(1, q - 40), q + 1)
+    for q in _rounding_margin_values():
+        # q is the last value, then the first one past hi.
+        _assert_matches_trial_division(max(1, q - 6), q + 1)
+        _assert_matches_trial_division(max(1, q - 6), q)
 
 
 def test_omega_sieve_with_a_cofactor_prime_above_the_root():
@@ -44,9 +57,11 @@ def test_omega_sieve_with_a_cofactor_prime_above_the_root():
     big = 1_000_003  # prime
     for k in (2, 3, 6, 30):
         _assert_matches_trial_division(k * big - 5, k * big + 1)
+    # Base primes up to 3.16 * 10^6, and 10^13 + 37 is prime.
+    _assert_matches_trial_division(10**13 - 30, 10**13 + 38)
 
 
-@pytest.mark.parametrize("segment", [1, 2, 7, 64])
+@pytest.mark.parametrize("segment", [1, 2, 7, 64, 1 << 14])
 def test_omega_sieve_across_segment_seams(monkeypatch, segment):
     monkeypatch.setattr(oracle, "OMEGA_SEGMENT", segment)
     lists = list(omega_sieve(IntervalSpec(95, 420)))
@@ -54,6 +69,10 @@ def test_omega_sieve_across_segment_seams(monkeypatch, segment):
     assert 1 <= len(lists[-1]) <= segment
     _assert_matches_trial_division(95, 420)
     _assert_matches_trial_division(1, 3 * segment + 1)
+    # Each crosses a power of two, where the cofactor cut changes, inside
+    # a segment once the segment is wider than 7.
+    for j in (8, 17, 33):
+        _assert_matches_trial_division(2**j - 5, 2**j + 3)
 
 
 def _theorem1_cases():
@@ -85,6 +104,60 @@ def test_omega_sieve_checks_width_and_root_before_sieving():
     assert info.value.required == math.isqrt(10**12 + 9)
     with pytest.raises(ValueError):
         omega_sieve(IntervalSpec(0, 10))
+
+
+def test_omega_sieve_refuses_a_window_past_its_bit_cap(monkeypatch):
+    # hi - 1 has one bit more than the cap; base primes up to 2^63 would be
+    # sieved for it. The cap refuses it first, after both budget checks pass.
+    def no_sieve(*args):
+        raise AssertionError("sieved the base primes of a window past the cap")
+
+    monkeypatch.setattr(oracle, "_primes", no_sieve)
+    cap = oracle.OMEGA_MAX_BITS
+    window = IntervalSpec(2**cap, 2**cap + 2)
+    with pytest.raises(BudgetExceeded) as info:
+        omega_sieve(window, budget=2**cap)
+    assert str(info.value).startswith(f"omega sieve bits needs {cap + 1} but the budget is {cap}; no flag")
+    with pytest.raises(BudgetExceeded, match="^omega sieve base primes needs "):
+        omega_sieve(window)
+
+
+def _floor_log3(m):
+    k = 0
+    while m >= 3:
+        m, k = m // 3, k + 1
+    return k
+
+
+def _margins(hi, tops_only=False):
+    """(U, L) of omega_sieve's docstring for the pieces [2^j, min(hi, 2^(j+1)))
+    of [1, hi), the widest it reads: a piece inside one of them has no
+    larger U and no smaller L. With tops_only, only the piece that ends at hi."""
+    b = (hi - 1).bit_length()
+    scale, root = 255 // b, math.isqrt(hi - 1)
+    for j in range(b - 1 if tops_only else 0, b):
+        y = min(hi, 2 << j)
+        # bits(x^S) - 1 = S * j at x = 2^j.
+        yield oracle._cut(y, root, scale) - 1, scale * j - _floor_log3(y - 1)
+
+
+def test_omega_sieve_weight_margin_separates_the_cofactor():
+    # Below the top piece, U and L depend on hi only through b and root.
+    seen = set()
+    for hi in range(2, 2**18):
+        key = ((hi - 1).bit_length(), math.isqrt(hi - 1))
+        assert all(u < low for u, low in _margins(hi, tops_only=key in seen)), hi
+        seen.add(key)
+    rng = random.Random(20141)
+    cap = oracle.OMEGA_MAX_BITS
+    his = [hi for b in range(2, cap + 1) for hi in (2 ** (b - 1) + 1, 2**b)]
+    for _ in range(2000):
+        b = rng.randrange(2, cap + 1)
+        his.append(rng.randrange(2 ** (b - 1), 2**b) + 1)
+    for hi in his:
+        assert all(u < low for u, low in _margins(hi)), hi
+    # One bit more and S = 1: the margin fails, so the cap is where it must be.
+    assert any(u >= low for u, low in _margins(2**cap + 1))
 
 
 def _per_value_scan(interval, moduli):

@@ -143,6 +143,29 @@ def test_corollary2_window_uses_the_prime_s_places_after_p_r(monkeypatch):
             assert verify_corollary2(basis, s, 2) == IntervalSpec(q**2, q**3), (r, s)
 
 
+@pytest.mark.parametrize(
+    "argv,windows",
+    [
+        # p_5..p_7 = 11, 13, 17 from one sieve below _prime_bound(7) = 20,
+        # which also gives p_5 for the side condition.
+        (["verify", "corollary2", "--r", "4", "--s", "3", "--n", "1"], [IntervalSpec(8, 20)]),
+        # p_5 = 11 below _prime_bound(5) = 12, then the count below 11^2.
+        (["count", "--r", "4", "--pi-approx"], [IntervalSpec(8, 12), IntervalSpec(1, 121)]),
+    ],
+)
+def test_each_prime_window_is_sieved_once(monkeypatch, capsys, argv, windows):
+    sieved = []
+    primes_in = oracle.primes_in
+
+    def logged(interval, budget=None):
+        sieved.append(interval)
+        return primes_in(interval, budget)
+
+    monkeypatch.setattr(oracle, "primes_in", logged)
+    assert cli.main(argv) == 0
+    assert sieved == windows
+
+
 def test_corollary2_flags_unmet_condition():
     report = verify_corollary2(PrimeBasis.first(1), s=3, n=2)
     assert report.details["condition_met"] is False
