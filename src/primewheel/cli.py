@@ -300,7 +300,12 @@ def cmd_oracle(args) -> int:
     else:
         interval = IntervalSpec(args.lo, args.hi)
         if args.moduli:
-            moduli = [int(q) for q in args.moduli.split(",")]
+            try:
+                moduli = [int(q) for q in args.moduli.split(",")]
+            except ValueError:
+                raise ValueError(
+                    f"--moduli must be comma-separated integers, got {args.moduli!r}"
+                ) from None
             if any(q < 2 for q in moduli):
                 raise ValueError("every modulus must be at least 2")
         else:

@@ -23,7 +23,7 @@ from itertools import accumulate, repeat
 from operator import floordiv, mod, mul, sub
 
 from .diophantine import nth_solution, solve_unit
-from .wheel import CanonicalWheelForm, CoprimeWheelForm, PrimeBasis, _Form, _slot
+from .wheel import CanonicalWheelForm, CoprimeWheelForm, PrimeBasis, _Form
 
 
 class RawWheelForm(_Form):
@@ -65,10 +65,6 @@ class RawWheelForm(_Form):
     @cached_property
     def free_indices(self) -> tuple[int, ...]:
         return tuple(range(2, self.basis.r + 1))
-
-    def representative(self, j: int) -> tuple[int, int]:
-        """The stored (x'_j, t'_j) pair."""
-        return self.solutions[_slot(j, self.free_indices)]
 
     def residue_axes(self) -> tuple[tuple[int, int, int], ...]:
         """Refused: only an idempotent form has residue axes."""

@@ -6,14 +6,13 @@ checking. Claims are addressed by short stable ids (theorem1, corollary2,
 identity25, identity26) which also name the CLI verify subcommands.
 Modules that only one claim needs are imported when it runs: forms (the
 raw form) by check_identity26 and fractions by pi_approx, so the window
-claims compile neither.
+claims compile neither, and heapq only by a window report that fails.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from operator import le
 
 from . import oracle
 from ._record import Record, fresh
@@ -133,88 +132,80 @@ def _interval_report(
     With gate_all False only (a) decides the verdict and (b)/(c) are
     reported informationally.
 
-    The report merges two ascending streams, the enumeration grouped by
-    segment of oracle.OMEGA_SEGMENT integers and the oracle's segments:
-    each segment's values are compared with its striking scan and, for
-    n = 1, its primes, the m whose Omega is 1, as lists and only on a
-    mismatch as sets, and their Omega is read from its Omega sieve. Only
-    counts and the capped counterexamples are kept (missing and extra as
-    their ten smallest distinct values), so a passing report walks the
-    enumeration once in segment-sized memory. The merge stops at the
-    first value off the window or below an earlier window value, which
-    correct code never gives; only then is the enumeration held, walked
-    once more into a list whose sorted window values go through the same
-    merge. Values off the window are extra for (a) and (c), Omega comes
-    by trial division in enumeration order, and out_of_order lists the
-    first ten distinct window values enumerated after a larger one. Any
-    other failing report walks the enumeration a second time to count
-    witnesses_pass, the values that are none of the counterexamples.
-    Budgets are checked before the first value is enumerated: the scan
-    width, then the Omega sieve's width and base primes.
+    A correct enumeration is the scan, in order, so the report reads it
+    one segment of oracle.OMEGA_SEGMENT integers at a time: as many values
+    as the segment's striking scan holds must equal that scan as a list,
+    and the enumeration must end with the last segment. Their Omega is
+    read from the segment's Omega sieve, and for n = 1 the run must be the
+    segment's primes, the m whose Omega is 1. So a passing report walks
+    the enumeration once, in segment-sized memory.
+
+    At the first mismatch the enumeration is held as one list and compared
+    with the whole window as sets: missing, extra and the n = 1 prime
+    faults are their ten smallest distinct values, Omega comes from the
+    window's Omega sieve (by trial division only for values off the
+    window), and out_of_order lists the first ten distinct window values
+    enumerated after a larger one. Any failing report walks the
+    enumeration a second time to count witnesses_pass, the values that
+    are none of the counterexamples, unless it already holds it. Budgets
+    are checked before the first value is enumerated: the scan width,
+    then the Omega sieve's width, base primes and bits.
     """
     check_budget(interval.width, budget, "coprime scan")
     form = build_canonical(basis)
-    lo, hi, size = interval.lo, interval.hi, oracle.OMEGA_SEGMENT
-
-    def merge(values, omegas) -> tuple | None:
-        """The capped fault lists and the count of ascending window values,
-        or None at the first other value."""
-        # Each fault list that is not empty fails its subcheck.
-        missing: list[int] = []  # in the scan but never enumerated, ascending
-        extra: list[int] = []  # enumerated but not in the scan, ascending
-        pe_missing: list[int] = []  # n = 1: primes never enumerated
-        pe_extra: list[int] = []  # n = 1: enumerated but not prime
-        omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
-        segments = zip(itertools.count(), range(lo, hi, size), omegas)
-
-        def close(seg_lo, seg_omegas, run) -> None:
-            seg = IntervalSpec(seg_lo, min(seg_lo + size, hi))
-            checks = [(oracle.coprime_scan(seg, basis, budget), missing, extra)]
-            if n == 1:  # the primes are the m whose Omega is 1
-                primes = itertools.compress(range(seg.lo, seg.hi), map((1).__eq__, seg_omegas))
-                checks.append((list(primes), pe_missing, pe_extra))
-            for want, lost, unwanted in checks:
-                if run != want:
-                    _keep_smallest(lost, set(want).difference(run))
-                    _keep_smallest(unwanted, set(run).difference(want))
-
-        checked, top = 0, lo
-        for key, run in itertools.groupby(values, lambda v: (v - lo) // size):
-            run = list(run)
-            # Ascending from top and below hi, so all of it lies in segment `key`.
-            if run[0] < top or run[-1] >= hi or not all(map(le, run, run[1:])):
-                return None
-            checked, top = checked + len(run), run[-1]
-            for index, seg_lo, seg_omegas in segments:
-                close(seg_lo, seg_omegas, run if index == key else [])
-                if index == key:
-                    break
-            if len(omega_bad) < COUNTEREXAMPLE_CAP:
-                oms = list(map(seg_omegas.__getitem__, map((-seg_lo).__add__, run)))
-                if min(oms) < 1 or max(oms) > n:
-                    bad = ((v, om) for v, om in zip(run, oms) if not 1 <= om <= n)
-                    omega_bad += itertools.islice(bad, COUNTEREXAMPLE_CAP - len(omega_bad))
-        for _, seg_lo, seg_omegas in segments:
-            close(seg_lo, seg_omegas, [])
-        return missing, extra, pe_missing, pe_extra, omega_bad, checked
-
-    merged = merge(enumerate_interval(form, interval), oracle.omega_sieve(interval, budget))
-    held, disorder = None, []  # window values enumerated after a larger one
-    if merged is None:
-        held = list(enumerate_interval(form, interval))
-        window = [v for v in held if lo <= v < hi]
-        omegas = oracle.omega_sieve(interval, budget)  # read for the n = 1 primes
-        missing, extra, pe_missing, pe_extra, _, _ = merge(sorted(window), omegas)
-        off = [v for v in held if not lo <= v < hi]
-        _keep_smallest(extra, off)
-        _keep_smallest(pe_extra, off)  # read only when n = 1
-        bad = ((v, om) for v in held for om in [oracle.omega(v)] if not 1 <= om <= n)
-        omega_bad = list(itertools.islice(bad, COUNTEREXAMPLE_CAP))
-        stepped_back = (v for v, top in zip(window, itertools.accumulate(window, max)) if v < top)
-        disorder = list(dict.fromkeys(stepped_back))[:COUNTEREXAMPLE_CAP]
-        checked = len(held)
+    lo, hi, size, cap = interval.lo, interval.hi, oracle.OMEGA_SEGMENT, COUNTEREXAMPLE_CAP
+    # Each fault list that is not empty fails its subcheck.
+    missing: list[int] = []  # in the scan but never enumerated, ascending
+    extra: list[int] = []  # enumerated but not in the scan, ascending
+    disorder: list[int] = []  # window values enumerated after a larger one
+    pe_missing: list[int] = []  # n = 1: primes never enumerated, ascending
+    pe_extra: list[int] = []  # n = 1: enumerated but not prime, ascending
+    omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
+    checked, held, faulty = 0, None, True
+    stream = enumerate_interval(form, interval)
+    for seg_lo, seg_omegas in zip(range(lo, hi, size), oracle.omega_sieve(interval, budget)):
+        seg_hi = seg_lo + len(seg_omegas)
+        run = oracle.coprime_scan(IntervalSpec(seg_lo, seg_hi), basis, budget)
+        if list(itertools.islice(stream, len(run))) != run:
+            break
+        checked += len(run)
+        oms = list(map(seg_omegas.__getitem__, map((-seg_lo).__add__, run)))
+        fits = not run or (min(oms) >= 1 and max(oms) <= n)
+        if not fits and len(omega_bad) < cap:
+            bad = ((v, om) for v, om in zip(run, oms) if not 1 <= om <= n)
+            omega_bad += itertools.islice(bad, cap - len(omega_bad))
+        # For n = 1 the run is the primes when all of it fits and no other m has Omega 1.
+        if n == 1 and not (fits and seg_omegas.count(1) == len(run)):
+            primes = set(itertools.compress(range(seg_lo, seg_hi), map((1).__eq__, seg_omegas)))
+            _keep_smallest(pe_missing, primes.difference(run))
+            _keep_smallest(pe_extra, set(run).difference(primes))
     else:
-        missing, extra, pe_missing, pe_extra, omega_bad, checked = merged
+        faulty = next(stream, None) is not None
+
+    if faulty:
+        import heapq  # here, so no passing report loads it
+
+        held = list(enumerate_interval(form, interval))
+        checked = len(held)
+        window = [v for v in held if lo <= v < hi]
+        stepped_back = (v for v, top in zip(window, itertools.accumulate(window, max)) if v < top)
+        disorder = list(dict.fromkeys(stepped_back))[:cap]
+        del window
+        omegas = b"".join(map(bytes, oracle.omega_sieve(interval, budget)))
+        oms = (omegas[v - lo] if lo <= v < hi else oracle.omega(v) for v in held)
+        bad = ((v, om) for v, om in zip(held, oms) if not 1 <= om <= n)
+        omega_bad = list(itertools.islice(bad, cap))
+        got = set(held)
+        if n == 1:  # the primes are the m whose Omega is 1
+            primes = itertools.compress(range(lo, hi), map((1).__eq__, omegas))
+            pe_missing = list(itertools.islice((m for m in primes if m not in got), cap))
+            not_prime = (v for v in got if not (lo <= v < hi and omegas[v - lo] == 1))
+            pe_extra = heapq.nsmallest(cap, not_prime)
+        for seg_lo in range(lo, hi, size):
+            run = oracle.coprime_scan(IntervalSpec(seg_lo, min(seg_lo + size, hi)), basis, budget)
+            missing += itertools.islice((m for m in run if m not in got), cap - len(missing))
+            got.difference_update(run)
+        extra = heapq.nsmallest(cap, got)  # got now holds only the values off the scan
 
     details = dict(extra_details)
     found = [(m, "in the oracle scan but never enumerated") for m in missing]

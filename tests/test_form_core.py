@@ -150,7 +150,6 @@ def _out_of_range_cases():
     basis = PrimeBasis.first(3)
     raw = build_raw(basis)
     yield "raw coeff", raw.coeff, (0, 1, 4, -1), "2..3"
-    yield "raw representative", raw.representative, (0, 1, 4, -1), "2..3"
     yield "canonical", build_canonical(basis).coeff, (0, 1, 4, -1), "2..3"
     yield "pinned", build_coprime_wheel([4, 9, 5], h1=2).coeff, (0, 1, 4, -1), "2..3"
     yield "free", build_coprime_wheel([4, 9, 5]).coeff, (0, 4, -1), "1..3"

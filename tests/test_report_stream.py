@@ -142,12 +142,70 @@ FAULTS = {
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @pytest.mark.parametrize("r,n,shift", WINDOWS)
 def test_streamed_report_equals_whole_window_report(monkeypatch, fault, r, n, shift):
-    _check(monkeypatch, r, n, shift, FAULTS[fault])
+    for segment in (oracle.OMEGA_SEGMENT, 1, 3):
+        monkeypatch.setattr(oracle, "OMEGA_SEGMENT", segment)
+        _check(monkeypatch, r, n, shift, FAULTS[fault])
 
 
 def test_fault_free_stream_passes(monkeypatch):
     report = _check(monkeypatch, 3, 2, 1, FAULTS["none"])
     assert report.verdict == "pass"
+
+
+def _watch_oracle(monkeypatch):
+    """Record the widths coprime_scan is asked for, the enumerations made
+    and the values factored by trial division."""
+    seen = {"scan_widths": [], "enumerations": 0, "omega": []}
+    scan, enumerate_interval, omega = oracle.coprime_scan, theorems.enumerate_interval, oracle.omega
+
+    def watched_scan(interval, basis, budget=None):
+        seen["scan_widths"].append(interval.width)
+        return scan(interval, basis, budget)
+
+    def watched_enumeration(form, spec):
+        seen["enumerations"] += 1
+        return enumerate_interval(form, spec)
+
+    def watched_omega(m):
+        seen["omega"].append(m)
+        return omega(m)
+
+    monkeypatch.setattr(oracle, "coprime_scan", watched_scan)
+    monkeypatch.setattr(theorems, "enumerate_interval", watched_enumeration)
+    monkeypatch.setattr(oracle, "omega", watched_omega)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "check, omega_pass",
+    [
+        (lambda basis: theorems.verify_theorem1(basis, 2), True),
+        # Both fail the factor count, and n = 1 the prime equality, informationally.
+        (lambda basis: theorems.verify_corollary2(basis, 2, 1), False),
+        (lambda basis: theorems.verify_corollary2(basis, 2, 2), False),
+    ],
+    ids=["theorem1 r=3 n=2", "corollary2 r=3 s=2 n=1", "corollary2 r=3 s=2 n=2"],
+)
+def test_passing_report_streams(monkeypatch, check, omega_pass):
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
+    seen = _watch_oracle(monkeypatch)
+    report = check(PrimeBasis.first(3))
+    assert report.verdict == "pass" and report.details["set_equality"]["pass"]
+    assert report.details["omega_bound"]["pass"] is omega_pass
+    assert seen["scan_widths"] and max(seen["scan_widths"]) <= oracle.OMEGA_SEGMENT
+    assert seen["enumerations"] == 1
+    assert seen["omega"] == []
+
+
+def test_stepped_back_window_values_are_not_trial_divided(monkeypatch):
+    basis = PrimeBasis.first(3)
+    interval = _window(3, 2, 1)
+    scan = oracle.coprime_scan(interval, basis)
+    stream = scan[:5] + [scan[6], scan[5]] + scan[7:] + [scan[0]]
+    seen = _watch_oracle(monkeypatch)
+    report = _streamed(monkeypatch, basis, interval, 2, True, stream)
+    assert report.details["set_equality"]["out_of_order"] == [str(scan[5]), str(scan[0])]
+    assert seen["omega"] == []
 
 
 def test_witnesses_pass_counts_duplicated_counterexamples(monkeypatch):
