@@ -295,7 +295,7 @@ def cmd_oracle(args) -> int:
             )
         )
     elif args.probe == "primes":
-        primes = oracle.primes_in(IntervalSpec(args.lo, args.hi), budget=budget)
+        primes = oracle.prime_stream(IntervalSpec(args.lo, args.hi), budget)
         write_rows("text", ("p",), _chunks(primes))
     else:
         interval = IntervalSpec(args.lo, args.hi)
@@ -310,7 +310,7 @@ def cmd_oracle(args) -> int:
                 raise ValueError("every modulus must be at least 2")
         else:
             moduli = PrimeBasis.first(args.r).primes
-        write_rows("text", ("m",), _chunks(oracle.coprime_scan(interval, moduli, budget=budget)))
+        write_rows("text", ("m",), _chunks(oracle.coprime_stream(interval, moduli, budget)))
     return 0
 
 

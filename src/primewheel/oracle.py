@@ -6,10 +6,10 @@ to check: nothing is imported from `wheel` or `enumeration` beyond
 IntervalSpec. Two sieves strike multiples out of a window one segment
 at a time (Bays & Hudson 1977):
 
-- _strike keeps the integers divisible by no given modulus. It serves
-  coprime_scan and rough_sieve, one implementation under two names, and
-  primes_in, whose moduli are the primes up to the square root of hi,
-  found by the same scan on [2, sqrt(hi - 1)] and put back in front;
+- _strike yields the integers divisible by no given modulus, a list per
+  segment, to coprime_stream, rough_sieve and prime_stream, whose moduli
+  are the primes up to sqrt(hi - 1), found by the same scan on [2,
+  sqrt(hi - 1)] and put back in front; coprime_scan and primes_in list them;
 - omega_sieve gives Omega(m), the prime factors of m counted with
   multiplicity, for every m: each prime power p^k strikes its multiples,
   which gain one factor and a byte-wide log weight of p, and m's weight
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import compress
+from itertools import chain, compress
 
 from ._record import Record
 from .enumeration import IntervalSpec
@@ -103,8 +103,13 @@ def coprime_scan(interval: IntervalSpec, basis, budget: int | None = None) -> li
 
     `basis` may be a PrimeBasis or any sequence of moduli.
     """
+    return list(coprime_stream(interval, basis, budget))
+
+
+def coprime_stream(interval: IntervalSpec, moduli, budget: int | None = None) -> Iterator[int]:
+    """coprime_scan's values, one striking segment at a time; the budget is checked on the call."""
     check_budget(interval.width, budget, "coprime scan")
-    return _strike(interval.lo, interval.hi, tuple(basis))
+    return chain.from_iterable(_strike(interval.lo, interval.hi, tuple(moduli)))
 
 
 def rough_sieve(interval: IntervalSpec, basis, budget: int | None = None) -> list[int]:
@@ -114,12 +119,11 @@ def rough_sieve(interval: IntervalSpec, basis, budget: int | None = None) -> lis
     benchmarked against.
     """
     check_budget(interval.width, budget, "rough sieve")
-    return _strike(interval.lo, interval.hi, tuple(basis))
+    return list(chain.from_iterable(_strike(interval.lo, interval.hi, tuple(basis))))
 
 
-def _strike(lo: int, hi: int, moduli: tuple[int, ...]) -> list[int]:
-    """Each modulus strikes its multiples out of [lo, hi), _SEGMENT integers at a time."""
-    out = []
+def _strike(lo: int, hi: int, moduli: tuple[int, ...]) -> Iterator[list[int]]:
+    """Each modulus strikes its multiples out of [lo, hi); one list per _SEGMENT integers."""
     for seg_lo in range(lo, hi, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT, hi)
         flags = bytearray(b"\x01") * (seg_hi - seg_lo)
@@ -127,8 +131,7 @@ def _strike(lo: int, hi: int, moduli: tuple[int, ...]) -> list[int]:
             start = ((seg_lo + q - 1) // q) * q
             if start < seg_hi:
                 flags[start - seg_lo :: q] = bytes(len(range(start, seg_hi, q)))
-        out.extend(compress(range(seg_lo, seg_hi), flags))
-    return out
+        yield list(compress(range(seg_lo, seg_hi), flags))
 
 
 def primes_in(interval: IntervalSpec, budget: int | None = None) -> list[int]:
@@ -138,16 +141,21 @@ def primes_in(interval: IntervalSpec, budget: int | None = None) -> list[int]:
     [2, sqrt(hi - 1) + 1); they strike every multiple, themselves
     included, so those in [lo, hi) are put back in front.
     """
+    return list(prime_stream(interval, budget))
+
+
+def prime_stream(interval: IntervalSpec, budget: int | None = None) -> Iterator[int]:
+    """primes_in's values, one striking segment at a time; the budget is checked on the call."""
     check_budget(interval.hi, budget, "prime sieve")
     return _primes(interval.lo, interval.hi)
 
 
-def _primes(lo: int, hi: int) -> list[int]:
-    """primes_in without the budget check. Every base prime is at most
+def _primes(lo: int, hi: int) -> Iterator[int]:
+    """prime_stream without the budget check. Every base prime is at most
     sqrt(hi - 1) < hi; the recursion stops once that root is below 2."""
     root = math.isqrt(hi - 1)
     base = tuple(_primes(2, root + 1)) if root >= 2 else ()
-    return [*base[bisect_left(base, lo) :], *_strike(max(lo, 2), hi, base)]
+    return chain.from_iterable(chain([base[bisect_left(base, lo) :]], _strike(max(lo, 2), hi, base)))
 
 
 def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[list[int]]:
@@ -186,7 +194,7 @@ def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[l
     check_budget(root, budget, "omega sieve base primes")
     remedy = "no flag or environment variable raises this fixed limit, so use a smaller window"
     check_budget((interval.hi - 1).bit_length(), OMEGA_MAX_BITS, "omega sieve bits", remedy)
-    return _omega_segments(interval, root, _primes(2, root + 1))
+    return _omega_segments(interval, root, list(_primes(2, root + 1)))
 
 
 def _cut(y: int, root: int, scale: int) -> int:

@@ -6,13 +6,14 @@ checking. Claims are addressed by short stable ids (theorem1, corollary2,
 identity25, identity26) which also name the CLI verify subcommands.
 Modules that only one claim needs are imported when it runs: forms (the
 raw form) by check_identity26 and fractions by pi_approx, so the window
-claims compile neither, and heapq only by a window report that fails.
+claims compile neither.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from . import oracle
 from ._record import Record, fresh
@@ -110,9 +111,14 @@ def _claim_window(basis: PrimeBasis, n: int, budget: int | None, s: int) -> tupl
     return primes[0], IntervalSpec(low, low * p)
 
 
-def _keep_smallest(capped: list, values) -> None:
-    """Set `capped` to the smallest distinct values of it and `values`, ascending, up to the cap."""
-    capped[:] = sorted({*capped, *values})[:COUNTEREXAMPLE_CAP]
+def _differ(missing: list, extra: list, want, got) -> list[int]:
+    """Add want's values not in got to `missing` and got's not in want to `extra`, up to
+    the cap; return got as a list. Called segment by segment, it adds the largest values."""
+    want, got = list(want), list(got)
+    if want != got:
+        missing += sorted(set(want).difference(got))[: COUNTEREXAMPLE_CAP - len(missing)]
+        extra += sorted(set(got).difference(want))[: COUNTEREXAMPLE_CAP - len(extra)]
+    return got
 
 
 def _interval_report(
@@ -137,19 +143,10 @@ def _interval_report(
     as the segment's striking scan holds must equal that scan as a list,
     and the enumeration must end with the last segment. Their Omega is
     read from the segment's Omega sieve, and for n = 1 the run must be the
-    segment's primes, the m whose Omega is 1. So a passing report walks
-    the enumeration once, in segment-sized memory.
-
-    At the first mismatch the enumeration is held as one list and compared
-    with the whole window as sets: missing, extra and the n = 1 prime
-    faults are their ten smallest distinct values, Omega comes from the
-    window's Omega sieve (by trial division only for values off the
-    window), and out_of_order lists the first ten distinct window values
-    enumerated after a larger one. Any failing report walks the
-    enumeration a second time to count witnesses_pass, the values that
-    are none of the counterexamples, unless it already holds it. Budgets
-    are checked before the first value is enumerated: the scan width,
-    then the Omega sieve's width, base primes and bits.
+    segment's primes, the m whose Omega is 1. So a passing report walks the
+    enumeration once, in segment-sized memory; at a mismatch, or a fault that
+    decides the verdict, _recount walks it again. Budgets are checked before
+    the first value: the scan width, then the Omega sieve's width, base primes and bits.
     """
     check_budget(interval.width, budget, "coprime scan")
     form = build_canonical(basis)
@@ -161,7 +158,7 @@ def _interval_report(
     pe_missing: list[int] = []  # n = 1: primes never enumerated, ascending
     pe_extra: list[int] = []  # n = 1: enumerated but not prime, ascending
     omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
-    checked, held, faulty = 0, None, True
+    checked, faulty, copies_of = 0, True, {}  # _recount finds the counterexamples and fills it
     stream = enumerate_interval(form, interval)
     for seg_lo, seg_omegas in zip(range(lo, hi, size), oracle.omega_sieve(interval, budget)):
         seg_hi = seg_lo + len(seg_omegas)
@@ -176,36 +173,14 @@ def _interval_report(
             omega_bad += itertools.islice(bad, cap - len(omega_bad))
         # For n = 1 the run is the primes when all of it fits and no other m has Omega 1.
         if n == 1 and not (fits and seg_omegas.count(1) == len(run)):
-            primes = set(itertools.compress(range(seg_lo, seg_hi), map((1).__eq__, seg_omegas)))
-            _keep_smallest(pe_missing, primes.difference(run))
-            _keep_smallest(pe_extra, set(run).difference(primes))
+            primes = itertools.compress(range(seg_lo, seg_hi), map((1).__eq__, seg_omegas))
+            _differ(pe_missing, pe_extra, primes, run)
     else:
         faulty = next(stream, None) is not None
 
-    if faulty:
-        import heapq  # here, so no passing report loads it
-
-        held = list(enumerate_interval(form, interval))
-        checked = len(held)
-        window = [v for v in held if lo <= v < hi]
-        stepped_back = (v for v, top in zip(window, itertools.accumulate(window, max)) if v < top)
-        disorder = list(dict.fromkeys(stepped_back))[:cap]
-        del window
-        omegas = b"".join(map(bytes, oracle.omega_sieve(interval, budget)))
-        oms = (omegas[v - lo] if lo <= v < hi else oracle.omega(v) for v in held)
-        bad = ((v, om) for v, om in zip(held, oms) if not 1 <= om <= n)
-        omega_bad = list(itertools.islice(bad, cap))
-        got = set(held)
-        if n == 1:  # the primes are the m whose Omega is 1
-            primes = itertools.compress(range(lo, hi), map((1).__eq__, omegas))
-            pe_missing = list(itertools.islice((m for m in primes if m not in got), cap))
-            not_prime = (v for v in got if not (lo <= v < hi and omegas[v - lo] == 1))
-            pe_extra = heapq.nsmallest(cap, not_prime)
-        for seg_lo in range(lo, hi, size):
-            run = oracle.coprime_scan(IntervalSpec(seg_lo, min(seg_lo + size, hi)), basis, budget)
-            missing += itertools.islice((m for m in run if m not in got), cap - len(missing))
-            got.difference_update(run)
-        extra = heapq.nsmallest(cap, got)  # got now holds only the values off the scan
+    if faulty or (gate_all and (omega_bad or pe_missing or pe_extra)):
+        checked, copies_of, faults = _recount(form, basis, interval, n, budget)
+        missing, extra, disorder, omega_bad, pe_missing, pe_extra = faults
 
     details = dict(extra_details)
     found = [(m, "in the oracle scan but never enumerated") for m in missing]
@@ -237,11 +212,7 @@ def _interval_report(
             found += [(m, "prime in the window but never enumerated") for m in pe_missing]
             found += [(m, "enumerated in the n = 1 window but not prime") for m in pe_extra]
 
-    witnesses_pass = checked
-    if found:
-        bad_values = {m for m, _ in found}
-        stream = enumerate_interval(form, interval) if held is None else held
-        witnesses_pass -= sum(v in bad_values for v in stream)
+    witnesses_pass = checked - sum(copies_of[m] for m in {m for m, _ in found})
     return VerificationReport(
         claim=claim,
         verdict="pass" if not found and checked > 0 else "fail",
@@ -251,6 +222,46 @@ def _interval_report(
         counterexamples=tuple(itertools.starmap(Counterexample, found)),
         details=details,
     )
+
+
+def _recount(form, basis: PrimeBasis, interval: IntervalSpec, n: int, budget: int | None) -> tuple:
+    """Walk the enumeration again, keeping two bytes per window integer (its Omega and copies,
+    past 255 in a Counter) and a count per value off the window. Returns checked, the
+    copies of each value a fault names, and _interval_report's six fault lists in its order."""
+    lo, hi, size, cap = interval.lo, interval.hi, oracle.OMEGA_SEGMENT, COUNTEREXAMPLE_CAP
+    missing, extra, disorder, omega_bad, pe_missing, pe_extra = [], [], [], [], [], []
+    omegas = b"".join(map(bytes, oracle.omega_sieve(interval, budget)))
+    copies, more, off, top = bytearray(hi - lo), Counter(), Counter(), lo
+    for v in enumerate_interval(form, interval):
+        if lo <= v < hi:
+            i = v - lo
+            try:
+                copies[i] += 1
+            except ValueError:  # the byte holds 255 copies
+                more[v] += 1
+            if v >= top:
+                top = v
+            elif len(disorder) < cap and v not in disorder:
+                disorder.append(v)
+            om = omegas[i]
+        else:
+            off[v] += 1
+            om = oracle.omega(v) if len(omega_bad) < cap else 1
+        if not 1 <= om <= n and len(omega_bad) < cap:
+            omega_bad.append((v, om))
+    for at in range(0, hi - lo, size):
+        seg = range(lo + at, min(lo + at + size, hi))
+        run = oracle.coprime_scan(IntervalSpec(seg.start, seg.stop), basis, budget)
+        got = _differ(missing, extra, run, itertools.compress(seg, copies[at : at + size]))
+        if n == 1:
+            primes = itertools.compress(seg, map((1).__eq__, omegas[at : at + size]))
+            _differ(pe_missing, pe_extra, primes, got)
+    # Every value off the window is extra for both the scan and the primes.
+    extra, pe_extra = sorted([*extra, *off])[:cap], sorted([*pe_extra, *off])[:cap]
+    named = set().union(missing, extra, disorder, pe_missing, pe_extra, (v for v, _ in omega_bad))
+    copies_of = {v: copies[v - lo] + more[v] if lo <= v < hi else off[v] for v in named}
+    checked = sum(copies) + more.total() + off.total()
+    return checked, copies_of, (missing, extra, disorder, omega_bad, pe_missing, pe_extra)
 
 
 def verify_theorem1(basis: PrimeBasis, n: int, budget: int | None = None) -> VerificationReport:
@@ -331,7 +342,8 @@ def compare_pi(basis: PrimeBasis, budget: int | None = None) -> tuple[Fraction, 
     and rel_error = |approx - exact| / exact. The sieve's budget is checked
     before the density formula takes its products over the basis."""
     (p,) = _primes_after(basis, 1, budget)
-    exact = len(oracle.primes_in(IntervalSpec(1, p * p), budget=budget))
+    primes = oracle.prime_stream(IntervalSpec(1, p * p), budget)  # counted a chunk at a time
+    exact = sum(map(len, iter(lambda: list(itertools.islice(primes, 4096)), [])))
     approx = _density_estimate(basis, p)
     return approx, exact, abs(approx - exact) / exact
 

@@ -99,8 +99,16 @@ def _window(r, n, shift):
 
 
 def _streamed(monkeypatch, basis, interval, n, gate_all, stream):
-    monkeypatch.setattr(theorems, "enumerate_interval", lambda form, spec: iter(list(stream)))
-    return theorems._interval_report("claim", basis, interval, n, gate_all, None, {"tag": 1})
+    walks = []
+
+    def replay(form, spec):
+        walks.append(spec)
+        return iter(list(stream))
+
+    monkeypatch.setattr(theorems, "enumerate_interval", replay)
+    report = theorems._interval_report("claim", basis, interval, n, gate_all, None, {"tag": 1})
+    assert len(walks) <= 2, (len(walks), report.verdict)
+    return report
 
 
 def _check_interval(monkeypatch, basis, interval, n, fault):
@@ -124,11 +132,27 @@ def _first_with_factors_above(n, window):
     return next(m for m in range(window.lo, window.hi) if oracle.omega(m) > n)
 
 
+def _even(window):
+    return window.lo + 1 if window.lo % 2 else window.lo
+
+
+def _off_window_repeat(values, window):
+    # 2^k >= 2 * hi has k > 3 >= n prime factors. It is enumerated first and
+    # again after ten smaller values off the window, so it is an Omega fault
+    # but not one of the ten smallest extra values: both copies still leave
+    # witnesses_pass.
+    big = 1 << (window.hi.bit_length() + 1)
+    return [big] + values + list(range(window.hi, window.hi + 10)) + [big]
+
+
 FAULTS = {
     "none": lambda v, w: v,
     "missing": lambda v, w: v[:2] + v[3:],
     "missing_first_and_last": lambda v, w: v[1:-1],
-    "extra_even": lambda v, w: _insert(v, w.lo + 1 if w.lo % 2 else w.lo),
+    "extra_even": lambda v, w: _insert(v, _even(w)),
+    # More copies of one window value than a byte counts.
+    "extra_even_300_times": lambda v, w: _insert(v, *[_even(w)] * 300),
+    "off_window_repeat": _off_window_repeat,
     "too_many_factors": lambda v, w: _insert(v, _first_with_factors_above(3, w)),
     "duplicate": lambda v, w: v[:4] + [v[4]] + v[4:],
     "duplicate_last": lambda v, w: v + [v[-1], v[-1]],

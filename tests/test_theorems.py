@@ -155,13 +155,13 @@ def test_corollary2_window_uses_the_prime_s_places_after_p_r(monkeypatch):
 )
 def test_each_prime_window_is_sieved_once(monkeypatch, capsys, argv, windows):
     sieved = []
-    primes_in = oracle.primes_in
+    prime_stream = oracle.prime_stream  # primes_in is its list
 
     def logged(interval, budget=None):
         sieved.append(interval)
-        return primes_in(interval, budget)
+        return prime_stream(interval, budget)
 
-    monkeypatch.setattr(oracle, "primes_in", logged)
+    monkeypatch.setattr(oracle, "prime_stream", logged)
     assert cli.main(argv) == 0
     assert sieved == windows
 
