@@ -4,17 +4,20 @@ Everything here is deliberately elementary so it can be audited at a
 glance, and it shares no machinery with the wheel construction it is used
 to check: nothing is imported from `wheel` or `enumeration` beyond
 IntervalSpec. Two sieves strike multiples out of a window one segment
-at a time (Bays & Hudson 1977):
+at a time (Bays & Hudson 1977), each into a bytearray of flags or counts:
 
-- _strike yields the integers divisible by no given modulus, a list per
-  segment, to coprime_stream, rough_sieve and prime_stream, whose moduli
-  are the primes up to sqrt(hi - 1), found by the same scan on [2,
+- _strike yields, per segment, the flags of the integers divisible by no
+  given modulus. coprime_stream, rough_sieve and prime_stream compress
+  them into values, and prime_count counts them. The primes' moduli are
+  the primes up to sqrt(hi - 1), found by the same scan on [2,
   sqrt(hi - 1)] and put back in front; coprime_scan and primes_in list them;
-- omega_sieve gives Omega(m), the prime factors of m counted with
-  multiplicity, for every m: each prime power p^k strikes its multiples,
-  which gain one factor and a byte-wide log weight of p, and m's weight
-  sum tells whether a prime above sqrt(hi - 1), one more factor, divides
-  it. Its base primes come from primes_in's scan too.
+- sieve_segments gives, per segment, the same flags for given moduli and
+  Omega(m), the prime factors of m counted with multiplicity, for every
+  m, in one walk: each modulus strikes its multiples' flags, and each
+  prime power p^k strikes its multiples, which gain one factor and a
+  byte-wide log weight of p; m's weight sum tells whether a prime above
+  sqrt(hi - 1), one more factor, divides it. Its base primes come from
+  primes_in's scan too, and omega_sieve yields its Omega bytes alone.
 
 factor_profile is the per-value trial division, kept as the single-value
 probe. Every scan is guarded by a budget (default ten million, checked by
@@ -27,18 +30,24 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import chain, compress
+from itertools import chain, compress, starmap
 
 from ._record import Record
 from .enumeration import IntervalSpec
 from .errors import check_budget
 
 _SEGMENT = 1 << 20
-# Integers per omega_sieve segment. The segment sets the sieve's memory
-# (two bytearrays and the list it yields): at 2^14 `verify theorem1 --r 5
-# --n 4` peaks at 17.3 MB RSS and `--r 400 --n 1` at 17.8 MB, against 17.4
-# and 17.6 MB with a Python int per integer at 2^12.
+# Integers per sieve_segments segment for every 64 base primes, at least
+# once. The segment sets the sieve's memory (four bytearrays and the bytes
+# it yields); each base prime costs a fixed time per segment, so segments
+# grow only where there are many. Every window with under 128 base primes
+# takes 2^14: `verify theorem1 --r 5 --n 4` peaks at 15.5 MB RSS, and at
+# 2^16 at 16.5 MB.
 OMEGA_SEGMENT = 1 << 14
+# The largest segment, taken from 1,024 base primes up. `verify theorem1
+# --r 1000 --n 1 --budget 100000000` (245,760 per segment) peaks at 22.5 MB
+# RSS, and `--r 2000` (at this cap) at 23.1 MB.
+OMEGA_SEGMENT_MAX = 1 << 18
 # omega_sieve refuses a window whose hi - 1 has more bits: its log weights
 # would have scale 1, too coarse to tell a cofactor above sqrt(hi - 1), and
 # its base primes would reach 2^63, which no run sieves.
@@ -109,7 +118,7 @@ def coprime_scan(interval: IntervalSpec, basis, budget: int | None = None) -> li
 def coprime_stream(interval: IntervalSpec, moduli, budget: int | None = None) -> Iterator[int]:
     """coprime_scan's values, one striking segment at a time; the budget is checked on the call."""
     check_budget(interval.width, budget, "coprime scan")
-    return chain.from_iterable(_strike(interval.lo, interval.hi, tuple(moduli)))
+    return _values(_strike(interval.lo, interval.hi, tuple(moduli), _SEGMENT))
 
 
 def rough_sieve(interval: IntervalSpec, basis, budget: int | None = None) -> list[int]:
@@ -119,19 +128,26 @@ def rough_sieve(interval: IntervalSpec, basis, budget: int | None = None) -> lis
     benchmarked against.
     """
     check_budget(interval.width, budget, "rough sieve")
-    return list(chain.from_iterable(_strike(interval.lo, interval.hi, tuple(basis))))
+    return list(_values(_strike(interval.lo, interval.hi, tuple(basis), _SEGMENT)))
 
 
-def _strike(lo: int, hi: int, moduli: tuple[int, ...]) -> Iterator[list[int]]:
-    """Each modulus strikes its multiples out of [lo, hi); one list per _SEGMENT integers."""
-    for seg_lo in range(lo, hi, _SEGMENT):
-        seg_hi = min(seg_lo + _SEGMENT, hi)
-        flags = bytearray(b"\x01") * (seg_hi - seg_lo)
+def _strike(
+    lo: int, hi: int, moduli: tuple[int, ...], size: int
+) -> Iterator[tuple[range, bytearray]]:
+    """Each modulus strikes its multiples out of [lo, hi): per size integers,
+    their range and flags, 1 for the integers no modulus divides."""
+    for seg_lo in range(lo, hi, size):
+        seg = range(seg_lo, min(seg_lo + size, hi))
+        flags = bytearray(b"\x01") * len(seg)
         for q in moduli:
-            start = ((seg_lo + q - 1) // q) * q
-            if start < seg_hi:
-                flags[start - seg_lo :: q] = bytes(len(range(start, seg_hi, q)))
-        yield list(compress(range(seg_lo, seg_hi), flags))
+            start = -seg_lo % q
+            flags[start::q] = bytes(len(range(start, len(seg), q)))
+        yield seg, flags
+
+
+def _values(segments: Iterator[tuple[range, bytearray]]) -> Iterator[int]:
+    """The flagged integers of _strike's segments, in order."""
+    return chain.from_iterable(starmap(compress, segments))
 
 
 def primes_in(interval: IntervalSpec, budget: int | None = None) -> list[int]:
@@ -150,19 +166,33 @@ def prime_stream(interval: IntervalSpec, budget: int | None = None) -> Iterator[
     return _primes(interval.lo, interval.hi)
 
 
+def prime_count(interval: IntervalSpec, budget: int | None = None) -> int:
+    """len(primes_in(interval)), read from the striking flags without a Python int per integer."""
+    check_budget(interval.hi, budget, "prime sieve")
+    head, segments = _prime_flags(interval.lo, interval.hi)
+    return len(head) + sum(flags.count(1) for _, flags in segments)
+
+
 def _primes(lo: int, hi: int) -> Iterator[int]:
-    """prime_stream without the budget check. Every base prime is at most
-    sqrt(hi - 1) < hi; the recursion stops once that root is below 2."""
+    """prime_stream without the budget check."""
+    head, segments = _prime_flags(lo, hi)
+    return chain(head, _values(segments))
+
+
+def _prime_flags(lo: int, hi: int) -> tuple[tuple[int, ...], Iterator[tuple[range, bytearray]]]:
+    """The base primes in [lo, hi), and _strike's segments of the rest by all of them.
+    Every base prime is at most sqrt(hi - 1) < hi; the recursion stops once that
+    root is below 2."""
     root = math.isqrt(hi - 1)
     base = tuple(_primes(2, root + 1)) if root >= 2 else ()
-    return chain.from_iterable(chain([base[bisect_left(base, lo) :]], _strike(max(lo, 2), hi, base)))
+    return base[bisect_left(base, lo) :], _strike(max(lo, 2), hi, base, _SEGMENT)
 
 
-def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[list[int]]:
+def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[bytes]:
     """Omega(m), prime factors counted with multiplicity, for every m in [lo, hi).
 
-    The iterator yields one list per segment of OMEGA_SEGMENT integers,
-    from lo up; the last may be shorter. The primes up to root =
+    The iterator yields one bytes per segment of sieve_segments, from lo
+    up; the last may be shorter. The primes up to root =
     isqrt(hi - 1) are sieved once, by primes_in's striking scan. Each m is
     s * c, with no prime above root in s and c = 1 or one prime above
     root. In a segment each multiple of a prime power p^k < hi gains one
@@ -184,7 +214,20 @@ def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[l
     from b = 9; the tests check every piece for hi < 2^18. At b = 128,
     S = 1 and the margin fails.
 
-    The width and root are checked against the budget, then b against
+    The budgets and the bits are checked as sieve_segments checks them.
+    """
+    return (omegas for _, _, omegas in sieve_segments(interval, (), budget))
+
+
+def sieve_segments(
+    interval: IntervalSpec, moduli, budget: int | None = None
+) -> Iterator[tuple[range, bytearray, bytes]]:
+    """omega_sieve with the striking scan of `moduli`, in one walk of each segment.
+
+    Yields, per segment from lo up, its range, its _strike flags by the
+    moduli and its Omega bytes. A segment holds OMEGA_SEGMENT integers per 64 base
+    primes, at least once and at most OMEGA_SEGMENT_MAX. The width and root
+    are checked against the budget, then b = bits(hi - 1) against
     OMEGA_MAX_BITS, before the iterator is returned.
     """
     if interval.lo < 1:
@@ -194,7 +237,7 @@ def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[l
     check_budget(root, budget, "omega sieve base primes")
     remedy = "no flag or environment variable raises this fixed limit, so use a smaller window"
     check_budget((interval.hi - 1).bit_length(), OMEGA_MAX_BITS, "omega sieve bits", remedy)
-    return _omega_segments(interval, root, list(_primes(2, root + 1)))
+    return _sieve(interval, root, list(_primes(2, root + 1)), tuple(moduli))
 
 
 def _cut(y: int, root: int, scale: int) -> int:
@@ -203,14 +246,17 @@ def _cut(y: int, root: int, scale: int) -> int:
     return (((y - 1) // (root + 1)) ** scale).bit_length()
 
 
-def _omega_segments(interval: IntervalSpec, root: int, base: list[int]) -> Iterator[list[int]]:
+def _sieve(
+    interval: IntervalSpec, root: int, base: list[int], moduli: tuple[int, ...]
+) -> Iterator[tuple[range, bytearray, bytes]]:
     scale = 255 // (interval.hi - 1).bit_length()
     turns = [_TURN[w : w + 256] for w in range(256)]  # shared by primes of one weight
     adds = [turns[(p**scale).bit_length() - 1] for p in base]
-    for seg_lo in range(interval.lo, interval.hi, OMEGA_SEGMENT):
-        seg_hi = min(seg_lo + OMEGA_SEGMENT, interval.hi)
-        count = bytearray(seg_hi - seg_lo)
-        weight = bytearray(seg_hi - seg_lo)
+    size = min(OMEGA_SEGMENT * max(1, len(base) // 64), OMEGA_SEGMENT_MAX)
+    for seg, flags in _strike(interval.lo, interval.hi, moduli, size):
+        seg_lo, seg_hi = seg.start, seg.stop
+        count = bytearray(len(seg))
+        weight = bytearray(len(seg))
         for p, add_w in zip(base, adds):
             # A power of p at or above seg_hi divides nothing in the segment.
             q = p
@@ -229,4 +275,4 @@ def _omega_segments(interval: IntervalSpec, root: int, base: list[int]) -> Itera
         # A count is below 128 and a flag 0 or 1, so no byte of their sum
         # carries: the segments add as integers.
         total = int.from_bytes(count, "little") + int.from_bytes(weight, "little")
-        yield list(total.to_bytes(seg_hi - seg_lo, "little"))
+        yield seg, flags, total.to_bytes(len(seg), "little")

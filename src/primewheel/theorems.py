@@ -5,8 +5,9 @@ VerificationReport; nothing here is allowed to assume the claim it is
 checking. Claims are addressed by short stable ids (theorem1, corollary2,
 identity25, identity26) which also name the CLI verify subcommands.
 Modules that only one claim needs are imported when it runs: forms (the
-raw form) by check_identity26 and fractions by pi_approx, so the window
-claims compile neither.
+raw form) by check_identity26, diophantine (the unit-equation solver) by
+search_identity25 and fractions by pi_approx, so the window claims
+compile none of them.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from collections import Counter
 
 from . import oracle
 from ._record import Record, fresh
-from .diophantine import solve_unit
 from .enumeration import IntervalSpec, enumerate_interval
 from .errors import check_budget
 from .wheel import PrimeBasis, _prime_bound, build_canonical
 
 COUNTEREXAMPLE_CAP = 10
+# bytes.translate table that maps an Omega byte to 1 for a prime, Omega = 1, else to 0.
+_ONE = b"\x00\x01" + bytes(254)
 
 
 class Counterexample(Record):
@@ -138,19 +140,21 @@ def _interval_report(
     With gate_all False only (a) decides the verdict and (b)/(c) are
     reported informationally.
 
-    A correct enumeration is the scan, in order, so the report reads it
-    one segment of oracle.OMEGA_SEGMENT integers at a time: as many values
-    as the segment's striking scan holds must equal that scan as a list,
-    and the enumeration must end with the last segment. Their Omega is
-    read from the segment's Omega sieve, and for n = 1 the run must be the
-    segment's primes, the m whose Omega is 1. So a passing report walks the
-    enumeration once, in segment-sized memory; at a mismatch, or a fault that
-    decides the verdict, _recount walks it again. Budgets are checked before
-    the first value: the scan width, then the Omega sieve's width, base primes and bits.
+    A correct enumeration is the scan, in order, so the report reads it one
+    segment of oracle.sieve_segments at a time, whose one walk gives the
+    segment's coprime flags and Omega bytes: as many values as the flags
+    hold must equal the flagged integers as a list, and the enumeration
+    must end with the last segment. The Omega bound is one translate and
+    one integer AND against the flags, and for n = 1 the flags must be the
+    Omega = 1 bytes, the primes; only a segment that fails one is read
+    value by value. So a passing report walks the enumeration once, in
+    segment-sized memory; at a mismatch, or a fault that decides the
+    verdict, _recount walks it again. Budgets are checked before the first
+    value: the scan width, then the Omega sieve's width, base primes and bits.
     """
     check_budget(interval.width, budget, "coprime scan")
     form = build_canonical(basis)
-    lo, hi, size, cap = interval.lo, interval.hi, oracle.OMEGA_SEGMENT, COUNTEREXAMPLE_CAP
+    cap = COUNTEREXAMPLE_CAP
     # Each fault list that is not empty fails its subcheck.
     missing: list[int] = []  # in the scan but never enumerated, ascending
     extra: list[int] = []  # enumerated but not in the scan, ascending
@@ -159,22 +163,22 @@ def _interval_report(
     pe_extra: list[int] = []  # n = 1: enumerated but not prime, ascending
     omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
     checked, faulty, copies_of = 0, True, {}  # _recount finds the counterexamples and fills it
+    outside = bytes(0 if 1 <= om <= n else 1 for om in range(256))  # Omega off 1..n
     stream = enumerate_interval(form, interval)
-    for seg_lo, seg_omegas in zip(range(lo, hi, size), oracle.omega_sieve(interval, budget)):
-        seg_hi = seg_lo + len(seg_omegas)
-        run = oracle.coprime_scan(IntervalSpec(seg_lo, seg_hi), basis, budget)
+    for seg, flags, omegas in oracle.sieve_segments(interval, basis.primes, budget):
+        run = list(itertools.compress(seg, flags))
         if list(itertools.islice(stream, len(run))) != run:
             break
         checked += len(run)
-        oms = list(map(seg_omegas.__getitem__, map((-seg_lo).__add__, run)))
-        fits = not run or (min(oms) >= 1 and max(oms) <= n)
-        if not fits and len(omega_bad) < cap:
-            bad = ((v, om) for v, om in zip(run, oms) if not 1 <= om <= n)
-            omega_bad += itertools.islice(bad, cap - len(omega_bad))
-        # For n = 1 the run is the primes when all of it fits and no other m has Omega 1.
-        if n == 1 and not (fits and seg_omegas.count(1) == len(run)):
-            primes = itertools.compress(range(seg_lo, seg_hi), map((1).__eq__, seg_omegas))
-            _differ(pe_missing, pe_extra, primes, run)
+        bad = int.from_bytes(omegas.translate(outside), "little") & int.from_bytes(flags, "little")
+        if bad and len(omega_bad) < cap:
+            values = itertools.compress(seg, bad.to_bytes(len(seg), "little"))
+            hits = ((v, omegas[v - seg.start]) for v in values)
+            omega_bad += itertools.islice(hits, cap - len(omega_bad))
+        if n == 1:
+            primes = omegas.translate(_ONE)
+            if primes != flags:
+                _differ(pe_missing, pe_extra, itertools.compress(seg, primes), run)
     else:
         faulty = next(stream, None) is not None
 
@@ -230,7 +234,7 @@ def _recount(form, basis: PrimeBasis, interval: IntervalSpec, n: int, budget: in
     copies of each value a fault names, and _interval_report's six fault lists in its order."""
     lo, hi, size, cap = interval.lo, interval.hi, oracle.OMEGA_SEGMENT, COUNTEREXAMPLE_CAP
     missing, extra, disorder, omega_bad, pe_missing, pe_extra = [], [], [], [], [], []
-    omegas = b"".join(map(bytes, oracle.omega_sieve(interval, budget)))
+    omegas = b"".join(oracle.omega_sieve(interval, budget))
     copies, more, off, top = bytearray(hi - lo), Counter(), Counter(), lo
     for v in enumerate_interval(form, interval):
         if lo <= v < hi:
@@ -254,7 +258,7 @@ def _recount(form, basis: PrimeBasis, interval: IntervalSpec, n: int, budget: in
         run = oracle.coprime_scan(IntervalSpec(seg.start, seg.stop), basis, budget)
         got = _differ(missing, extra, run, itertools.compress(seg, copies[at : at + size]))
         if n == 1:
-            primes = itertools.compress(seg, map((1).__eq__, omegas[at : at + size]))
+            primes = itertools.compress(seg, omegas[at : at + size].translate(_ONE))
             _differ(pe_missing, pe_extra, primes, got)
     # Every value off the window is extra for both the scan and the primes.
     extra, pe_extra = sorted([*extra, *off])[:cap], sorted([*pe_extra, *off])[:cap]
@@ -342,8 +346,7 @@ def compare_pi(basis: PrimeBasis, budget: int | None = None) -> tuple[Fraction, 
     and rel_error = |approx - exact| / exact. The sieve's budget is checked
     before the density formula takes its products over the basis."""
     (p,) = _primes_after(basis, 1, budget)
-    primes = oracle.prime_stream(IntervalSpec(1, p * p), budget)  # counted a chunk at a time
-    exact = sum(map(len, iter(lambda: list(itertools.islice(primes, 4096)), [])))
+    exact = oracle.prime_count(IntervalSpec(1, p * p), budget)
     approx = _density_estimate(basis, p)
     return approx, exact, abs(approx - exact) / exact
 
@@ -418,6 +421,8 @@ def search_identity25(
     check_claim_args("identity25", r, bound=bound)
     rows = (bound + 1) ** (r - 2)
     check_budget(rows, budget, "identity25 grid")
+    from .diophantine import solve_unit  # here, so no other claim compiles it
+
     family = solve_unit(r, basis)
     xr = family.base_x
     residue = xr % 3

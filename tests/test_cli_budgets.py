@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from primewheel import errors, oracle, theorems, wheel
+from primewheel import diophantine, errors, oracle, theorems, wheel
 from primewheel.cli import SCAN_BUDGET_ENV, main
 from primewheel.errors import BudgetExceeded
 from primewheel.theorems import search_identity25
@@ -34,7 +34,7 @@ def test_identity25_refuses_its_grid_before_any_work(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("solved unit equations before the grid was checked")
 
-    monkeypatch.setattr(theorems, "solve_unit", no_work)
+    monkeypatch.setattr(diophantine, "solve_unit", no_work)
     code, out, err = run(capsys, "verify", "identity25", "--r", "10", "--bound", "50")
     assert (code, out) == (3, "")
     _assert_one_knob_error(err)

@@ -1,9 +1,10 @@
 """The segmented Omega sieve against trial division, and the one striking scan
-behind coprime_scan and rough_sieve against a per-value test."""
+behind coprime_scan and rough_sieve against a per-value test; the segment
+size rule, and the flags sieve_segments strikes in the same walk."""
 
 import math
 import random
-from itertools import chain
+from itertools import chain, compress
 
 import pytest
 
@@ -190,3 +191,48 @@ def test_striking_scan_across_its_segment_seam(monkeypatch):
     interval = IntervalSpec(5, 1000)
     for scan in (coprime_scan, rough_sieve):
         assert scan(interval, [4, 9, 5]) == _per_value_scan(interval, [4, 9, 5])
+
+
+def _base_primes_window(count, below, above):
+    """[q^2 - below, q^2 + above) for q the count-th prime: the base primes of
+    its hi - 1 are exactly the first count primes while hi <= p_(count+1)^2."""
+    q, after = oracle.primes_in(IntervalSpec(2, 20000))[count - 1 : count + 1]
+    assert q * q + above <= after * after
+    return IntervalSpec(q * q - below, q * q + above)
+
+
+@pytest.mark.parametrize(
+    "count,size",
+    [(63, 1 << 14), (127, 1 << 14), (128, 1 << 15), (200, 3 << 14), (1023, 15 << 14)]
+    + [(1024, 1 << 18), (1500, 1 << 18)],
+)
+def test_segment_grows_with_the_base_primes_up_to_its_cap(count, size):
+    window = _base_primes_window(count, 2 * size, 3)
+    assert [len(seg) for seg, _, _ in oracle.sieve_segments(window, ())] == [size, size, 3]
+
+
+# With OMEGA_SEGMENT at 3 and the cap at 15, every size the rule picks is
+# reached: 3 below 128 base primes, then 6, 9 and 12, and 15 from 320 up.
+RULE_SIZES = {
+    2: 3, 63: 3, 64: 3, 127: 3, 128: 6, 191: 6, 192: 9, 256: 12, 319: 12, 320: 15, 400: 15,
+}
+
+
+@pytest.mark.parametrize("count", sorted(RULE_SIZES))
+@pytest.mark.parametrize("seam", [-1, 0, 1, 2])
+def test_one_walk_equals_trial_division_and_the_scan_at_every_rule_size(monkeypatch, count, seam):
+    # A segment starts at q^2 + seam, for q the largest base prime: the seams
+    # split q^2 - 2 | q^2 - 1, q^2 - 1 | q^2, q^2 | q^2 + 1 and q^2 + 1 | q^2 + 2.
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 3)
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT_MAX", 15)
+    size = RULE_SIZES[count]
+    window = _base_primes_window(count, 2 * size - seam, seam + size + 2)
+    for moduli in (PrimeBasis.first(min(count, 5)).primes, (4, 9, 35)):
+        segments = list(oracle.sieve_segments(window, moduli))
+        assert [seg.start for seg, _, _ in segments] == list(range(window.lo, window.hi, size))
+        assert list(omega_sieve(window)) == [omegas for _, _, omegas in segments]
+        for seg, flags, omegas in segments:
+            assert isinstance(omegas, bytes)
+            assert list(omegas) == [factor_profile(m).omega for m in seg], (count, seam, seg)
+            got = list(compress(seg, flags))
+            assert got == coprime_scan(IntervalSpec(seg.start, seg.stop), moduli), (count, seg)

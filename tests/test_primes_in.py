@@ -1,6 +1,6 @@
 """primes_in, the base primes put back in front of one striking scan,
-against per-value trial division; the Omega = 1 entries of omega_sieve,
-segment by segment, against primes_in."""
+against per-value trial division, and prime_count against its length; the
+Omega = 1 entries of omega_sieve, segment by segment, against primes_in."""
 
 import random
 
@@ -32,6 +32,15 @@ def test_primes_in_across_segment_seams(monkeypatch, lo, hi):
     assert oracle.primes_in(IntervalSpec(lo, hi)) == [m for m in range(lo, hi) if _is_prime(m)]
 
 
+@pytest.mark.parametrize(
+    "lo,hi", [(0, 1), (0, 3), (1, 400), (5, 300), (150, 2000), (44400, 44600), (10100, 10202)]
+)
+def test_prime_count_is_the_length_of_primes_in(monkeypatch, lo, hi):
+    monkeypatch.setattr(oracle, "_SEGMENT", 37)
+    window = IntervalSpec(lo, hi)
+    assert oracle.prime_count(window) == len(oracle.primes_in(window)), (lo, hi)
+
+
 @pytest.mark.parametrize("segment", [7, 64, 4096])
 def test_omega_sieve_ones_equal_primes_in_over_random_windows(monkeypatch, segment):
     # Omega is defined from m = 1, so windows start there. Those with
@@ -44,10 +53,11 @@ def test_omega_sieve_ones_equal_primes_in_over_random_windows(monkeypatch, segme
         lo = rng.choice([1, *(rng.randrange(1, top) for top in (300, 10**6, 10**9))])
         windows.append((lo, lo + rng.randrange(1, 5 * segment)))
     for lo, hi in windows:
-        starts = range(lo, hi, segment)
-        segments = list(oracle.omega_sieve(IntervalSpec(lo, hi), budget=hi))
-        assert len(segments) == len(starts), (lo, hi)
-        for seg_lo, omegas in zip(starts, segments):
-            seg = IntervalSpec(seg_lo, min(seg_lo + segment, hi))
+        seg_lo = lo
+        for omegas in oracle.omega_sieve(IntervalSpec(lo, hi), budget=hi):
+            assert omegas, (lo, hi, seg_lo)
+            seg = IntervalSpec(seg_lo, seg_lo + len(omegas))
             ones = [m for m, om in zip(range(seg.lo, seg.hi), omegas) if om == 1]
             assert ones == oracle.primes_in(seg, budget=hi), (lo, hi, seg_lo)
+            seg_lo = seg.hi
+        assert seg_lo == hi, (lo, hi)

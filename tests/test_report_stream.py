@@ -176,15 +176,32 @@ def test_fault_free_stream_passes(monkeypatch):
     assert report.verdict == "pass"
 
 
-def _watch_oracle(monkeypatch):
-    """Record the widths coprime_scan is asked for, the enumerations made
-    and the values factored by trial division."""
-    seen = {"scan_widths": [], "enumerations": 0, "omega": []}
-    scan, enumerate_interval, omega = oracle.coprime_scan, theorems.enumerate_interval, oracle.omega
+@pytest.mark.parametrize(
+    "r,n,shift,omega_pass",
+    # r = 5, n = 4 spans 21 segments of 2^14; corollary2 --r 3 --s 2 --n 1
+    # fails the factor count and the primes, informationally.
+    [(5, 4, 1, True), (3, 5, 1, True), (3, 1, 2, False)],
+    ids=["theorem1 r=5 n=4", "theorem1 r=3 n=5", "corollary2 r=3 s=2 n=1"],
+)
+def test_fault_free_claim_windows_equal_the_whole_window_report(
+    monkeypatch, r, n, shift, omega_pass
+):
+    report = _check(monkeypatch, r, n, shift, FAULTS["none"])
+    assert report.verdict == "pass"
+    assert report.details["omega_bound"]["pass"] is omega_pass
 
-    def watched_scan(interval, basis, budget=None):
-        seen["scan_widths"].append(interval.width)
-        return scan(interval, basis, budget)
+
+def _watch_oracle(monkeypatch):
+    """Record the widths of the segments sieve_segments yields, the
+    enumerations made and the values factored by trial division."""
+    seen = {"scan_widths": [], "enumerations": 0, "omega": []}
+    segments, enumerate_interval = oracle.sieve_segments, theorems.enumerate_interval
+    omega = oracle.omega
+
+    def watched_segments(interval, moduli, budget=None):
+        for seg, flags, omegas in segments(interval, moduli, budget):
+            seen["scan_widths"].append(len(seg))
+            yield seg, flags, omegas
 
     def watched_enumeration(form, spec):
         seen["enumerations"] += 1
@@ -194,7 +211,7 @@ def _watch_oracle(monkeypatch):
         seen["omega"].append(m)
         return omega(m)
 
-    monkeypatch.setattr(oracle, "coprime_scan", watched_scan)
+    monkeypatch.setattr(oracle, "sieve_segments", watched_segments)
     monkeypatch.setattr(theorems, "enumerate_interval", watched_enumeration)
     monkeypatch.setattr(oracle, "omega", watched_omega)
     return seen

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from primewheel import cli, oracle, theorems
+from primewheel import cli, diophantine, oracle, theorems
 from primewheel.diophantine import nth_solution, solve_unit
 from primewheel.enumeration import IntervalSpec
 from primewheel.errors import BudgetExceeded
@@ -155,13 +155,17 @@ def test_corollary2_window_uses_the_prime_s_places_after_p_r(monkeypatch):
 )
 def test_each_prime_window_is_sieved_once(monkeypatch, capsys, argv, windows):
     sieved = []
-    prime_stream = oracle.prime_stream  # primes_in is its list
 
-    def logged(interval, budget=None):
-        sieved.append(interval)
-        return prime_stream(interval, budget)
+    def logged(sieve):
+        def run(interval, budget=None):
+            sieved.append(interval)
+            return sieve(interval, budget)
 
-    monkeypatch.setattr(oracle, "prime_stream", logged)
+        return run
+
+    # primes_in lists prime_stream; compare_pi counts its primes with prime_count.
+    monkeypatch.setattr(oracle, "prime_stream", logged(oracle.prime_stream))
+    monkeypatch.setattr(oracle, "prime_count", logged(oracle.prime_count))
     assert cli.main(argv) == 0
     assert sieved == windows
 
@@ -293,7 +297,7 @@ def test_identity25_fails_when_the_solver_gives_x_r_divisible_by_3(monkeypatch, 
         family = solve_unit(i, basis)
         return types.SimpleNamespace(base_x=3 * family.base_x, b=family.b)
 
-    monkeypatch.setattr(theorems, "solve_unit", faulty)
+    monkeypatch.setattr(diophantine, "solve_unit", faulty)
     code = cli.main(["verify", "identity25", "--r", "4", "--bound", "2", "--format", fmt])
     out, err = capsys.readouterr()
     assert (code, err) == (1, "")
