@@ -66,11 +66,9 @@ class RawWheelForm(_Form):
     def free_indices(self) -> tuple[int, ...]:
         return tuple(range(2, self.basis.r + 1))
 
-    def residue_axes(self) -> tuple[tuple[int, int, int], ...]:
-        """Refused: only an idempotent form has residue axes."""
+    def residue_classes(self) -> tuple[int, int, tuple[int, ...]]:
+        """Refused: only an idempotent form states its value set as residue classes."""
         raise TypeError("a raw form is not idempotent; canonicalize it first or use evaluate_raw")
-
-    residue_classes = residue_axes
 
 
 def build_raw(basis: PrimeBasis, representatives: int | Mapping[int, int] = 0) -> RawWheelForm:
@@ -161,11 +159,10 @@ def _matching(form: CoprimeWheelForm, coeffs: tuple[int, ...], constant: int) ->
     return form
 
 
-def _check_assignment(axes, h: Mapping[int, int]) -> None:
-    expected = tuple(j for j, _, _ in axes)
-    if tuple(sorted(h)) != expected:
-        raise ValueError(f"assignment must cover exactly indices {expected}")
-    for j, modulus, _ in axes:
+def _check_assignment(indices: tuple[int, ...], moduli: Sequence[int], h: Mapping[int, int]) -> None:
+    if tuple(sorted(h)) != indices:
+        raise ValueError(f"assignment must cover exactly indices {indices}")
+    for j, modulus in zip(indices, moduli):
         if not 1 <= h[j] < modulus:
             raise ValueError(f"h{j} = {h[j]} outside 1..{modulus - 1}")
 
@@ -175,16 +172,14 @@ def evaluate(form, t: int, h: Mapping[int, int]) -> int:
 
     `h` maps each free index j to a residue in 1..modulus_j - 1.
     """
-    axes = form.residue_axes()
-    _check_assignment(axes, h)
-    return t * form.period + sum(a * h[j] for j, _, a in axes) + form.constant
+    _check_assignment(form.free_indices, form.residue_classes()[2], h)
+    return t * form.period + sum(a * h[j] for j, a in form.coeff_map.items()) + form.constant
 
 
 def evaluate_raw(raw: RawWheelForm, t: int, h: Mapping[int, int]) -> int:
     """Value of a raw form at (t, h): t*P + sum(B_j * (h_j - 1)) - 1."""
-    axes = tuple(zip(raw.free_indices, raw.basis.primes[1:], raw.coeffs))
-    _check_assignment(axes, h)
-    return t * raw.period + sum(b * (h[j] - 1) for j, _, b in axes) + raw.constant
+    _check_assignment(raw.free_indices, raw.basis.primes[1:], h)
+    return t * raw.period + sum(b * (h[j] - 1) for j, b in raw.coeff_map.items()) + raw.constant
 
 
 def decompose(form, z: int) -> tuple[int, dict[int, int]]:
@@ -194,7 +189,7 @@ def decompose(form, z: int) -> tuple[int, dict[int, int]]:
     names the offender.
     """
     (t,), columns = decompose_rows(form, (z,))
-    return t, {j: h for (j, _, _), (h,) in zip(form.residue_axes(), columns)}
+    return t, {j: h for j, (h,) in zip(form.free_indices, columns)}
 
 
 def decompose_rows(form, zs: Sequence[int]) -> tuple[list[int], list[list[int]]]:
@@ -211,13 +206,12 @@ def decompose_rows(form, zs: Sequence[int]) -> tuple[list[int], list[list[int]]]
     slice its body z - C - sum(A_j * h_j) is 0 mod every modulus of any
     constructed form, and t is the body's exact quotient by the period.
     """
-    axes = form.residue_axes()
-    columns = [list(map(mod, zs, repeat(q))) for _, q, _ in axes]
+    h1, q1, struck = form.residue_classes()
+    columns = [list(map(mod, zs, repeat(q))) for q in struck]
     body = list(map(sub, zs, repeat(form.constant)))
-    for (_, _, a), h in zip(axes, columns):
+    for a, h in zip(form.coeffs, columns):
         body = list(map(sub, body, map(mul, repeat(a), h)))
     ts = list(map(floordiv, body, repeat(form.period)))
-    h1, q1, _ = form.residue_classes()
     pins = list(map(mod, zs, repeat(q1)))
     if pins.count(h1) < len(pins) or any(0 in h for h in columns):
         for z in zs:

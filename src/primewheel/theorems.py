@@ -95,16 +95,15 @@ def check_claim_args(
             )
 
 
-def theorem1_interval(
-    basis: PrimeBasis, n: int, budget: int | None = None, s: int = 1
-) -> IntervalSpec:
-    """The window [p^n, p^(n+1)), p = p_{r+s} from the oracle sieve (s > 1 for
-    corollary2), once (n + 1) * p.bit_length(), at most its width, fits the budget."""
-    return _claim_window(basis, n, budget, s)[1]
+def theorem1_interval(basis: PrimeBasis, n: int, budget: int | None = None) -> IntervalSpec:
+    """The window [p^n, p^(n+1)), p = p_{r+1} from the oracle sieve, once
+    (n + 1) * p.bit_length(), at most its width, fits the budget."""
+    return _claim_window(basis, n, budget, 1)[1]
 
 
 def _claim_window(basis: PrimeBasis, n: int, budget: int | None, s: int) -> tuple[int, IntervalSpec]:
-    """p_{r+1} and theorem1_interval's window, from the one sieve that finds both."""
+    """p_{r+1} and the window [p^n, p^(n+1)) with p = p_{r+s} (s > 1 for
+    corollary2), from the one sieve that finds both."""
     check_claim_args("theorem1", basis.r, n=n)
     primes = _primes_after(basis, s, budget)
     p = primes[-1]

@@ -158,10 +158,6 @@ class CoprimeWheelForm(_Form):
         rest = self.period // q
         return rest * pow(rest, -1, q)
 
-    def residue_axes(self) -> tuple[tuple[int, int, int], ...]:
-        """(index, modulus, coefficient) per residue variable, ascending index."""
-        return tuple(zip(self.free_indices, self.residue_classes()[2], self.coeffs))
-
     def residue_classes(self) -> tuple[int, int, tuple[int, ...]]:
         """The value set as (h1, q1, struck): the x = h1 (mod q1) with x != 0
         (mod m) for every struck modulus m; h1, q1 are 0, 1 if nothing is pinned."""
@@ -187,10 +183,6 @@ class CanonicalWheelForm(CoprimeWheelForm):
 
     def __post_init__(self) -> None:
         """Nothing to check: PrimeBasis has proved the moduli are the first r primes."""
-
-    @property
-    def r(self) -> int:
-        return self.basis.r
 
     @property
     def period(self) -> int:

@@ -201,7 +201,7 @@ def _walk_and_sort_table(form):
     """The residue table as first built: every assignment evaluated, then sorted."""
     period = form.period
     residues = [form.constant % period]
-    for _, modulus, coeff in form.residue_axes():
+    for modulus, coeff in zip(form.residue_classes()[2], form.coeffs):
         steps = [(coeff * h) % period for h in range(1, modulus)]
         residues = [(base + step) % period for base in residues for step in steps]
     return tuple(sorted(residues))
@@ -237,7 +237,7 @@ def test_count_interval_is_additive_past_two_to_the_64():
             )
             assert whole == parts
         spec = IntervalSpec(2**64 + 12345, 2**64 + 12345 + form.period)
-        assert count_interval(form, spec) == math.prod(m - 1 for _, m, _ in form.residue_axes())
+        assert count_interval(form, spec) == math.prod(m - 1 for m in form.residue_classes()[2])
 
 
 def test_decompose_and_evaluate_are_inverse_past_two_to_the_64():
@@ -245,17 +245,17 @@ def test_decompose_and_evaluate_are_inverse_past_two_to_the_64():
     # holds the invariant for every form type, pinned and unpinned.
     rng = random.Random(2**64)
     for form in [build_canonical(PrimeBasis.first(r)) for r in range(1, 13)] + COPRIME_WHEELS:
-        axes = form.residue_axes()
+        axes = tuple(zip(form.free_indices, form.residue_classes()[2]))
         for _ in range(20):
             t = rng.randrange(2**64, 2**64 + 10**30)
-            h = {j: rng.randrange(1, q) for j, q, _ in axes}
+            h = {j: rng.randrange(1, q) for j, q in axes}
             z = evaluate(form, t, h)
             assert z > 2**64 and decompose(form, z) == (t, h), (form, t, h)
         lo = 2**64 + rng.randrange(0, 10**30)
         zs = list(islice(enumerate_interval(form, IntervalSpec(lo, lo + 10**6)), 200))
         ts, columns = decompose_rows(form, zs)
         for i, z in enumerate(zs):
-            h = {j: column[i] for (j, _, _), column in zip(axes, columns)}
+            h = {j: column[i] for j, column in zip(form.free_indices, columns)}
             assert evaluate(form, ts[i], h) == z, (form, z)
 
 
@@ -341,9 +341,9 @@ def test_sieve_path_equals_table_walk(monkeypatch):
     forms = [build_canonical(PrimeBasis.first(r)) for r in range(1, 9)] + COPRIME_WHEELS
     for form in forms:
         table = _walk_and_sort_table(form)
-        axes = form.residue_axes()
-        pin = form.period // math.prod(m for _, m, _ in axes)
-        size = pin * math.prod(m - 1 for _, m, _ in axes)
+        struck = form.residue_classes()[2]
+        pin = form.period // math.prod(struck)
+        size = pin * math.prod(m - 1 for m in struck)
         widths = [1, 2, rng.randrange(1, 3000)]
         if size <= 10**6:
             widths += [size - 1, size, size + 1]

@@ -29,7 +29,7 @@ def _values(primes, lo, count):
 
 def _per_value(form, zs, fmt):
     """gen --explain's stdout for zs, one decompose call per value."""
-    names = ["z", "t", *(f"h{j}" for j in range(2, form.r + 1))]
+    names = ["z", "t", *(f"h{j}" for j in range(2, form.basis.r + 1))]
     lines = [",".join(names)] if fmt == "csv" else []
     for z in zs:
         t, h = decompose(form, z)

@@ -132,8 +132,9 @@ def test_canonical_form_is_the_coprime_wheel_on_the_first_primes(r):
     assert form.coeffs == wheel.coeffs
     assert form.constant == wheel.constant == basis.primorial // 2
     assert form.coeff_map == wheel.coeff_map
-    assert form.residue_axes() == wheel.residue_axes()
-    assert form.r == r and form.basis == basis
+    assert form.free_indices == wheel.free_indices
+    assert form.residue_classes() == wheel.residue_classes()
+    assert form.basis.r == r and form.basis == basis
     # Equal coefficients, distinct kinds: JSON shapes and cache keys stay apart.
     assert form != wheel and wheel != form
     assert form_to_json(form) != form_to_json(wheel)

@@ -17,6 +17,7 @@ from primewheel.forms import (
     canonicalize,
     coeff_bits_bound,
     decompose,
+    decompose_rows,
     evaluate,
     evaluate_raw,
     form_from_json,
@@ -200,7 +201,7 @@ def test_canonical_coefficients_are_idempotents(r):
     basis = PrimeBasis.first(r)
     form = build_canonical(basis)
     P = basis.primorial
-    for j, p, a in form.residue_axes():
+    for j, p, a in zip(form.free_indices, form.residue_classes()[2], form.coeffs):
         assert a % p == 1
         for q in basis.primes:
             if q != p:
@@ -375,11 +376,19 @@ def test_prime_basis_first_proves_each_candidate_once(monkeypatch):
     [
         lambda form: evaluate(form, 0, {2: 1, 3: 1}),
         lambda form: decompose(form, 7),
+        lambda form: decompose_rows(form, [7, 11]),
         lambda form: enumerate_interval(form, IntervalSpec(1, 100)),
         lambda form: count_interval(form, IntervalSpec(1, 100)),
         lambda form: sorted_block_residues(form),
     ],
-    ids=["evaluate", "decompose", "enumerate_interval", "count_interval", "sorted_block_residues"],
+    ids=[
+        "evaluate",
+        "decompose",
+        "decompose_rows",
+        "enumerate_interval",
+        "count_interval",
+        "sorted_block_residues",
+    ],
 )
 def test_raw_forms_are_refused_by_idempotent_only_code(entry):
     with pytest.raises(TypeError, match="canonicalize"):
