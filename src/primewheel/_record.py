@@ -1,8 +1,7 @@
-"""Record: the frozen value type behind every form, interval and report.
+"""Record: the frozen value type behind every form, interval, report and block count.
 
 A subclass lists its fields as class annotations, in order; a field given
-a value in the class body takes it as its default, and a default made
-with fresh(factory) is built anew for every instance. Construction takes
+a value in the class body takes it as its default. Construction takes
 the fields by position or keyword and then runs __post_init__. Records
 compare equal only to a record of the same class with equal fields, hash
 their fields, show them in their repr, and refuse assignment and
@@ -15,18 +14,11 @@ at start-up.
 from __future__ import annotations
 
 
-class fresh:
-    """A field default built by calling `factory` once per instance."""
-
-    def __init__(self, factory) -> None:
-        self.factory = factory
-
-
 class Record:
     """Base of the frozen records; see the module docstring."""
 
     _fields = ()  # field names in order, a base class's first
-    _defaults = {}  # field name -> default value or fresh(factory)
+    _defaults = {}  # field name -> default value
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -39,9 +31,6 @@ class Record:
         values = {**self._defaults, **given, **kwargs}
         if len(args) > len(given) or given.keys() & kwargs or values.keys() != set(self._fields):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
-        for field, value in values.items():
-            if isinstance(value, fresh):
-                values[field] = value.factory()
         self.__dict__.update(values)
         self.__post_init__()
 

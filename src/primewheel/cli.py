@@ -299,7 +299,7 @@ def cmd_oracle(args) -> int:
         write_rows("text", ("p",), _chunks(primes))
     else:
         interval = IntervalSpec(args.lo, args.hi)
-        if args.moduli:
+        if args.moduli is not None:
             try:
                 moduli = [int(q) for q in args.moduli.split(",")]
             except ValueError:

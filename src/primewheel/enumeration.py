@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain, compress, repeat
 from operator import add
@@ -52,16 +51,17 @@ class IntervalSpec(Record):
         return self.hi - self.lo
 
 
-BlockCount = namedtuple("BlockCount", "phi interior")
-BlockCount.__doc__ = (
-    "Residue counts for one period: phi per block, phi - 1 strictly inside the first."
-)
+class BlockCount(Record):
+    """Residue counts for one period: phi per block, phi - 1 strictly inside the first."""
+
+    phi: int
+    interior: int
 
 
 def sorted_block_residues(form) -> tuple[int, ...]:
     """Every residue of the form's value set in [0, period), ascending.
 
-    The sieve of one period, built afresh on each call; its size is the
+    The sieve of one period, built anew on each call; its size is the
     product of (m - 1) over the struck moduli m and is refused past
     MAX_BLOCK_RESIDUES before any value is sieved.
     """

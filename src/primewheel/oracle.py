@@ -48,7 +48,7 @@ OMEGA_SEGMENT = 1 << 14
 # --r 1000 --n 1 --budget 100000000` (245,760 per segment) peaks at 22.5 MB
 # RSS, and `--r 2000` (at this cap) at 23.1 MB.
 OMEGA_SEGMENT_MAX = 1 << 18
-# omega_sieve refuses a window whose hi - 1 has more bits: its log weights
+# sieve_segments refuses a window whose hi - 1 has more bits: its log weights
 # would have scale 1, too coarse to tell a cofactor above sqrt(hi - 1), and
 # its base primes would reach 2^63, which no run sieves.
 OMEGA_MAX_BITS = 127

@@ -17,7 +17,7 @@ import math
 from collections import Counter
 
 from . import oracle
-from ._record import Record, fresh
+from ._record import Record
 from .enumeration import IntervalSpec, enumerate_interval
 from .errors import check_budget
 from .wheel import PrimeBasis, _prime_bound, build_canonical
@@ -47,7 +47,11 @@ class VerificationReport(Record):
     witnesses_pass: int
     interval: IntervalSpec | None = None
     counterexamples: tuple[Counterexample, ...] = ()
-    details: dict = fresh(dict)
+    details: dict | None = None
+
+    def __post_init__(self) -> None:
+        if self.details is None:
+            object.__setattr__(self, "details", {})
 
     def to_json(self) -> dict:
         return {
@@ -98,13 +102,13 @@ def check_claim_args(
 def theorem1_interval(basis: PrimeBasis, n: int, budget: int | None = None) -> IntervalSpec:
     """The window [p^n, p^(n+1)), p = p_{r+1} from the oracle sieve, once
     (n + 1) * p.bit_length(), at most its width, fits the budget."""
+    check_claim_args("theorem1", basis.r, n=n)
     return _claim_window(basis, n, budget, 1)[1]
 
 
 def _claim_window(basis: PrimeBasis, n: int, budget: int | None, s: int) -> tuple[int, IntervalSpec]:
     """p_{r+1} and the window [p^n, p^(n+1)) with p = p_{r+s} (s > 1 for
-    corollary2), from the one sieve that finds both."""
-    check_claim_args("theorem1", basis.r, n=n)
+    corollary2), from the one sieve that finds both; the caller has checked n."""
     primes = _primes_after(basis, s, budget)
     p = primes[-1]
     check_budget((n + 1) * p.bit_length(), budget, "claim window bits")
@@ -114,7 +118,7 @@ def _claim_window(basis: PrimeBasis, n: int, budget: int | None, s: int) -> tupl
 
 def _differ(missing: list, extra: list, want, got) -> list[int]:
     """Add want's values not in got to `missing` and got's not in want to `extra`, up to
-    the cap; return got as a list. Called segment by segment, it adds the largest values."""
+    the cap; return got as a list. Each call adds its segment's smallest faults, above earlier ones."""
     want, got = list(want), list(got)
     if want != got:
         missing += sorted(set(want).difference(got))[: COUNTEREXAMPLE_CAP - len(missing)]
@@ -148,10 +152,10 @@ def _interval_report(
     Omega = 1 bytes, the primes; only a segment that fails one is read
     value by value. So a passing report walks the enumeration once, in
     segment-sized memory; at a mismatch, or a fault that decides the
-    verdict, _recount walks it again. Budgets are checked before the first
-    value: the scan width, then the Omega sieve's width, base primes and bits.
+    verdict, _recount walks it again. Budgets are checked before the form:
+    the sieve's width, base primes and bits, as its iterator is built.
     """
-    check_budget(interval.width, budget, "coprime scan")
+    segments = oracle.sieve_segments(interval, basis.primes, budget)
     form = build_canonical(basis)
     cap = COUNTEREXAMPLE_CAP
     # Each fault list that is not empty fails its subcheck.
@@ -164,7 +168,7 @@ def _interval_report(
     checked, faulty, copies_of = 0, True, {}  # _recount finds the counterexamples and fills it
     outside = bytes(0 if 1 <= om <= n else 1 for om in range(256))  # Omega off 1..n
     stream = enumerate_interval(form, interval)
-    for seg, flags, omegas in oracle.sieve_segments(interval, basis.primes, budget):
+    for seg, flags, omegas in segments:
         run = list(itertools.compress(seg, flags))
         if list(itertools.islice(stream, len(run))) != run:
             break

@@ -326,7 +326,7 @@ def test_oracle_scan_rejects_moduli_below_two(capsys, moduli):
     assert err == "error: every modulus must be at least 2\n"
 
 
-@pytest.mark.parametrize("moduli", ["3,,", "x", "4,9.5"])
+@pytest.mark.parametrize("moduli", ["3,,", "x", "4,9.5", ""])
 def test_oracle_scan_names_the_flag_for_moduli_that_are_not_integers(capsys, moduli):
     code, out, err = run(capsys, "oracle", "scan", "--lo", "0", "--hi", "10", "--moduli", moduli)
     assert (code, out) == (2, "")

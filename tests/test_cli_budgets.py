@@ -1,10 +1,12 @@
 """Budget refusals: scans, sieves, the identity25 grid, the trial-division
 probes, count's inclusion-exclusion terms and coeffs' coefficient bits."""
 
+import ast
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -90,26 +92,15 @@ def test_trial_division_probes_keep_their_usage_errors(capsys, probe, n):
     assert err.startswith("error: ") and "budget" not in err
 
 
-def _skip_the_window_check(monkeypatch):
-    # The omega sieve is only reached after the report's own check of the
-    # same width, so that check is let through to reach the sieve's.
-    def check(required, budget, what, remedy=None):
-        if what != "coprime scan":
-            errors.check_budget(required, budget, what, remedy)
-
-    monkeypatch.setattr(theorems, "check_budget", check)
-
-
 @pytest.mark.parametrize(
     "argv,what,setup",
     [
-        (("verify", "theorem1", "--r", "3", "--n", "8"), "coprime scan", None),
+        (("verify", "theorem1", "--r", "3", "--n", "8"), "omega sieve", None),
         (("oracle", "scan", "--lo", "1", "--hi", "100", "--budget", "5"), "coprime scan", None),
         (("bench", "--r", "3", "--width", "300000000"), "rough sieve", None),
         (("count", "--r", "3", "--pi-approx", "--budget", "5"), "prime sieve", None),
         (("oracle", "primes", "--lo", "1", "--hi", "100", "--budget", "5"), "prime sieve", None),
-        (("verify", "theorem1", "--r", "3", "--n", "2", "--budget", "100"), "omega sieve",
-         _skip_the_window_check),
+        (("verify", "theorem1", "--r", "3", "--n", "2", "--budget", "100"), "omega sieve", None),
         (("coeffs", "928"), "coefficient bits", None),
         (("coeffs", "156", "--raw"), "coefficient bits", None),
         (("count", "--r", "25", "--lo", "1", "--hi", "100000000"),
@@ -129,13 +120,36 @@ def test_scan_refusals_name_their_knob(capsys, monkeypatch, argv, what, setup):
     assert err.startswith(f"error: {what} needs ")
 
 
+def _budget_labels():
+    """The label of every check_budget call in the package, with an f-string's fields as k."""
+    labels = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_budget":
+                what = node.args[2]
+                parts = what.values if isinstance(what, ast.JoinedStr) else [what]
+                labels.add("".join(
+                    part.value if isinstance(part, ast.Constant) else "k" for part in parts
+                ))
+    return labels
+
+
+def test_every_budget_label_has_a_row_in_the_readme_cap_table():
+    readme = (Path(errors.__file__).parents[2] / "README.md").read_text()
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    named = {label for row in rows for label in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    labels = _budget_labels()
+    assert "inclusion-exclusion over k axes" in labels and "omega sieve base primes" in labels
+    assert labels <= named, labels - named
+
+
 def test_refusal_past_the_int_string_limit_names_its_knob(capsys):
     # The window [7^100000, 7^100001) is 84,511 digits (280,739 bits) wide,
     # past the 4,300-digit limit on int-to-str conversion.
     code, out, err = run(capsys, "verify", "theorem1", "--r", "3", "--n", "100000")
     assert (code, out) == (3, "")
     _assert_one_knob_error(err)
-    assert err.startswith("error: coprime scan needs a number of 280739 bits but the budget is ")
+    assert err.startswith("error: omega sieve needs a number of 280739 bits but the budget is ")
 
 
 @pytest.mark.skipif(
@@ -239,7 +253,7 @@ def test_corollary2_with_a_large_shift_finds_its_primes_with_one_sieve():
     )
     assert (done.returncode, done.stdout) == (3, "")
     _assert_one_knob_error(done.stderr)
-    assert done.stderr.startswith("error: coprime scan needs ")
+    assert done.stderr.startswith("error: omega sieve needs ")
 
 
 @pytest.mark.parametrize(

@@ -119,7 +119,7 @@ def _oracle(rng):
         lo, hi = _window(rng, 10**5)
         argv += ["--lo", str(lo), "--hi", str(hi), "--r", str(_r(rng))]
         if probe == "scan" and rng.random() < 0.5:
-            argv += ["--moduli", _pick(rng, ["3,5", "4,9,5", "", "2,2"], ["1", "x"])]
+            argv += ["--moduli", _pick(rng, ["3,5", "4,9,5", "2,2"], ["1", "x", ""])]
     return argv + _budget(rng)
 
 

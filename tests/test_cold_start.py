@@ -32,6 +32,7 @@ from primewheel import (
     build_coprime_wheel,
     build_raw,
     check_identity26,
+    count_block,
     factor_profile,
     solve_unit,
     sorted_block_residues,
@@ -232,6 +233,7 @@ RECORDS = [
         "CanonicalWheelForm(moduli=(2, 3, 5), pinned_h1=1)",
     ),
     (IntervalSpec(1, 5), "IntervalSpec(lo=1, hi=5)"),
+    (count_block(BASIS), "BlockCount(phi=8, interior=7)"),
     (solve_unit(3, BASIS), "SolutionFamily(a=5, b=6, c=1, base_x=5, base_y=4)"),
     (factor_profile(12), "FactorProfile(n=12, omega=3, spf=2, factors=(2, 2, 3))"),
     (Counterexample(12, "x"), "Counterexample(value=12, reason='x')"),
@@ -302,6 +304,7 @@ def test_construction_defaults_and_validation():
     assert SolutionFamily(5, 6, 1, base_x=5, base_y=4) == solve_unit(3, BASIS)
     first, second = VerificationReport("c", "pass", 1, 1), VerificationReport("c", "pass", 1, 1)
     assert first.details == {} and first.details is not second.details
+    assert VerificationReport("c", "pass", 1, 1, details=None) == first
     assert first.interval is None and first.counterexamples == ()
     with pytest.raises(ValueError, match="lo must be < hi"):
         IntervalSpec(5, 1)

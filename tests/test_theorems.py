@@ -359,14 +359,20 @@ def test_report_json_round_trip():
         assert json.loads(json.dumps(report.to_json())) == report.to_json()
 
 
-def test_scan_budget_refuses_before_enumerating(monkeypatch):
+@pytest.mark.parametrize(
+    "verify,claim_args,width",
+    [(verify_theorem1, (8,), 7**9 - 7**8), (verify_corollary2, (2, 6), 11**7 - 11**6)],
+    ids=["verify_theorem1", "verify_corollary2"],
+)
+def test_scan_budget_refuses_before_enumerating(monkeypatch, verify, claim_args, width):
+    # corollary2's window [p_5^6, p_5^7) is shifted past p_4 = 7 and gates only set equality.
     def no_enumeration(*args):
         raise AssertionError("enumerated before the scan budget was checked")
 
     monkeypatch.setattr(theorems, "enumerate_interval", no_enumeration)
-    with pytest.raises(BudgetExceeded) as info:
-        verify_theorem1(PrimeBasis.first(3), 8)
-    assert info.value.required == 7**9 - 7**8
+    with pytest.raises(BudgetExceeded, match="^omega sieve needs ") as info:
+        verify(PrimeBasis.first(3), *claim_args)
+    assert info.value.required == width
 
 
 def _count_walks(monkeypatch, stream=None):
