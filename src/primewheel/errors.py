@@ -1,9 +1,9 @@
 """Shared error types and the one budget check every capped operation uses.
 
 One rule decides every cap. A cap on work (integers scanned or sieved,
-trial divisors, identity25 grid rows, inclusion-exclusion terms, claim
-window and coefficient bits) is a check_budget against the scan budget,
-which --budget and SCAN_BUDGET_ENV override. A cap on memory (the basis
+trial divisors, identity25 grid rows, inclusion-exclusion terms,
+coefficient bits) is a check_budget against the scan budget, which
+--budget and SCAN_BUDGET_ENV override. A cap on memory (the basis
 sieve, the residue table) or precision (the Omega sieve's window bits) is
 a fixed constant beside what it guards, and its remedy says so. Either
 cap is checked before the work starts.

@@ -48,9 +48,9 @@ OMEGA_SEGMENT = 1 << 14
 # --r 1000 --n 1 --budget 100000000` (245,760 per segment) peaks at 22.5 MB
 # RSS, and `--r 2000` (at this cap) at 23.1 MB.
 OMEGA_SEGMENT_MAX = 1 << 18
-# sieve_segments refuses a window whose hi - 1 has more bits: its log weights
-# would have scale 1, too coarse to tell a cofactor above sqrt(hi - 1), and
-# its base primes would reach 2^63, which no run sieves.
+# check_bits refuses a window whose hi - 1 has more bits, before any budget
+# check: its log weights would have scale 1, too coarse to tell a cofactor
+# above sqrt(hi - 1), and its base primes would reach 2^63, which no run sieves.
 OMEGA_MAX_BITS = 127
 # bytes.translate table that adds one to every count. Omega(m) < log2(hi)
 # <= OMEGA_MAX_BITS, so a count never reaches 255.
@@ -212,9 +212,7 @@ def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[b
     (root + 1)^2 > 2^(b - 1) and y <= 2^(j + 1) give U < S * (j + 1 -
     (b - 1) / 2), while L > S * j - 0.631 * b, and S >= 2 closes that gap
     from b = 9; the tests check every piece for hi < 2^18. At b = 128,
-    S = 1 and the margin fails.
-
-    The budgets and the bits are checked as sieve_segments checks them.
+    S = 1 and the margin fails: sieve_segments, whose checks this shares, refuses it.
     """
     return (omegas for _, _, omegas in sieve_segments(interval, (), budget))
 
@@ -226,18 +224,22 @@ def sieve_segments(
 
     Yields, per segment from lo up, its range, its _strike flags by the
     moduli and its Omega bytes. A segment holds OMEGA_SEGMENT integers per 64 base
-    primes, at least once and at most OMEGA_SEGMENT_MAX. The width and root
-    are checked against the budget, then b = bits(hi - 1) against
-    OMEGA_MAX_BITS, before the iterator is returned.
+    primes, at least once and at most OMEGA_SEGMENT_MAX. Before the iterator
+    is returned, check_bits takes bits(hi - 1), then the integers walked, the
+    window or 2..root when that is longer, are checked against the budget.
     """
     if interval.lo < 1:
         raise ValueError("omega is defined for m >= 1")
-    check_budget(interval.width, budget, "omega sieve")
+    check_bits((interval.hi - 1).bit_length())
     root = math.isqrt(interval.hi - 1)
-    check_budget(root, budget, "omega sieve base primes")
-    remedy = "no flag or environment variable raises this fixed limit, so use a smaller window"
-    check_budget((interval.hi - 1).bit_length(), OMEGA_MAX_BITS, "omega sieve bits", remedy)
+    check_budget(max(interval.width, root), budget, "omega sieve")
     return _sieve(interval, root, list(_primes(2, root + 1)), tuple(moduli))
+
+
+def check_bits(bits: int) -> None:
+    """Refuse a window whose hi - 1 has `bits` bits, or at least that many, past OMEGA_MAX_BITS."""
+    remedy = "no flag or environment variable raises this fixed limit, so use a smaller window"
+    check_budget(bits, OMEGA_MAX_BITS, "omega sieve bits", remedy)
 
 
 def _cut(y: int, root: int, scale: int) -> int:

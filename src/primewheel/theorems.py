@@ -100,18 +100,19 @@ def check_claim_args(
 
 
 def theorem1_interval(basis: PrimeBasis, n: int, budget: int | None = None) -> IntervalSpec:
-    """The window [p^n, p^(n+1)), p = p_{r+1} from the oracle sieve, once
-    (n + 1) * p.bit_length(), at most its width, fits the budget."""
+    """The window [p^n, p^(n+1)), p = p_{r+1} from the oracle sieve, whose hi
+    alone is checked against the budget; the bits are checked by _claim_window."""
     check_claim_args("theorem1", basis.r, n=n)
     return _claim_window(basis, n, budget, 1)[1]
 
 
 def _claim_window(basis: PrimeBasis, n: int, budget: int | None, s: int) -> tuple[int, IntervalSpec]:
-    """p_{r+1} and the window [p^n, p^(n+1)) with p = p_{r+s} (s > 1 for
-    corollary2), from the one sieve that finds both; the caller has checked n."""
+    """p_{r+1} and [p^n, p^(n+1)), p = p_{r+s} (s > 1 for corollary2), from one sieve;
+    the caller has checked n. p is odd, so p^(n+1) - 1 has at least (n + 1) * (bits(p) - 1)
+    + 1 bits: the bit cap checks that before p^n is built, and the sieve the exact bits."""
     primes = _primes_after(basis, s, budget)
     p = primes[-1]
-    check_budget((n + 1) * p.bit_length(), budget, "claim window bits")
+    oracle.check_bits((n + 1) * (p.bit_length() - 1) + 1)
     low = p**n
     return primes[0], IntervalSpec(low, low * p)
 
@@ -152,8 +153,8 @@ def _interval_report(
     Omega = 1 bytes, the primes; only a segment that fails one is read
     value by value. So a passing report walks the enumeration once, in
     segment-sized memory; at a mismatch, or a fault that decides the
-    verdict, _recount walks it again. Budgets are checked before the form:
-    the sieve's width, base primes and bits, as its iterator is built.
+    verdict, _recount walks it again. The sieve's bits and budget are
+    checked before the form, as its iterator is built.
     """
     segments = oracle.sieve_segments(interval, basis.primes, budget)
     form = build_canonical(basis)

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -139,17 +140,66 @@ def test_every_budget_label_has_a_row_in_the_readme_cap_table():
     rows = [line for line in readme.splitlines() if line.startswith("| `")]
     named = {label for row in rows for label in re.findall(r"`([^`]+)`", row.split("|")[1])}
     labels = _budget_labels()
-    assert "inclusion-exclusion over k axes" in labels and "omega sieve base primes" in labels
+    assert "inclusion-exclusion over k axes" in labels and "omega sieve bits" in labels
     assert labels <= named, labels - named
 
 
+def _cap_table_examples():
+    """(label, example) for every backticked CLI example in the README cap table."""
+    readme = (Path(errors.__file__).parents[2] / "README.md").read_text()
+    for row in readme.splitlines():
+        cells = row.split("|")
+        if row.startswith("| `") and "library only" not in cells[-2]:
+            label = re.findall(r"`([^`]+)`", cells[1])[0]
+            for example in re.findall(r"`([^`]+)`", cells[-2]):
+                yield label, example
+
+
+def test_every_cli_example_in_the_readme_cap_table_is_refused_by_its_row(capsys, monkeypatch):
+    monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)
+    examples = list(_cap_table_examples())
+    assert len(examples) >= 13
+    for label, example in examples:
+        code, out, err = run(capsys, *shlex.split(example))
+        what = re.sub(r"\bk\b", r"\\d+", re.escape(label))
+        assert code == 3 and re.match(f"error: {what} needs ", err), (example, err)
+
+
 def test_refusal_past_the_int_string_limit_names_its_knob(capsys):
-    # The window [7^100000, 7^100001) is 84,511 digits (280,739 bits) wide,
-    # past the 4,300-digit limit on int-to-str conversion.
-    code, out, err = run(capsys, "verify", "theorem1", "--r", "3", "--n", "100000")
+    # (10^600 + 1)^8 grid rows are 4,801 digits (15,946 bits), past the
+    # 4,300-digit limit on int-to-str conversion.
+    bound = str(10**600)
+    code, out, err = run(capsys, "verify", "identity25", "--r", "10", "--bound", bound)
     assert (code, out) == (3, "")
     _assert_one_knob_error(err)
-    assert err.startswith("error: omega sieve needs a number of 280739 bits but the budget is ")
+    assert err.startswith("error: identity25 grid needs a number of 15946 bits but the budget is ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theorem1", "--r", "3", "--n", "100000000000"),
+        ("corollary2", "--r", "3", "--s", "2", "--n", "100000000000"),
+    ],
+)
+def test_a_claim_window_past_the_bit_cap_is_refused_before_it_is_built(argv):
+    # (n + 1) * bits(p) is within the budget of 10^12, but p^(10^11) would take
+    # tens of gigabytes: under a 1 GB address space the child exits 3 at once
+    # only if the bit cap refuses n before the power is taken.
+    import resource  # POSIX only, like preexec_fn
+
+    def one_gigabyte():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(theorems.__file__).resolve().parents[1])}
+    env.pop(SCAN_BUDGET_ENV, None)
+    done = subprocess.run(
+        [sys.executable, "-m", "primewheel", "verify", *argv, "--budget", str(10**12)],
+        env=env, capture_output=True, text=True, timeout=5, preexec_fn=one_gigabyte,
+    )
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert done.stderr.startswith("error: omega sieve bits needs ") and done.stderr.count("\n") == 1
+    assert "--budget" not in done.stderr
 
 
 @pytest.mark.skipif(

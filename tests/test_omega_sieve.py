@@ -99,17 +99,19 @@ def test_omega_sieve_checks_width_and_root_before_sieving():
     with pytest.raises(BudgetExceeded) as info:
         omega_sieve(IntervalSpec(1, 1002), budget=1000)
     assert info.value.required == 1001
-    # A narrow window far out needs base primes up to its square root.
-    with pytest.raises(BudgetExceeded) as info:
+    # A narrow window far out walks the base primes up to its square root.
+    with pytest.raises(BudgetExceeded, match="^omega sieve needs ") as info:
         omega_sieve(IntervalSpec(10**12, 10**12 + 10), budget=10**5)
     assert info.value.required == math.isqrt(10**12 + 9)
+    with pytest.raises(BudgetExceeded, match="^omega sieve needs 100000000 "):
+        omega_sieve(IntervalSpec(10**16, 10**16 + 2))
     with pytest.raises(ValueError):
         omega_sieve(IntervalSpec(0, 10))
 
 
 def test_omega_sieve_refuses_a_window_past_its_bit_cap(monkeypatch):
     # hi - 1 has one bit more than the cap; base primes up to 2^63 would be
-    # sieved for it. The cap refuses it first, after both budget checks pass.
+    # sieved for it. The cap refuses it first, whether the budget admits it or not.
     def no_sieve(*args):
         raise AssertionError("sieved the base primes of a window past the cap")
 
@@ -119,7 +121,7 @@ def test_omega_sieve_refuses_a_window_past_its_bit_cap(monkeypatch):
     with pytest.raises(BudgetExceeded) as info:
         omega_sieve(window, budget=2**cap)
     assert str(info.value).startswith(f"omega sieve bits needs {cap + 1} but the budget is {cap}; no flag")
-    with pytest.raises(BudgetExceeded, match="^omega sieve base primes needs "):
+    with pytest.raises(BudgetExceeded, match=f"^omega sieve bits needs {cap + 1} "):
         omega_sieve(window)
 
 

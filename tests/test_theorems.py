@@ -88,15 +88,22 @@ def test_bertrand_condition_builds_no_power():
 
 
 def test_claim_window_bits_are_checked_before_the_window():
-    with pytest.raises(BudgetExceeded, match="^claim window bits needs 3000000000003 "):
+    # p^(n+1) - 1 has at least (n + 1) * (bits(p) - 1) + 1 bits: 7^(10^12 + 1)
+    # and 11^(10^12 + 1) are refused by that bound, never built.
+    with pytest.raises(BudgetExceeded, match="^omega sieve bits needs 2000000000003 .* fixed"):
         theorem1_interval(PrimeBasis.first(3), 10**12)
-    with pytest.raises(BudgetExceeded, match="^claim window bits needs 4000000000004 "):
+    with pytest.raises(BudgetExceeded, match="^omega sieve bits needs 3000000000004 .* fixed"):
         verify_corollary2(PrimeBasis.first(3), 2, 10**12)
-    # [7^4, 7^5) has (4 + 1) * 3 bits by this bound.
+    # The cap's edge: 7^45 - 1 has 127 bits. At n = 45 the bound is 93, so the
+    # window is built and the sieve refuses its exact 130 bits.
+    assert (7**45 - 1).bit_length() == oracle.OMEGA_MAX_BITS
+    assert theorem1_interval(PrimeBasis.first(3), 44) == IntervalSpec(7**44, 7**45)
+    assert theorem1_interval(PrimeBasis.first(3), 45) == IntervalSpec(7**45, 7**46)
     with pytest.raises(BudgetExceeded) as info:
-        theorem1_interval(PrimeBasis.first(3), 4, budget=14)
-    assert (info.value.required, info.value.budget) == (15, 14)
-    assert theorem1_interval(PrimeBasis.first(3), 4, budget=15) == IntervalSpec(7**4, 7**5)
+        verify_theorem1(PrimeBasis.first(3), 45, budget=10**40)
+    assert (info.value.what, info.value.required) == ("omega sieve bits", 130)
+    # The budget is spent only on the prime sieve that finds p = 7, on [6, 12).
+    assert theorem1_interval(PrimeBasis.first(3), 4, budget=14) == IntervalSpec(7**4, 7**5)
 
 
 def test_bertrand_condition_monotone_in_r():
