@@ -25,14 +25,18 @@ class BudgetExceeded(RuntimeError):
     Carries the budget that was in force and the size the operation would
     actually need, so callers can retry with an explicit override. The
     message names the knobs that lift a work budget; a fixed memory cap
-    passes a `remedy` saying what does.
+    passes a `remedy` saying what does. A size too large to build is worded
+    by `need`, and `required` is then a lower bound on its bit length.
     """
 
-    def __init__(self, required: int, budget: int, what: str = "scan", remedy: str | None = None):
+    def __init__(
+        self, required: int, budget: int, what: str = "scan", remedy: str | None = None,
+        need: str | None = None,
+    ):
         self.required = required
         self.budget = budget
         self.what = what
-        need, limit = _size(required), _size(budget)
+        need, limit = need or _size(required), _size(budget)
         if remedy is None:
             remedy = f"raise --budget or {SCAN_BUDGET_ENV} to at least {need} to run this"
         super().__init__(f"{what} needs {need} but the budget is {limit}; {remedy}")

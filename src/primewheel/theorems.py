@@ -19,12 +19,17 @@ from collections import Counter
 from . import oracle
 from ._record import Record
 from .enumeration import IntervalSpec, enumerate_interval
-from .errors import check_budget
+from .errors import DEFAULT_SCAN_BUDGET, SCAN_BUDGET_ENV, BudgetExceeded, check_budget
 from .wheel import PrimeBasis, _prime_bound, build_canonical
 
 COUNTEREXAMPLE_CAP = 10
+# The largest identity25 grid, by the lower bound on its bits, that a refusal builds to
+# give its exact size: (bound + 1)^(r - 2) at a million bits takes about 0.04 s.
+GRID_BUILD_BITS = 1 << 20
 # bytes.translate table that maps an Omega byte to 1 for a prime, Omega = 1, else to 0.
 _ONE = b"\x00\x01" + bytes(254)
+# bytes.translate table that maps a copy count to 1 when it is not 0.
+_SOME = b"\x00" + b"\x01" * 255
 
 
 class Counterexample(Record):
@@ -117,14 +122,14 @@ def _claim_window(basis: PrimeBasis, n: int, budget: int | None, s: int) -> tupl
     return primes[0], IntervalSpec(low, low * p)
 
 
-def _differ(missing: list, extra: list, want, got) -> list[int]:
-    """Add want's values not in got to `missing` and got's not in want to `extra`, up to
-    the cap; return got as a list. Each call adds its segment's smallest faults, above earlier ones."""
-    want, got = list(want), list(got)
-    if want != got:
-        missing += sorted(set(want).difference(got))[: COUNTEREXAMPLE_CAP - len(missing)]
-        extra += sorted(set(got).difference(want))[: COUNTEREXAMPLE_CAP - len(extra)]
-    return got
+def _differ(missing: list, extra: list, seg: range, want, got) -> None:
+    """Add seg's integers flagged in the 0/1 byte mask want but not in got to `missing`, and got's
+    but not want's to `extra`, up to the cap: its segment's smallest faults, above earlier ones."""
+    want, got = int.from_bytes(want, "little"), int.from_bytes(got, "little")
+    for faults, mask in ((missing, want & ~got), (extra, got & ~want)):
+        if mask:
+            flagged = itertools.compress(seg, mask.to_bytes(len(seg), "little"))
+            faults += itertools.islice(flagged, COUNTEREXAMPLE_CAP - len(faults))
 
 
 def _interval_report(
@@ -151,10 +156,10 @@ def _interval_report(
     must end with the last segment. The Omega bound is one translate and
     one integer AND against the flags, and for n = 1 the flags must be the
     Omega = 1 bytes, the primes; only a segment that fails one is read
-    value by value. So a passing report walks the enumeration once, in
-    segment-sized memory; at a mismatch, or a fault that decides the
-    verdict, _recount walks it again. The sieve's bits and budget are
-    checked before the form, as its iterator is built.
+    value by value. So a stream equal to the scan is walked once, in
+    segment-sized memory, and its faults are the whole report; only a stream
+    that left the scan is walked again, by _recount. The sieve's bits and
+    budget are checked before the form, as its iterator is built.
     """
     segments = oracle.sieve_segments(interval, basis.primes, budget)
     form = build_canonical(basis)
@@ -166,7 +171,7 @@ def _interval_report(
     pe_missing: list[int] = []  # n = 1: primes never enumerated, ascending
     pe_extra: list[int] = []  # n = 1: enumerated but not prime, ascending
     omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
-    checked, faulty, copies_of = 0, True, {}  # _recount finds the counterexamples and fills it
+    checked, clean = 0, False
     outside = bytes(0 if 1 <= om <= n else 1 for om in range(256))  # Omega off 1..n
     stream = enumerate_interval(form, interval)
     for seg, flags, omegas in segments:
@@ -182,11 +187,12 @@ def _interval_report(
         if n == 1:
             primes = omegas.translate(_ONE)
             if primes != flags:
-                _differ(pe_missing, pe_extra, itertools.compress(seg, primes), run)
+                _differ(pe_missing, pe_extra, seg, primes, flags)
     else:
-        faulty = next(stream, None) is not None
+        clean = next(stream, None) is None
 
-    if faulty or (gate_all and (omega_bad or pe_missing or pe_extra)):
+    copies_of = lambda v: v not in pe_missing  # the scan: each value once, a prime it lacks never
+    if not clean:
         checked, copies_of, faults = _recount(form, basis, interval, n, budget)
         missing, extra, disorder, omega_bad, pe_missing, pe_extra = faults
 
@@ -220,7 +226,8 @@ def _interval_report(
             found += [(m, "prime in the window but never enumerated") for m in pe_missing]
             found += [(m, "enumerated in the n = 1 window but not prime") for m in pe_extra]
 
-    witnesses_pass = checked - sum(copies_of[m] for m in {m for m, _ in found})
+    named = (m for m, _ in itertools.groupby(sorted(m for m, _ in found)))  # each value once
+    witnesses_pass = checked - sum(map(copies_of, named))
     return VerificationReport(
         claim=claim,
         verdict="pass" if not found and checked > 0 else "fail",
@@ -233,10 +240,10 @@ def _interval_report(
 
 
 def _recount(form, basis: PrimeBasis, interval: IntervalSpec, n: int, budget: int | None) -> tuple:
-    """Walk the enumeration again, keeping two bytes per window integer (its Omega and copies,
-    past 255 in a Counter) and a count per value off the window. Returns checked, the
-    copies of each value a fault names, and _interval_report's six fault lists in its order."""
-    lo, hi, size, cap = interval.lo, interval.hi, oracle.OMEGA_SEGMENT, COUNTEREXAMPLE_CAP
+    """Walk a stream that left the scan again, keeping two bytes per window integer (its Omega and
+    copies, past 255 in a Counter) and a count per value off the window; compare each segment of
+    oracle.sieve_segments with the copies. Returns checked, copies_of and the six fault lists."""
+    lo, hi, cap = interval.lo, interval.hi, COUNTEREXAMPLE_CAP
     missing, extra, disorder, omega_bad, pe_missing, pe_extra = [], [], [], [], [], []
     omegas = b"".join(oracle.omega_sieve(interval, budget))
     copies, more, off, top = bytearray(hi - lo), Counter(), Counter(), lo
@@ -257,18 +264,15 @@ def _recount(form, basis: PrimeBasis, interval: IntervalSpec, n: int, budget: in
             om = oracle.omega(v) if len(omega_bad) < cap else 1
         if not 1 <= om <= n and len(omega_bad) < cap:
             omega_bad.append((v, om))
-    for at in range(0, hi - lo, size):
-        seg = range(lo + at, min(lo + at + size, hi))
-        run = oracle.coprime_scan(IntervalSpec(seg.start, seg.stop), basis, budget)
-        got = _differ(missing, extra, run, itertools.compress(seg, copies[at : at + size]))
+    for seg, flags, own in oracle.sieve_segments(interval, basis.primes, budget):
+        got = copies[seg.start - lo : seg.stop - lo].translate(_SOME)
+        _differ(missing, extra, seg, flags, got)
         if n == 1:
-            primes = itertools.compress(seg, omegas[at : at + size].translate(_ONE))
-            _differ(pe_missing, pe_extra, primes, got)
+            _differ(pe_missing, pe_extra, seg, own.translate(_ONE), got)
     # Every value off the window is extra for both the scan and the primes.
     extra, pe_extra = sorted([*extra, *off])[:cap], sorted([*pe_extra, *off])[:cap]
-    named = set().union(missing, extra, disorder, pe_missing, pe_extra, (v for v, _ in omega_bad))
-    copies_of = {v: copies[v - lo] + more[v] if lo <= v < hi else off[v] for v in named}
     checked = sum(copies) + more.total() + off.total()
+    copies_of = lambda v: copies[v - lo] + more[v] if lo <= v < hi else off[v]
     return checked, copies_of, (missing, extra, disorder, omega_bad, pe_missing, pe_extra)
 
 
@@ -419,10 +423,18 @@ def search_identity25(
     The residue of x'_r is read from solve_unit, so a faulty solver fails
     the claim. checked counts the (bound + 1)^(r - 1) combinations the
     certificate covers; the (bound + 1)^(r - 2) grid rows are checked
-    against the scan budget first.
+    against the scan budget first. They have at least low = (r - 2) *
+    (bits(bound + 1) - 1) + 1 bits, so low past the budget's bits refuses
+    them, unbuilt when low is past GRID_BUILD_BITS too.
     """
     r = basis.r
     check_claim_args("identity25", r, bound=bound)
+    low = (r - 2) * ((bound + 1).bit_length() - 1) + 1
+    limit = DEFAULT_SCAN_BUDGET if budget is None else budget
+    if low > max(limit.bit_length(), GRID_BUILD_BITS):
+        need = f"a number of at least {low} bits"
+        remedy = f"raise --budget or {SCAN_BUDGET_ENV} to a number of that size to run this"
+        raise BudgetExceeded(low, limit, "identity25 grid", remedy, need)
     rows = (bound + 1) ** (r - 2)
     check_budget(rows, budget, "identity25 grid")
     from .diophantine import solve_unit  # here, so no other claim compiles it

@@ -175,6 +175,42 @@ def test_refusal_past_the_int_string_limit_names_its_knob(capsys):
     assert err.startswith("error: identity25 grid needs a number of 15946 bits but the budget is ")
 
 
+def test_a_large_identity25_grid_is_refused_before_it_is_built(capsys, monkeypatch):
+    # (10^999 + 1)^5998 rows would be a number of 19,905,000 bits, about 5 s and
+    # 12 MB to build; the lower bound on its bits refuses it first.
+    monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)
+    run(capsys, "verify", "identity25", "--r", "3", "--bound", "1")  # imports, outside the trace
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "identity25", "--r", "6000", "--bound", str(10**999))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    _assert_one_knob_error(err)
+    assert err.startswith("error: identity25 grid needs a number of at least 19901365 bits but ")
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_identity25_grid_bound_refuses_only_grids_over_budget(monkeypatch, seed):
+    # With no grid built for its message, the lower bound on the bits of
+    # (bound + 1)^(r - 2) alone must refuse exactly the grids over budget.
+    monkeypatch.setattr(theorems, "GRID_BUILD_BITS", 0)
+    rng = random.Random(seed)
+    for _ in range(200):
+        r, bound = rng.randrange(3, 12), rng.choice([0, 1, 2, 3, rng.randrange(1 << 12)])
+        budget = rng.choice([1, 2, 3, rng.randrange(1 << rng.randrange(1, 80))])
+        rows, low = (bound + 1) ** (r - 2), (r - 2) * ((bound + 1).bit_length() - 1) + 1
+        try:
+            search_identity25(PrimeBasis.first(r), bound, budget)
+        except BudgetExceeded as exc:
+            assert rows > budget, (r, bound, budget)
+            assert exc.required == rows or exc.required == low <= rows.bit_length()
+        else:
+            assert rows <= budget, (r, bound, budget)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

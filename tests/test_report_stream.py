@@ -238,6 +238,58 @@ def test_passing_report_streams(monkeypatch, check, omega_pass):
     assert seen["omega"] == []
 
 
+@pytest.mark.parametrize(
+    "n, value, omega, reasons",
+    [
+        # 49 = 7^2 read as Omega 3 in the window [49, 343).
+        (2, 49, 3, ["has 3 prime factors, outside 1..2"]),
+        # The prime 13 read as Omega 2 in [7, 49): too many factors, and not prime.
+        (1, 13, 2, [
+            "has 2 prime factors, outside 1..1", "enumerated in the n = 1 window but not prime",
+        ]),
+    ],
+)
+def test_stream_equal_to_the_scan_is_walked_once_when_a_subcheck_fails(
+    monkeypatch, n, value, omega, reasons
+):
+    segments = oracle.sieve_segments
+
+    def misread(interval, moduli, budget=None):
+        for seg, flags, omegas in segments(interval, moduli, budget):
+            if value in seg:
+                assert flags[value - seg.start]
+                omegas = bytearray(omegas)
+                omegas[value - seg.start] = omega
+            yield seg, flags, bytes(omegas)
+
+    monkeypatch.setattr(oracle, "sieve_segments", misread)
+    seen = _watch_oracle(monkeypatch)
+    report = theorems.verify_theorem1(PrimeBasis.first(3), n)
+    assert seen["enumerations"] == 1
+    assert report.verdict == "fail" and report.details["set_equality"]["pass"]
+    assert report.details["omega_bound"]["violations"] == [{"value": str(value), "omega": omega}]
+    assert [(c.value, c.reason) for c in report.counterexamples] == [(value, r) for r in reasons]
+    assert report.witnesses_pass == report.checked - 1
+
+
+@pytest.mark.parametrize("fault", ["missing", "extra_even_300_times", "off_window_repeat"])
+@pytest.mark.parametrize("r,n,shift", WINDOWS)
+def test_failing_report_calls_no_coprime_scan(monkeypatch, fault, r, n, shift):
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
+    basis, interval = PrimeBasis.first(r), _window(r, n, shift)
+    stream = FAULTS[fault](oracle.coprime_scan(interval, basis), interval)
+    wants = [_reference_report("claim", basis, interval, n, g, stream, {"tag": 1}) for g in (1, 0)]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a window report called coprime_scan")
+
+    monkeypatch.setattr(oracle, "coprime_scan", refused)
+    for gate_all, want in zip((True, False), wants):
+        got = _streamed(monkeypatch, basis, interval, n, gate_all, stream)
+        assert got.verdict == "fail"
+        assert got.to_json() == want.to_json()
+
+
 def test_stepped_back_window_values_are_not_trial_divided(monkeypatch):
     basis = PrimeBasis.first(3)
     interval = _window(3, 2, 1)
