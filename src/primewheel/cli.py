@@ -248,11 +248,12 @@ def cmd_bench(args) -> int:
     interval = IntervalSpec(args.lo, args.lo + args.width)
     basis = PrimeBasis.first(args.r)
     form = build_canonical(basis)
+    rough_sieve = oracle.rough_sieve  # imports the oracle here, outside the timed region
     rows = []
     for rep in range(args.reps):
         # The sieve runs first and checks its budget, so a refused window is never enumerated.
         start = time.perf_counter()
-        sieve_values = oracle.rough_sieve(interval, basis, budget=budget)
+        sieve_values = rough_sieve(interval, basis, budget=budget)
         middle = time.perf_counter()
         wheel_values = list(enumerate_interval(form, interval))
         end = time.perf_counter()

@@ -112,14 +112,13 @@ def theorem1_interval(basis: PrimeBasis, n: int, budget: int | None = None) -> I
 
 
 def _claim_window(basis: PrimeBasis, n: int, budget: int | None, s: int) -> tuple[int, IntervalSpec]:
-    """p_{r+1} and [p^n, p^(n+1)), p = p_{r+s} (s > 1 for corollary2), from one sieve;
-    the caller has checked n. p is odd, so p^(n+1) - 1 has at least (n + 1) * (bits(p) - 1)
-    + 1 bits: the bit cap checks that before p^n is built, and the sieve the exact bits."""
+    """p_{r+1} and [p^n, p^(n+1)), p = p_{r+s} (s > 1 for corollary2), from one sieve; the caller
+    has checked n. As p is odd and p_k >= 2k - 1, p^(n+1) - 1 has at least (n + 1) * (bits(2(r + s)
+    - 1) - 1) + 1 bits: the bit cap checks that before p is sieved, and the sieve the exact bits."""
+    oracle.check_bits((n + 1) * ((2 * (basis.r + s) - 1).bit_length() - 1) + 1)
     primes = _primes_after(basis, s, budget)
-    p = primes[-1]
-    oracle.check_bits((n + 1) * (p.bit_length() - 1) + 1)
-    low = p**n
-    return primes[0], IntervalSpec(low, low * p)
+    low = primes[-1] ** n
+    return primes[0], IntervalSpec(low, low * primes[-1])
 
 
 def _differ(missing: list, extra: list, seg: range, want, got) -> None:
@@ -130,6 +129,22 @@ def _differ(missing: list, extra: list, seg: range, want, got) -> None:
         if mask:
             flagged = itertools.compress(seg, mask.to_bytes(len(seg), "little"))
             faults += itertools.islice(flagged, COUNTEREXAMPLE_CAP - len(faults))
+
+
+def _check_segment(faults: tuple, n: int, outside: bytes, seg: range, flags, omegas, got) -> None:
+    """Add a segment's faults to the six fault lists but disorder, each up to the cap. flags and
+    omegas are its sieve_segments bytes, got the 0/1 mask of its enumerated integers (flags itself
+    skips the set equality), and outside maps an Omega byte off 1..n to 1."""
+    missing, extra, _, omega_bad, pe_missing, pe_extra = faults
+    if got is not flags:
+        _differ(missing, extra, seg, flags, got)
+    bad = int.from_bytes(omegas.translate(outside), "little") & int.from_bytes(got, "little")
+    if bad and len(omega_bad) < COUNTEREXAMPLE_CAP:
+        values = itertools.compress(seg, bad.to_bytes(len(seg), "little"))
+        hits = ((v, omegas[v - seg.start]) for v in values)
+        omega_bad += itertools.islice(hits, COUNTEREXAMPLE_CAP - len(omega_bad))
+    if n == 1:
+        _differ(pe_missing, pe_extra, seg, omegas.translate(_ONE), got)
 
 
 def _interval_report(
@@ -150,50 +165,36 @@ def _interval_report(
     reported informationally.
 
     A correct enumeration is the scan, in order, so the report reads it one
-    segment of oracle.sieve_segments at a time, whose one walk gives the
-    segment's coprime flags and Omega bytes: as many values as the flags
-    hold must equal the flagged integers as a list, and the enumeration
-    must end with the last segment. The Omega bound is one translate and
-    one integer AND against the flags, and for n = 1 the flags must be the
-    Omega = 1 bytes, the primes; only a segment that fails one is read
-    value by value. So a stream equal to the scan is walked once, in
-    segment-sized memory, and its faults are the whole report; only a stream
-    that left the scan is walked again, by _recount. The sieve's bits and
-    budget are checked before the form, as its iterator is built.
+    segment of oracle.sieve_segments at a time: as many values as the
+    segment's coprime flags hold must equal the flagged integers as a list,
+    and the enumeration must end with the last segment. _check_segment,
+    given the flags as what was enumerated, then finds the segment's faults.
+    So a stream equal to the scan is walked once, in segment-sized memory;
+    one that left it is counted by _recount, which gives _check_segment the
+    enumerated mask. Each fault list holds its smallest values, each once,
+    but out_of_order, in enumeration order. The sieve's bits and budget are
+    checked before the form, as its iterator is built.
     """
     segments = oracle.sieve_segments(interval, basis.primes, budget)
     form = build_canonical(basis)
-    cap = COUNTEREXAMPLE_CAP
-    # Each fault list that is not empty fails its subcheck.
-    missing: list[int] = []  # in the scan but never enumerated, ascending
-    extra: list[int] = []  # enumerated but not in the scan, ascending
-    disorder: list[int] = []  # window values enumerated after a larger one
-    pe_missing: list[int] = []  # n = 1: primes never enumerated, ascending
-    pe_extra: list[int] = []  # n = 1: enumerated but not prime, ascending
-    omega_bad: list[tuple[int, int]] = []  # (value, Omega), in enumeration order
-    checked, clean = 0, False
     outside = bytes(0 if 1 <= om <= n else 1 for om in range(256))  # Omega off 1..n
+    # Each fault list that is not empty fails its subcheck; omega_bad holds (value, Omega) pairs,
+    # disorder window values enumerated after a larger one, pe_* the n = 1 prime equality's.
+    faults = missing, extra, disorder, omega_bad, pe_missing, pe_extra = [], [], [], [], [], []
+    checked, clean = 0, False
     stream = enumerate_interval(form, interval)
     for seg, flags, omegas in segments:
         run = list(itertools.compress(seg, flags))
         if list(itertools.islice(stream, len(run))) != run:
             break
         checked += len(run)
-        bad = int.from_bytes(omegas.translate(outside), "little") & int.from_bytes(flags, "little")
-        if bad and len(omega_bad) < cap:
-            values = itertools.compress(seg, bad.to_bytes(len(seg), "little"))
-            hits = ((v, omegas[v - seg.start]) for v in values)
-            omega_bad += itertools.islice(hits, cap - len(omega_bad))
-        if n == 1:
-            primes = omegas.translate(_ONE)
-            if primes != flags:
-                _differ(pe_missing, pe_extra, seg, primes, flags)
+        _check_segment(faults, n, outside, seg, flags, omegas, flags)
     else:
         clean = next(stream, None) is None
 
     copies_of = lambda v: v not in pe_missing  # the scan: each value once, a prime it lacks never
     if not clean:
-        checked, copies_of, faults = _recount(form, basis, interval, n, budget)
+        checked, copies_of, faults = _recount(form, basis, interval, n, budget, outside)
         missing, extra, disorder, omega_bad, pe_missing, pe_extra = faults
 
     details = dict(extra_details)
@@ -239,36 +240,33 @@ def _interval_report(
     )
 
 
-def _recount(form, basis: PrimeBasis, interval: IntervalSpec, n: int, budget: int | None) -> tuple:
-    """Walk a stream that left the scan again, keeping two bytes per window integer (its Omega and
-    copies, past 255 in a Counter) and a count per value off the window; compare each segment of
-    oracle.sieve_segments with the copies. Returns checked, copies_of and the six fault lists."""
+def _recount(form, basis: PrimeBasis, interval: IntervalSpec, n: int, budget, outside) -> tuple:
+    """Walk a stream that left the scan again, keeping one byte per window integer (its copies,
+    past 255 in a Counter), disorder and a count per value off the window, then check each
+    segment of one oracle.sieve_segments walk against the copies. oracle.omega factors the
+    values off the window in ascending order, below lo first, up to the cap. Returns checked,
+    copies_of and the six fault lists."""
     lo, hi, cap = interval.lo, interval.hi, COUNTEREXAMPLE_CAP
-    missing, extra, disorder, omega_bad, pe_missing, pe_extra = [], [], [], [], [], []
-    omegas = b"".join(oracle.omega_sieve(interval, budget))
+    faults = missing, extra, disorder, omega_bad, pe_missing, pe_extra = [], [], [], [], [], []
     copies, more, off, top = bytearray(hi - lo), Counter(), Counter(), lo
     for v in enumerate_interval(form, interval):
         if lo <= v < hi:
-            i = v - lo
             try:
-                copies[i] += 1
+                copies[v - lo] += 1
             except ValueError:  # the byte holds 255 copies
                 more[v] += 1
             if v >= top:
                 top = v
             elif len(disorder) < cap and v not in disorder:
                 disorder.append(v)
-            om = omegas[i]
         else:
             off[v] += 1
-            om = oracle.omega(v) if len(omega_bad) < cap else 1
-        if not 1 <= om <= n and len(omega_bad) < cap:
-            omega_bad.append((v, om))
-    for seg, flags, own in oracle.sieve_segments(interval, basis.primes, budget):
+    hits = lambda vs: ((v, om) for v in sorted(vs) for om in [oracle.omega(v)] if not 1 <= om <= n)
+    omega_bad += itertools.islice(hits(v for v in off if v < lo), cap)
+    for seg, flags, omegas in oracle.sieve_segments(interval, basis.primes, budget):
         got = copies[seg.start - lo : seg.stop - lo].translate(_SOME)
-        _differ(missing, extra, seg, flags, got)
-        if n == 1:
-            _differ(pe_missing, pe_extra, seg, own.translate(_ONE), got)
+        _check_segment(faults, n, outside, seg, flags, omegas, got)
+    omega_bad += itertools.islice(hits(v for v in off if v >= hi), cap - len(omega_bad))
     # Every value off the window is extra for both the scan and the primes.
     extra, pe_extra = sorted([*extra, *off])[:cap], sorted([*pe_extra, *off])[:cap]
     checked = sum(copies) + more.total() + off.total()

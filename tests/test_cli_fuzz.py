@@ -3,16 +3,18 @@
 Every run must keep the exit-code contract: exit 0, 1 (only from verify
 or bench), 2 or 3, no traceback, and a command's own exit 2 or 3 is one
 `error: ` line on stderr (argparse's usage errors print their usage
-instead). Each case runs under a SIGALRM limit. Sizes stay small (r <= 12,
-r <= 40 for count windows below 10^6, narrow gen and bench windows), and
-size refusals come from small --budget values, not from huge inputs. A
-few fixed argvs at large r, bound or n run under the same limit: the
-streaming commands and count read only residue classes, identity25
-decides its grid by a certificate, count --pi-approx checks its sieve
-before the density formula, coeffs bounds its coefficient bits before
-building any and the window claims bound their window's bits before
-building it, so they must finish or refuse in time however large the
-integers or the grid grow.
+instead). An exit 3 comes within REFUSAL_S, since every budget is
+checked before its work. Each case runs under a SIGALRM limit. Sizes
+stay small (r <= 12, r <= 40 for count windows below 10^6, narrow gen
+and bench windows), and size refusals come from small --budget values,
+not from huge inputs. A few fixed argvs at large r, bound or n run under
+the same limits: the streaming commands and count read only residue
+classes, identity25 decides its grid by a certificate and bounds its
+bits before building it, count --pi-approx checks its sieve before the
+density formula, coeffs bounds its coefficient bits before building any
+and the window claims bound their window's bits before sieving for its
+prime, so they must finish or refuse in time however large the integers
+or the grid grow.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import contextlib
 import io
 import random
 import signal
+import time
 
 import pytest
 
@@ -30,6 +33,8 @@ from primewheel.errors import SCAN_BUDGET_ENV
 SEED = 14
 CASES_PER_COMMAND = 80
 ALARM_S = 5
+# The longest an exit 3 may take.
+REFUSAL_S = 0.5
 
 
 def _pick(rng, valid, invalid):
@@ -145,16 +150,20 @@ def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.alarm(ALARM_S)
+    start = time.perf_counter()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     finally:
+        seconds = time.perf_counter() - start
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue(), seconds
 
 
-def _violations(command, code, out, err):
+def _violations(command, code, out, err, seconds):
+    if code == 3 and seconds >= REFUSAL_S:
+        yield f"exit 3 after {seconds:.2f} s"
     if code not in (0, 1, 2, 3):
         yield f"exit {code}"
     if "Traceback" in err:
@@ -174,11 +183,11 @@ def test_random_argvs_keep_the_exit_code_contract(monkeypatch, command):
     for _ in range(CASES_PER_COMMAND):
         argv = MAKERS[command](rng)
         try:
-            code, out, err = _run(argv)
+            code, out, err, seconds = _run(argv)
         except Exception as exc:  # an escaped exception or the alarm
             found.append((argv, repr(exc)))
             continue
-        found += [(argv, v) for v in _violations(command, code, out, err)]
+        found += [(argv, v) for v in _violations(command, code, out, err, seconds)]
     assert not found, found
 
 
@@ -219,6 +228,8 @@ _FIXED = "no flag or environment variable raises this fixed limit"
         (["verify", "identity26", "--r", "1500", "--e", "2"], 3, "", "--budget"),
         (["verify", "theorem1", "--r", "3", "--n", "1000000000000"], 3, "", _FIXED),
         (["verify", "corollary2", "--r", "3", "--s", "600000", "--n", "100000"], 3, "", _FIXED),
+        (["verify", "identity25", "--r", "6000", "--bound", str(10**999)], 3, "", "--budget"),
+        (["verify", "theorem1", "--r", "3", "--n", "3000000"], 3, "", _FIXED),
     ],
     ids=[
         "gen",
@@ -235,12 +246,14 @@ _FIXED = "no flag or environment variable raises this fixed limit"
         "identity26-r1500",
         "theorem1-n1e12",
         "corollary2-s600000",
+        "identity25-r6000-bound1e999",
+        "theorem1-n3e6",
     ],
 )
 def test_large_r_commands_finish_within_the_alarm(monkeypatch, argv, code, out, knob):
     monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)
-    got, stdout, err = _run(argv)
+    got, stdout, err, seconds = _run(argv)
     assert (got, stdout[: len(out)]) == (code, out), err
-    assert not list(_violations(argv[0], got, stdout, err))
+    assert not list(_violations(argv[0], got, stdout, err, seconds))
     if code == 3:
         assert knob in err and err.count("\n") == 1

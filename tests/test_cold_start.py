@@ -128,6 +128,20 @@ def test_gen_without_site_loads_no_typing():
     assert "typing" not in loaded
 
 
+def test_bench_imports_the_oracle_before_its_first_timer():
+    # Each time.perf_counter call records whether the oracle is loaded yet,
+    # so no timed sieve row includes its import.
+    body = (
+        "import time\n"
+        "timer, loaded = time.perf_counter, []\n"
+        "time.perf_counter = lambda: loaded.append('primewheel.oracle' in sys.modules) or timer()\n"
+        f"{_MAIN}\n"
+        "assert loaded and all(loaded), loaded"
+    )
+    loaded = _loaded(body, "bench", "--r", "3", "--width", "1000", "--reps", "3")
+    assert "primewheel.oracle" in loaded
+
+
 def test_python_m_primewheel_exits_with_the_collector_frozen():
     # run_module with alter_sys runs the package's __main__ as -m does.
     body = (

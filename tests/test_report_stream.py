@@ -48,7 +48,7 @@ def _reference_report(claim, basis, interval, n, gate_all, got, extra_details):
     for m in disorder[:COUNTEREXAMPLE_CAP]:
         counterexamples.append(Counterexample(m, "enumerated after a larger value"))
 
-    omega_bad = [(m, oracle.omega(m)) for m in got]
+    omega_bad = [(m, oracle.omega(m)) for m in sorted(set(got))]
     omega_bad = [(m, om) for m, om in omega_bad if not 1 <= om <= n]
     details["omega_bound"] = {
         "pass": not omega_bad,
@@ -287,6 +287,40 @@ def test_failing_report_calls_no_coprime_scan(monkeypatch, fault, r, n, shift):
     for gate_all, want in zip((True, False), wants):
         got = _streamed(monkeypatch, basis, interval, n, gate_all, stream)
         assert got.verdict == "fail"
+        assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("fault", ["missing", "duplicate", "off_window_repeat"])
+@pytest.mark.parametrize("r,n,shift", WINDOWS)
+def test_failing_report_walks_the_sieve_once_to_recount(monkeypatch, fault, r, n, shift):
+    # The first walk stops where the stream leaves the scan; _recount then
+    # walks sieve_segments once and never joins the window's Omega bytes. A
+    # duplicate leaves the scan but, as in the whole-window report, fails no
+    # subcheck.
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
+    basis, interval = PrimeBasis.first(r), _window(r, n, shift)
+    stream = FAULTS[fault](oracle.coprime_scan(interval, basis), interval)
+    wants = [_reference_report("claim", basis, interval, n, g, stream, {"tag": 1}) for g in (1, 0)]
+    seen, segments, recount = [], oracle.sieve_segments, theorems._recount
+
+    def watched_segments(interval, moduli, budget=None):
+        seen.append("sieve_segments")
+        return segments(interval, moduli, budget)
+
+    def watched_recount(*args):
+        seen.append("_recount")
+        return recount(*args)
+
+    def joined(*args, **kwargs):
+        raise AssertionError("a window report called omega_sieve")
+
+    monkeypatch.setattr(oracle, "sieve_segments", watched_segments)
+    monkeypatch.setattr(oracle, "omega_sieve", joined)
+    monkeypatch.setattr(theorems, "_recount", watched_recount)
+    for gate_all, want in zip((True, False), wants):
+        seen.clear()
+        got = _streamed(monkeypatch, basis, interval, n, gate_all, stream)
+        assert seen == ["sieve_segments", "_recount", "sieve_segments"]
         assert got.to_json() == want.to_json()
 
 

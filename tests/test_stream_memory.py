@@ -4,9 +4,9 @@
 time, and `count --pi-approx` counts the prime stream, so each command's
 peak RSS stays under one bound whether its window is 10^6 or 10^7 wide,
 and a child held to a small address space finishes instead of raising
-MemoryError. A failing window report keeps two bytes per window integer
-(its Omega and its copy count), so its traced peak is bounded per window
-integer at two window widths.
+MemoryError. A failing window report keeps one byte per window integer
+(its copy count) and reads the Omega bytes one sieve segment at a time,
+so its traced peak is bounded per window integer at two window widths.
 """
 
 import os
@@ -117,6 +117,6 @@ def test_failing_report_memory_is_bounded_per_window_integer(monkeypatch, n):
     finally:
         tracemalloc.stop()
     assert report.details["set_equality"]["missing"] == [str(interval.lo)]
-    # Two bytes per window integer plus a byte of slack, and what one
+    # One byte per window integer plus half a byte of slack, and what one
     # segment of OMEGA_SEGMENT integers takes: its scan, sieve and sets.
-    assert peak < 3 * interval.width + 200 * oracle.OMEGA_SEGMENT, (n, peak)
+    assert peak < 1.5 * interval.width + 200 * oracle.OMEGA_SEGMENT, (n, peak)

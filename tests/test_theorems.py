@@ -106,6 +106,30 @@ def test_claim_window_bits_are_checked_before_the_window():
     assert theorem1_interval(PrimeBasis.first(3), 4, budget=14) == IntervalSpec(7**4, 7**5)
 
 
+def test_claim_window_bits_are_checked_before_its_prime_is_sieved(monkeypatch):
+    # p_k >= 2k - 1, so at r = 3, s = 600000 the window has at least
+    # 100001 * (bits(1200005) - 1) + 1 bits: refused before p_600003, about
+    # 9.3 million, is sieved.
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieved for p before the window's bits were checked")
+
+    monkeypatch.setattr(theorems, "_primes_after", no_sieve)
+    with pytest.raises(BudgetExceeded, match="^omega sieve bits needs 2000021 .* fixed"):
+        verify_corollary2(PrimeBasis.first(3), 600000, 100000)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 10, 30, 100])
+def test_claim_window_bit_bound_never_exceeds_the_window(monkeypatch, r):
+    # Every bound the cap is given is at most the bits of the window's hi - 1.
+    bounds = []
+    monkeypatch.setattr(oracle, "check_bits", bounds.append)
+    basis = PrimeBasis.first(r)
+    for s, n in itertools.product([1, 2, 3, 7], [1, 2, 5, 44]):
+        bounds.clear()
+        _, window = theorems._claim_window(basis, n, None, s)
+        assert len(bounds) == 1 and bounds[0] <= (window.hi - 1).bit_length(), (s, n)
+
+
 def test_bertrand_condition_monotone_in_r():
     # The threshold is fixed by (s, n); a larger next prime can only help.
     for s, n in [(2, 1), (2, 2), (3, 1)]:
