@@ -1,33 +1,27 @@
 """Command line interface.
 
-Subcommands: coeffs (print a form), gen (stream values in an interval),
-count (block/interval/prime-count figures), verify (claim checkers),
-bench (wheel vs sieve timing), oracle (brute-force spot checks).
+Subcommands: coeffs (print a form), gen (stream values in an interval), count
+(block/interval/prime-count figures), verify (claim checkers), bench (wheel vs sieve
+timing), oracle (brute-force spot checks).
 
-Exit codes: 0 success/pass, 1 verification failure or witness not found,
-2 usage error, 3 budget exceeded. A reader that closes stdout early (as
-`| head` does) ends the command quietly with exit 0. Every table (gen,
-count, coeffs --format csv, bench, oracle's value lines) goes through
-write_rows, the one place that knows the format rules. It takes a table
-as chunks of columns, a stream CHUNK_LINES values at a time, and formats
-and writes each chunk with one % operation and one call, not one call
-per row; gen --explain decomposes a whole chunk with one
-forms.decompose_rows call. json-lines fields are decimal strings,
-except --explain's t and h and a verify report's counters, which are
-JSON numbers; verify --format csv prints the text report.
-Output is deterministic for fixed arguments; only bench timing columns
-vary run to run. The scan budget of coeffs, count, verify, bench and
-oracle can be overridden with --budget or the PRIMEWHEEL_SCAN_BUDGET
-environment variable, as an integer of at least 1.
-A subcommand imports only what it runs: theorems, oracle and forms (the
-raw form, decompose_rows and the JSON shape) load on first use and json
-only where JSON is printed, so gen, coeffs and count --lo/--hi never
-load the claim checkers, and gen without --explain and count never load
-forms or the unit-equation solver.
+Exit codes: 0 success/pass, 1 verification failure or witness not found, 2 usage error,
+3 budget exceeded. A reader that closes stdout early (as `| head` does) ends the command
+quietly with exit 0. write_rows holds the format rules, and writes a table as chunks
+of columns, each with one % operation and one call (gen --explain decomposes
+CHUNK_LINES values with one forms.decompose_rows call); write_values writes the value
+streams of gen and oracle scan and primes from their sieve masks, one call per block of
+BLOCK integers, with no int per value. json-lines fields are decimal strings, except
+--explain's t and h and a verify report's counters; verify --format csv prints the text
+report. Output is deterministic for fixed arguments, but for bench's timings. --budget
+or PRIMEWHEEL_SCAN_BUDGET, an integer of at least 1, overrides the scan budget of coeffs,
+count, verify, bench and oracle. A subcommand imports only what it runs: theorems,
+oracle, forms (the raw form, decompose_rows and the JSON shape) and json load on first
+use, so gen, coeffs and count --lo/--hi never load the claim checkers, and gen without
+--explain and count never load forms or the unit-equation solver.
 
-`python -m primewheel`, `python -m primewheel.cli` and the `primewheel`
-script all end through run(), which freezes the collector before exit;
-main(argv) returns the exit code and leaves the collector alone.
+`python -m primewheel`, `python -m primewheel.cli` and the `primewheel` script all end
+through run(), which freezes the collector before exit; main(argv) returns the exit code
+and leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -40,9 +34,10 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 from importlib import import_module
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 from .enumeration import IntervalSpec, count_block, count_interval, enumerate_interval
+from .enumeration import value_segments
 from .errors import SCAN_BUDGET_ENV, BudgetExceeded, check_budget
 from .wheel import PrimeBasis, build_canonical
 
@@ -64,9 +59,11 @@ oracle = _Deferred("oracle")
 theorems = _Deferred("theorems")
 
 FORMATS = ("text", "csv", "json-lines")
-# Rows per chunk of a streamed table, and so per stdout write. Larger
-# chunks buy no speed and raise a gen process's peak RSS.
+# Rows per chunk of a table (gen --explain's too), and so per stdout write.
+# Larger chunks buy no speed and raise a gen process's peak RSS.
 CHUNK_LINES = 256
+# Integers per block of a written value stream; 10^4 is no faster, with ten times the suffixes.
+BLOCK = 1000
 
 
 def render_form_text(form, raw: bool) -> str:
@@ -81,8 +78,7 @@ def render_report_text(report) -> str:
     lines = [f"claim: {report.claim}", f"verdict: {report.verdict}"]
     if report.interval is not None:
         lines.append(f"interval: [{report.interval.lo}, {report.interval.hi})")
-    lines.append(f"checked: {report.checked}")
-    lines.append(f"witnesses_pass: {report.witnesses_pass}")
+    lines += [f"checked: {report.checked}", f"witnesses_pass: {report.witnesses_pass}"]
     if report.counterexamples:
         lines.append("counterexamples:")
         for c in report.counterexamples:
@@ -134,20 +130,16 @@ def dumps(data, **options) -> str:
     return json.dumps(data, **options)
 
 
-def write_rows(
-    fmt: str, header: tuple[str, ...], chunks: Iterable[tuple], text=None, json=None
-) -> None:
-    """Write a table in one of FORMATS, one stdout write per chunk.
+def write_rows(fmt: str, header: tuple[str, ...], chunks: Iterable, text=None, json=None) -> str:
+    """Write a table in one of FORMATS, one stdout write per chunk, and return its row template.
 
-    A chunk holds one column per header name, all of one length. Its
-    lines are one % operation: the row template, in %s form, repeated for
-    the chunk's length and applied to the chunk's cells in row order. %s
-    gives each cell's str, as {} does for the ints, strings and Fractions
-    printed here. csv: the header line, then each row joined by commas.
-    json-lines: one object per row keyed by the header, each field a
-    decimal string (the template equals json.dumps, as such strings need
-    no escaping), unless `json` gives the template. text: the `text`
-    template, by default name=value pairs or the bare value.
+    A chunk holds one column per header name, all of one length; its lines are one % operation,
+    the row template in %s form repeated for its length over its cells in row order (%s gives
+    each cell's str, as {} does for the ints, strings and Fractions printed here). csv: the
+    header line, then rows joined by commas. json-lines: one object per row keyed by the
+    header, each field a decimal string (the template equals json.dumps, as such strings need
+    no escaping), unless `json` gives it. text: the `text` template, by default name=value
+    pairs or the bare value.
     """
     if fmt == "csv":
         template = ",".join(["%s"] * len(header))
@@ -162,19 +154,41 @@ def write_rows(
     for columns in chunks:
         cells = chain.from_iterable(zip(*columns)) if columns[1:] else columns[0]
         write(template * len(columns[0]) % tuple(cells))
+    return template
 
 
-def _chunks(values: Iterable) -> Iterator[tuple[list]]:
-    """The values as one-column chunks of CHUNK_LINES (the last may be shorter)."""
-    values = iter(values)
-    while chunk := list(islice(values, CHUNK_LINES)):
-        yield (chunk,)
+def write_values(fmt: str, name: str, segments: Iterable[tuple[range, bytes]]) -> None:
+    """Write the candidates each (range, mask) segment keeps, ascending and all of one step, as
+    a one-column table in one of FORMATS, one write per piece in a block of BLOCK integers
+    aligned on its multiples. A value v >= BLOCK reads str(v // BLOCK), then its last three
+    digits, so a block's rows are sep + sep.join(suffixes), sep the template's head and that
+    prefix; the mask picks each suffix, str(BLOCK + offset)[1:] and the template's tail, from
+    a list built once per offset % step. Values below BLOCK take the template's % operation."""
+    template = write_rows(fmt, (name,), ())
+    front, tail = template.split("%s")
+    write, tables = sys.stdout.write, {}
+    for candidates, mask in segments:
+        start, step, i = candidates.start, candidates.step, 0
+        while i < len(mask):
+            block, offset = divmod(start + step * i, BLOCK)
+            j = i + (BLOCK - 1 - offset) // step + 1  # the candidates below the block's end
+            if block:
+                if (key := offset % step) not in tables:
+                    tables[key] = [str(x)[1:] + tail for x in range(BLOCK + key, 2 * BLOCK, step)]
+                sep, suffixes = front + str(block), tables[key]
+                if offset >= step:  # the first piece of a window or segment
+                    suffixes = suffixes[offset // step :]
+                if rows := sep.join(compress(suffixes, mask[i:j])):
+                    write(sep + rows)
+            elif values := tuple(compress(candidates[i:j], mask[i:j])):
+                write(template * len(values) % values)
+            i = j
+        del mask  # so the next segment's mask is not built beside this one
 
 
-def _explained(form, stream: Iterable[int]) -> Iterator[tuple[list, ...]]:
-    """The z, t, h_2, ..., h_r columns of each chunk of the stream; one
-    decompose_rows call per chunk checks its values."""
-    for (zs,) in _chunks(stream):
+def _explained(form, stream: Iterator[int]) -> Iterator[tuple[list, ...]]:
+    """The z, t, h_2, ..., h_r columns per CHUNK_LINES values; one decompose_rows call each."""
+    while zs := list(islice(stream, CHUNK_LINES)):
         ts, hs = forms.decompose_rows(form, zs)
         yield (zs, ts, *hs)
 
@@ -182,19 +196,15 @@ def _explained(form, stream: Iterable[int]) -> Iterator[tuple[list, ...]]:
 def cmd_gen(args) -> int:
     interval = IntervalSpec(args.lo, args.hi)
     form = build_canonical(PrimeBasis.first(args.r))
-    stream = enumerate_interval(form, interval)
     if not args.explain:
-        write_rows(args.format, ("z",), _chunks(stream))
+        write_values(args.format, "z", value_segments(form, interval))
         return 0
     names = [f"h{j}" for j in form.free_indices]
     hs = ["%s"] * len(names)
-    write_rows(
-        args.format,
-        ("z", "t", *names),
-        _explained(form, stream),
-        text="%s t=%s h=[" + ",".join(hs) + "]",
-        json='{"z": "%s", "t": %s, "h": [' + ", ".join(hs) + "]}",
-    )
+    text = "%s t=%s h=[" + ",".join(hs) + "]"
+    json = '{"z": "%s", "t": %s, "h": [' + ", ".join(hs) + "]}"
+    rows = _explained(form, enumerate_interval(form, interval))
+    write_rows(args.format, ("z", "t", *names), rows, text, json)
     return 0
 
 
@@ -259,11 +269,8 @@ def cmd_bench(args) -> int:
         end = time.perf_counter()
         if rep == 0 and wheel_values != sieve_values:
             wheel_set, sieve_set = set(wheel_values), set(sieve_values)
-            print(
-                "mismatch between wheel enumeration and rough sieve: "
-                f"{len(wheel_set - sieve_set)} extra, {len(sieve_set - wheel_set)} missing",
-                file=sys.stderr,
-            )
+            counts = f"{len(wheel_set - sieve_set)} extra, {len(sieve_set - wheel_set)} missing"
+            print(f"mismatch between wheel enumeration and rough sieve: {counts}", file=sys.stderr)
             return 1
         rows.append(("wheel", interval.width, len(wheel_values), f"{end - middle:.6f}"))
         rows.append(("sieve", interval.width, len(sieve_values), f"{middle - start:.6f}"))
@@ -284,34 +291,26 @@ def cmd_oracle(args) -> int:
     elif args.probe == "spf":
         print(oracle.spf(args.n))
     elif args.probe == "factor":
-        profile = oracle.factor_profile(args.n)
-        print(
-            dumps(
-                {
-                    "n": str(profile.n),
-                    "omega": profile.omega,
-                    "spf": str(profile.spf),
-                    "factors": [str(f) for f in profile.factors],
-                }
-            )
-        )
+        p = oracle.factor_profile(args.n)
+        factors = [str(f) for f in p.factors]
+        print(dumps({"n": str(p.n), "omega": p.omega, "spf": str(p.spf), "factors": factors}))
     elif args.probe == "primes":
-        primes = oracle.prime_stream(IntervalSpec(args.lo, args.hi), budget)
-        write_rows("text", ("p",), _chunks(primes))
+        head, segments = oracle.prime_segments(IntervalSpec(args.lo, args.hi), budget)
+        write_rows("text", ("p",), [(head,)])
+        write_values("text", "p", segments)
     else:
         interval = IntervalSpec(args.lo, args.hi)
         if args.moduli is not None:
             try:
                 moduli = [int(q) for q in args.moduli.split(",")]
             except ValueError:
-                raise ValueError(
-                    f"--moduli must be comma-separated integers, got {args.moduli!r}"
-                ) from None
+                message = f"--moduli must be comma-separated integers, got {args.moduli!r}"
+                raise ValueError(message) from None
             if any(q < 2 for q in moduli):
                 raise ValueError("every modulus must be at least 2")
         else:
             moduli = PrimeBasis.first(args.r).primes
-        write_rows("text", ("m",), _chunks(oracle.coprime_stream(interval, moduli, budget)))
+        write_values("text", "m", oracle.coprime_segments(interval, moduli, budget))
     return 0
 
 
@@ -343,9 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("gen", help="stream wheel values in [lo, hi)")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
+    for flag in ("--r", "--lo", "--hi"):
+        p.add_argument(flag, type=int, required=True)
     p.add_argument("--explain", action="store_true", help="print (t, h) per value")
     _add_format(p)
     p.set_defaults(func=cmd_gen)

@@ -1,20 +1,15 @@
 """Sorted streaming and counting of wheel-form values over intervals.
 
-A form's values are its residue classes (form.residue_classes()): the
-x = h1 (mod q1) that are 0 mod none of its struck moduli. The stream, the
-count and the table read only those. enumerate_interval streams them with a
-segmented sieve (Bays & Hudson 1977; Pritchard 1983): one byte per
-candidate x, SEGMENT candidates at a time, class 0 struck out per struck
-modulus, so its memory is one mask whatever the form. Each segment's
-values come from one lazy C iterator over its mask, and the segments are
-chained, so no bytecode runs per value; past sys.maxsize the iterator
-walks small offsets and only survivors become big ints, since CPython's
-range steps by generic int arithmetic there. sorted_block_residues is
-the sieve of one period, returned as a tuple; a form with more than
-MAX_BLOCK_RESIDUES residues per period is refused before it is sieved.
-Counting is Legendre's inclusion-exclusion over the same moduli, skipping
-each term whose product of moduli reaches hi; the at most min(2^k, hi)
-terms it counts are under the caller's work budget.
+A form's values are its residue classes (form.residue_classes()): the x = h1 (mod q1)
+that are 0 mod none of its struck moduli. The stream, the count and the table read only
+those. value_segments sieves them (Bays & Hudson 1977; Pritchard 1983): one byte per
+candidate x, SEGMENT at a time, class 0 struck out per struck modulus, so its memory is
+one mask whatever the form. cli writes the masks as text, and enumerate_interval chains
+one lazy C iterator per mask, so no bytecode runs per value. sorted_block_residues is the
+sieve of one period, returned as a tuple; a form with more than MAX_BLOCK_RESIDUES
+residues per period is refused before it is sieved. Counting is Legendre's
+inclusion-exclusion over the same moduli, skipping each term whose product of moduli
+reaches hi; the at most min(2^k, hi) terms it counts are under the caller's work budget.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
-from itertools import chain, compress, repeat
+from itertools import chain, compress, repeat, starmap
 from operator import add
 
 from ._record import Record
@@ -80,21 +75,29 @@ def enumerate_interval(form, interval: IntervalSpec) -> Iterator[int]:
     It builds no table and holds one mask of at most SEGMENT bytes, so
     any form streams; the caller bounds the window.
     """
-    return chain.from_iterable(_sieve(*form.residue_classes(), interval))
+    return chain.from_iterable(starmap(_values, value_segments(form, interval)))
 
 
-def _sieve(
-    h1: int, pin: int, struck: tuple[int, ...], interval: IntervalSpec
-) -> Iterator[Iterator[int]]:
-    """The x = h1 (mod pin) in [lo, hi) with x != 0 (mod m) for every struck
-    m, as one lazy iterator per segment.
+def value_segments(form, interval: IntervalSpec) -> Iterator[tuple[range, bytearray]]:
+    """The form's values in [lo, hi) as _sieve's segments; a raw form is refused on the call."""
+    return _sieve(*form.residue_classes(), interval)
 
-    Candidates are taken SEGMENT at a time. Candidate i of a segment
-    starting at seg is seg + pin*i, which is 0 mod m exactly when
-    i = -seg * pin^-1 (mod m); every m-th candidate from there is struck
-    out. Past sys.maxsize CPython's range steps with generic int
-    arithmetic, once per candidate, so there a segment walks the offsets
-    pin*i, which stay small, and adds seg to the survivors only.
+
+def _values(candidates: range, mask: bytearray) -> Iterator[int]:
+    """The candidates the mask keeps, from one lazy C iterator. Past sys.maxsize, where range steps
+    by generic int arithmetic, it walks the small offsets pin*i and adds the start to survivors."""
+    if candidates.stop <= sys.maxsize:
+        return compress(candidates, mask)
+    seg, pin = candidates.start, candidates.step
+    return map(add, repeat(seg), compress(range(0, len(mask) * pin, pin), mask))
+
+
+def _sieve(h1: int, pin: int, struck: tuple[int, ...], interval: IntervalSpec) -> Iterator:
+    """The x = h1 (mod pin) in [lo, hi) with x != 0 (mod m) for every struck m, per
+    segment of SEGMENT candidates as its candidates and a 0/1 mask.
+
+    Candidate i of a segment starting at seg is seg + pin*i, which is 0 mod m exactly
+    when i = -seg * pin^-1 (mod m); every m-th candidate from there is struck out.
     """
     inverses = [(m, pow(pin, -1, m)) for m in struck]
     first = interval.lo + (h1 - interval.lo) % pin
@@ -105,10 +108,8 @@ def _sieve(
         for m, inverse in inverses:
             start = -seg * inverse % m
             mask[start::m] = bytes(len(range(start, len(mask), m)))
-        if candidates.stop <= sys.maxsize:
-            yield compress(candidates, mask)
-        else:
-            yield map(add, repeat(seg), compress(range(0, len(mask) * pin, pin), mask))
+        yield candidates, mask
+        del mask  # so the next mask is not built beside this one
 
 
 def count_interval(form, interval: IntervalSpec, budget: int | None = None) -> int:

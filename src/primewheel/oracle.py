@@ -8,7 +8,8 @@ at a time (Bays & Hudson 1977), each into a bytearray of flags or counts:
 
 - _strike yields, per segment, the flags of the integers divisible by no
   given modulus. coprime_stream, rough_sieve and prime_stream compress
-  them into values, and prime_count counts them. The primes' moduli are
+  them into values, prime_count counts them, and coprime_segments and
+  prime_segments hand them out for a writer to read. The primes' moduli are
   the primes up to sqrt(hi - 1), found by the same scan on [2,
   sqrt(hi - 1)] and put back in front; coprime_scan and primes_in list them;
 - sieve_segments gives, per segment, the same flags for given moduli and
@@ -117,8 +118,15 @@ def coprime_scan(interval: IntervalSpec, basis, budget: int | None = None) -> li
 
 def coprime_stream(interval: IntervalSpec, moduli, budget: int | None = None) -> Iterator[int]:
     """coprime_scan's values, one striking segment at a time; the budget is checked on the call."""
+    return _values(coprime_segments(interval, moduli, budget))
+
+
+def coprime_segments(
+    interval: IntervalSpec, moduli, budget: int | None = None
+) -> Iterator[tuple[range, bytearray]]:
+    """coprime_stream as _strike's (range, flags) segments; the budget is checked on the call."""
     check_budget(interval.width, budget, "coprime scan")
-    return _values(_strike(interval.lo, interval.hi, tuple(moduli), _SEGMENT))
+    return _strike(interval.lo, interval.hi, tuple(moduli), _SEGMENT)
 
 
 def rough_sieve(interval: IntervalSpec, basis, budget: int | None = None) -> list[int]:
@@ -143,6 +151,7 @@ def _strike(
             start = -seg_lo % q
             flags[start::q] = bytes(len(range(start, len(seg), q)))
         yield seg, flags
+        del flags  # so the next flags are not built beside these
 
 
 def _values(segments: Iterator[tuple[range, bytearray]]) -> Iterator[int]:
@@ -162,14 +171,21 @@ def primes_in(interval: IntervalSpec, budget: int | None = None) -> list[int]:
 
 def prime_stream(interval: IntervalSpec, budget: int | None = None) -> Iterator[int]:
     """primes_in's values, one striking segment at a time; the budget is checked on the call."""
+    head, segments = prime_segments(interval, budget)
+    return chain(head, _values(segments))
+
+
+def prime_segments(
+    interval: IntervalSpec, budget: int | None = None
+) -> tuple[tuple[int, ...], Iterator[tuple[range, bytearray]]]:
+    """prime_stream as _prime_flags' base primes and segments; the budget is checked on the call."""
     check_budget(interval.hi, budget, "prime sieve")
-    return _primes(interval.lo, interval.hi)
+    return _prime_flags(interval.lo, interval.hi)
 
 
 def prime_count(interval: IntervalSpec, budget: int | None = None) -> int:
     """len(primes_in(interval)), read from the striking flags without a Python int per integer."""
-    check_budget(interval.hi, budget, "prime sieve")
-    head, segments = _prime_flags(interval.lo, interval.hi)
+    head, segments = prime_segments(interval, budget)
     return len(head) + sum(flags.count(1) for _, flags in segments)
 
 

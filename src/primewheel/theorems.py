@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 
 from . import oracle
@@ -132,10 +133,10 @@ def _differ(missing: list, extra: list, seg: range, want, got) -> None:
 
 
 def _check_segment(faults: tuple, n: int, outside: bytes, seg: range, flags, omegas, got) -> None:
-    """Add a segment's faults to the six fault lists but disorder, each up to the cap. flags and
-    omegas are its sieve_segments bytes, got the 0/1 mask of its enumerated integers (flags itself
-    skips the set equality), and outside maps an Omega byte off 1..n to 1."""
-    missing, extra, _, omega_bad, pe_missing, pe_extra = faults
+    """Add a segment's faults to the fault lists but disorder and repeated, each up to the cap.
+    flags and omegas are its sieve_segments bytes, got the 0/1 mask of its enumerated integers
+    (flags itself skips the set equality), and outside maps an Omega byte off 1..n to 1."""
+    missing, extra, _, omega_bad, pe_missing, pe_extra, _ = faults
     if got is not flags:
         _differ(missing, extra, seg, flags, got)
     bad = int.from_bytes(omegas.translate(outside), "little") & int.from_bytes(got, "little")
@@ -158,7 +159,7 @@ def _interval_report(
 ) -> VerificationReport:
     """Run the three interval subchecks and assemble a report.
 
-    (a) wheel enumeration equals the oracle's divisibility scan;
+    (a) wheel enumeration equals the oracle's divisibility scan, each value once;
     (b) every enumerated value has between 1 and n prime factors;
     (c) for n = 1, the enumeration is exactly the primes in the window.
     With gate_all False only (a) decides the verdict and (b)/(c) are
@@ -179,8 +180,10 @@ def _interval_report(
     form = build_canonical(basis)
     outside = bytes(0 if 1 <= om <= n else 1 for om in range(256))  # Omega off 1..n
     # Each fault list that is not empty fails its subcheck; omega_bad holds (value, Omega) pairs,
-    # disorder window values enumerated after a larger one, pe_* the n = 1 prime equality's.
-    faults = missing, extra, disorder, omega_bad, pe_missing, pe_extra = [], [], [], [], [], []
+    # disorder window values enumerated after a larger one, pe_* the n = 1 prime equality's, and
+    # repeated window values enumerated more than once.
+    faults = tuple([] for _ in range(7))
+    missing, extra, disorder, omega_bad, pe_missing, pe_extra, repeated = faults
     checked, clean = 0, False
     stream = enumerate_interval(form, interval)
     for seg, flags, omegas in segments:
@@ -195,12 +198,13 @@ def _interval_report(
     copies_of = lambda v: v not in pe_missing  # the scan: each value once, a prime it lacks never
     if not clean:
         checked, copies_of, faults = _recount(form, basis, interval, n, budget, outside)
-        missing, extra, disorder, omega_bad, pe_missing, pe_extra = faults
+        missing, extra, disorder, omega_bad, pe_missing, pe_extra, repeated = faults
 
     details = dict(extra_details)
     found = [(m, "in the oracle scan but never enumerated") for m in missing]
     found += [(m, "enumerated but rejected by the oracle scan") for m in extra]
     found += [(m, "enumerated after a larger value") for m in disorder]
+    found += [(m, "enumerated more than once") for m in repeated]
     details["set_equality"] = {
         "pass": not found,
         "missing": [str(m) for m in missing],
@@ -208,6 +212,8 @@ def _interval_report(
     }
     if disorder:
         details["set_equality"]["out_of_order"] = [str(m) for m in disorder]
+    if repeated:
+        details["set_equality"]["repeated"] = [str(m) for m in repeated]
 
     details["omega_bound"] = {
         "pass": not omega_bad,
@@ -244,10 +250,11 @@ def _recount(form, basis: PrimeBasis, interval: IntervalSpec, n: int, budget, ou
     """Walk a stream that left the scan again, keeping one byte per window integer (its copies,
     past 255 in a Counter), disorder and a count per value off the window, then check each
     segment of one oracle.sieve_segments walk against the copies. oracle.omega factors the
-    values off the window in ascending order, below lo first, up to the cap. Returns checked,
-    copies_of and the six fault lists."""
+    values off the window in ascending order, below lo first, up to the cap; a window value
+    with two or more copies is repeated. Returns checked, copies_of and the seven fault lists."""
     lo, hi, cap = interval.lo, interval.hi, COUNTEREXAMPLE_CAP
-    faults = missing, extra, disorder, omega_bad, pe_missing, pe_extra = [], [], [], [], [], []
+    faults = tuple([] for _ in range(7))
+    missing, extra, disorder, omega_bad, pe_missing, pe_extra, repeated = faults
     copies, more, off, top = bytearray(hi - lo), Counter(), Counter(), lo
     for v in enumerate_interval(form, interval):
         if lo <= v < hi:
@@ -263,6 +270,8 @@ def _recount(form, basis: PrimeBasis, interval: IntervalSpec, n: int, budget, ou
             off[v] += 1
     hits = lambda vs: ((v, om) for v in sorted(vs) for om in [oracle.omega(v)] if not 1 <= om <= n)
     omega_bad += itertools.islice(hits(v for v in off if v < lo), cap)
+    twice = re.finditer(rb"[^\x00\x01]", copies)  # window values with two copies or more
+    repeated += (lo + m.start() for m in itertools.islice(twice, cap))
     for seg, flags, omegas in oracle.sieve_segments(interval, basis.primes, budget):
         got = copies[seg.start - lo : seg.stop - lo].translate(_SOME)
         _check_segment(faults, n, outside, seg, flags, omegas, got)
@@ -271,7 +280,7 @@ def _recount(form, basis: PrimeBasis, interval: IntervalSpec, n: int, budget, ou
     extra, pe_extra = sorted([*extra, *off])[:cap], sorted([*pe_extra, *off])[:cap]
     checked = sum(copies) + more.total() + off.total()
     copies_of = lambda v: copies[v - lo] + more[v] if lo <= v < hi else off[v]
-    return checked, copies_of, (missing, extra, disorder, omega_bad, pe_missing, pe_extra)
+    return checked, copies_of, (missing, extra, disorder, omega_bad, pe_missing, pe_extra, repeated)
 
 
 def verify_theorem1(basis: PrimeBasis, n: int, budget: int | None = None) -> VerificationReport:

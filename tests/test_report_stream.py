@@ -6,6 +6,7 @@ comparison gives for the same stream.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -34,19 +35,26 @@ def _reference_report(claim, basis, interval, n, gate_all, got, extra_details):
             if top is not None and m < top and m not in disorder:
                 disorder.append(m)
             top = m if top is None else max(top, m)
+    # Window values enumerated more than once, smallest first.
+    copies = Counter(m for m in got if interval.lo <= m < interval.hi)
+    repeated = sorted(m for m, c in copies.items() if c > 1)
     details["set_equality"] = {
-        "pass": not missing and not extra and not disorder,
+        "pass": not missing and not extra and not disorder and not repeated,
         "missing": _capped(missing, str),
         "extra": _capped(extra, str),
     }
     if disorder:
         details["set_equality"]["out_of_order"] = _capped(disorder, str)
+    if repeated:
+        details["set_equality"]["repeated"] = _capped(repeated, str)
     for m in missing[:COUNTEREXAMPLE_CAP]:
         counterexamples.append(Counterexample(m, "in the oracle scan but never enumerated"))
     for m in extra[:COUNTEREXAMPLE_CAP]:
         counterexamples.append(Counterexample(m, "enumerated but rejected by the oracle scan"))
     for m in disorder[:COUNTEREXAMPLE_CAP]:
         counterexamples.append(Counterexample(m, "enumerated after a larger value"))
+    for m in repeated[:COUNTEREXAMPLE_CAP]:
+        counterexamples.append(Counterexample(m, "enumerated more than once"))
 
     omega_bad = [(m, oracle.omega(m)) for m in sorted(set(got))]
     omega_bad = [(m, om) for m, om in omega_bad if not 1 <= om <= n]
@@ -295,8 +303,8 @@ def test_failing_report_calls_no_coprime_scan(monkeypatch, fault, r, n, shift):
 def test_failing_report_walks_the_sieve_once_to_recount(monkeypatch, fault, r, n, shift):
     # The first walk stops where the stream leaves the scan; _recount then
     # walks sieve_segments once and never joins the window's Omega bytes. A
-    # duplicate leaves the scan but, as in the whole-window report, fails no
-    # subcheck.
+    # duplicate leaves the scan and, as in the whole-window report, fails
+    # the set equality as a repeated value.
     monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
     basis, interval = PrimeBasis.first(r), _window(r, n, shift)
     stream = FAULTS[fault](oracle.coprime_scan(interval, basis), interval)
@@ -481,8 +489,10 @@ def test_stepped_back_even_value_is_extra(monkeypatch):
     stream = oracle.coprime_scan(interval, basis) + [11, 12]
     assert stream[-3:] == [113, 11, 12]
     details = _streamed(monkeypatch, basis, interval, 1, True, stream).details
+    # 11 is enumerated twice, once in order and once after 113.
     assert details["set_equality"] == {
         "pass": False, "missing": [], "extra": ["12"], "out_of_order": ["11", "12"],
+        "repeated": ["11"],
     }
     assert details["prime_equality"]["extra"] == ["12"]
     assert details["omega_bound"]["violations"] == [{"value": "12", "omega": 3}]
@@ -532,3 +542,20 @@ def test_failing_report_prints_its_counterexamples_as_text(monkeypatch, capsys):
         "  - value=13 reason=in the oracle scan but never enumerated",
         "  - value=13 reason=prime in the window but never enumerated",
     ]
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "duplicate_last", "missing_among_duplicates"])
+def test_repeated_window_value_fails_set_equality(monkeypatch, fault):
+    report = _check(monkeypatch, 3, 2, 1, FAULTS[fault])
+    scan = oracle.coprime_scan(_window(3, 2, 1), PrimeBasis.first(3))
+    repeated = {
+        "duplicate": [scan[4]], "duplicate_last": [scan[-1]],
+        "missing_among_duplicates": [scan[4], scan[6]],
+    }
+    assert report.verdict == "fail" and not report.details["set_equality"]["pass"]
+    assert report.details["set_equality"]["repeated"] == [str(m) for m in repeated[fault]]
+    reasons = [c.value for c in report.counterexamples if c.reason == "enumerated more than once"]
+    assert reasons == repeated[fault]
+    # Every copy of a repeated value is left out of witnesses_pass.
+    stream = FAULTS[fault](scan, _window(3, 2, 1))
+    assert report.witnesses_pass == sum(1 for v in stream if stream.count(v) == 1 and v in scan)

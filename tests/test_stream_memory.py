@@ -1,10 +1,10 @@
-"""Peak memory of the oracle readers does not grow with their window.
+"""Peak memory of the stream readers does not grow with their window.
 
-`oracle scan` and `oracle primes` write the striking scan one segment at a
-time, and `count --pi-approx` counts the prime stream, so each command's
-peak RSS stays under one bound whether its window is 10^6 or 10^7 wide,
-and a child held to a small address space finishes instead of raising
-MemoryError. A failing window report keeps one byte per window integer
+`gen` writes the wheel's sieve one segment at a time, `oracle scan` and
+`oracle primes` the striking scan, and `count --pi-approx` counts the
+prime stream, so each command's peak RSS stays under one bound whether
+its window is 10^6 or 10^7 wide, and a child held to a small address
+space finishes instead of raising MemoryError. A failing window report keeps one byte per window integer
 (its copy count) and reads the Omega bytes one sieve segment at a time,
 so its traced peak is bounded per window integer at two window widths.
 """
@@ -28,8 +28,15 @@ SRC = str(Path(primewheel.__file__).resolve().parents[1])
 MB = 1 << 20
 
 # (small argv, large argv, MB allowed above a trivial command's peak at both).
-# The scan at r = 1 keeps one 2^20-integer segment's survivors, about 19 MB.
+# The scan holds one segment's flags, a byte for each of 2^20 integers, and
+# writes the survivors block by block: its peak is under 2.5 MB above a
+# trivial command's. gen holds one mask of 2^20 candidates the same way.
 READERS = {
+    "gen": (
+        ["gen", "--r", "1", "--lo", "1", "--hi", "1000001"],
+        ["gen", "--r", "1", "--lo", "1", "--hi", "10000001"],
+        12,
+    ),
     "scan": (
         ["oracle", "scan", "--r", "1", "--lo", "1", "--hi", "1048577"],
         ["oracle", "scan", "--r", "1", "--lo", "1", "--hi", "10000001"],
