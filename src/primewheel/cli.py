@@ -5,19 +5,20 @@ Subcommands: coeffs (print a form), gen (stream values in an interval), count
 timing), oracle (brute-force spot checks).
 
 Exit codes: 0 success/pass, 1 verification failure or witness not found, 2 usage error,
-3 budget exceeded. A reader that closes stdout early (as `| head` does) ends the command
-quietly with exit 0. write_rows holds the format rules, and writes a table as chunks
-of columns, each with one % operation and one call (gen --explain decomposes
-CHUNK_LINES values with one forms.decompose_rows call); write_values writes the value
-streams of gen and oracle scan and primes from their sieve masks, one call per block of
-BLOCK integers, with no int per value. json-lines fields are decimal strings, except
---explain's t and h and a verify report's counters; verify --format csv prints the text
-report. Output is deterministic for fixed arguments, but for bench's timings. --budget
-or PRIMEWHEEL_SCAN_BUDGET, an integer of at least 1, overrides the scan budget of coeffs,
-count, verify, bench and oracle. A subcommand imports only what it runs: theorems,
-oracle, forms (the raw form, decompose_rows and the JSON shape) and json load on first
-use, so gen, coeffs and count --lo/--hi never load the claim checkers, and gen without
---explain and count never load forms or the unit-equation solver.
+3 budget exceeded, 4 stdout write error (one error: line). A reader that closes stdout
+early (as `| head` does) ends the command quietly with exit 0. write_rows holds the format
+rules, and writes a table as chunks of columns, each with one % operation and one call
+(gen --explain decomposes CHUNK_LINES values with one forms.decompose_rows call);
+write_values writes the value streams of gen and oracle scan and primes from their sieve
+masks, one call per block of BLOCK integers, with no int and no % operation per value.
+json-lines fields are decimal strings, except --explain's t and h and a verify report's
+counters; verify --format csv prints the text report. Output is deterministic for fixed
+arguments, but for bench's timings. --budget or PRIMEWHEEL_SCAN_BUDGET, an integer of at
+least 1, overrides the scan budget of coeffs, count, verify, bench and oracle. A
+subcommand imports only what it runs: theorems, oracle, forms (the raw form,
+decompose_rows and the JSON shape) and json load on first use, so gen, coeffs and count
+--lo/--hi never load the claim checkers, and gen without --explain and count never load
+forms or the unit-equation solver.
 
 `python -m primewheel`, `python -m primewheel.cli` and the `primewheel` script all end
 through run(), which freezes the collector before exit; main(argv) returns the exit code
@@ -160,10 +161,10 @@ def write_rows(fmt: str, header: tuple[str, ...], chunks: Iterable, text=None, j
 def write_values(fmt: str, name: str, segments: Iterable[tuple[range, bytes]]) -> None:
     """Write the candidates each (range, mask) segment keeps, ascending and all of one step, as
     a one-column table in one of FORMATS, one write per piece in a block of BLOCK integers
-    aligned on its multiples. A value v >= BLOCK reads str(v // BLOCK), then its last three
-    digits, so a block's rows are sep + sep.join(suffixes), sep the template's head and that
-    prefix; the mask picks each suffix, str(BLOCK + offset)[1:] and the template's tail, from
-    a list built once per offset % step. Values below BLOCK take the template's % operation."""
+    aligned on its multiples. A value v reads str(v // BLOCK), empty in block 0, then its last
+    three digits, unpadded in block 0, so a piece's rows are sep + sep.join(suffixes), sep the
+    template's head and that prefix; the mask picks each suffix and the template's tail from a
+    list built once per offset % step and block > 0. No value takes a % operation."""
     template = write_rows(fmt, (name,), ())
     front, tail = template.split("%s")
     write, tables = sys.stdout.write, {}
@@ -172,16 +173,13 @@ def write_values(fmt: str, name: str, segments: Iterable[tuple[range, bytes]]) -
         while i < len(mask):
             block, offset = divmod(start + step * i, BLOCK)
             j = i + (BLOCK - 1 - offset) // step + 1  # the candidates below the block's end
-            if block:
-                if (key := offset % step) not in tables:
-                    tables[key] = [str(x)[1:] + tail for x in range(BLOCK + key, 2 * BLOCK, step)]
-                sep, suffixes = front + str(block), tables[key]
-                if offset >= step:  # the first piece of a window or segment
-                    suffixes = suffixes[offset // step :]
-                if rows := sep.join(compress(suffixes, mask[i:j])):
-                    write(sep + rows)
-            elif values := tuple(compress(candidates[i:j], mask[i:j])):
-                write(template * len(values) % values)
+            if (key := (offset % step, block > 0)) not in tables:
+                pad = BLOCK * key[1]
+                tables[key] = [str(pad + x)[key[1] :] + tail for x in range(key[0], BLOCK, step)]
+            sep = front + str(block) if block else front
+            suffixes = tables[key][offset // step :] if offset >= step else tables[key]
+            if rows := sep.join(compress(suffixes, mask[i:j])):
+                write(sep + rows)
             i = j
         del mask  # so the next segment's mask is not built beside this one
 
@@ -295,9 +293,7 @@ def cmd_oracle(args) -> int:
         factors = [str(f) for f in p.factors]
         print(dumps({"n": str(p.n), "omega": p.omega, "spf": str(p.spf), "factors": factors}))
     elif args.probe == "primes":
-        head, segments = oracle.prime_segments(IntervalSpec(args.lo, args.hi), budget)
-        write_rows("text", ("p",), [(head,)])
-        write_values("text", "p", segments)
+        write_values("text", "p", oracle.prime_segments(IntervalSpec(args.lo, args.hi), budget))
     else:
         interval = IntervalSpec(args.lo, args.hi)
         if args.moduli is not None:
@@ -411,13 +407,17 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader closed the pipe (`| head`). Point stdout at os.devnull
-        # so the interpreter's final flush cannot raise again.
+    except OSError as exc:
+        # stdout is the one file a command writes: the reader closed the pipe
+        # (`| head`), or a write failed (a full device). Point stdout at
+        # os.devnull so the interpreter's final flush cannot raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 0
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 4
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

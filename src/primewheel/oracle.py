@@ -7,11 +7,12 @@ IntervalSpec. Two sieves strike multiples out of a window one segment
 at a time (Bays & Hudson 1977), each into a bytearray of flags or counts:
 
 - _strike yields, per segment, the flags of the integers divisible by no
-  given modulus. coprime_stream, rough_sieve and prime_stream compress
-  them into values, prime_count counts them, and coprime_segments and
-  prime_segments hand them out for a writer to read. The primes' moduli are
+  given modulus. coprime_segments and prime_segments hand out these
+  (range, flags) segments, the one shape every value stream here takes:
+  coprime_scan, rough_sieve and primes_in compress them into values,
+  prime_count counts them, and a writer reads them. The primes' moduli are
   the primes up to sqrt(hi - 1), found by the same scan on [2,
-  sqrt(hi - 1)] and put back in front; coprime_scan and primes_in list them;
+  sqrt(hi - 1)], and each is flagged again in its own segment;
 - sieve_segments gives, per segment, the same flags for given moduli and
   Omega(m), the prime factors of m counted with multiplicity, for every
   m, in one walk: each modulus strikes its multiples' flags, and each
@@ -113,18 +114,13 @@ def coprime_scan(interval: IntervalSpec, basis, budget: int | None = None) -> li
 
     `basis` may be a PrimeBasis or any sequence of moduli.
     """
-    return list(coprime_stream(interval, basis, budget))
-
-
-def coprime_stream(interval: IntervalSpec, moduli, budget: int | None = None) -> Iterator[int]:
-    """coprime_scan's values, one striking segment at a time; the budget is checked on the call."""
-    return _values(coprime_segments(interval, moduli, budget))
+    return list(_values(coprime_segments(interval, basis, budget)))
 
 
 def coprime_segments(
     interval: IntervalSpec, moduli, budget: int | None = None
 ) -> Iterator[tuple[range, bytearray]]:
-    """coprime_stream as _strike's (range, flags) segments; the budget is checked on the call."""
+    """coprime_scan as _strike's (range, flags) segments; the budget is checked on the call."""
     check_budget(interval.width, budget, "coprime scan")
     return _strike(interval.lo, interval.hi, tuple(moduli), _SEGMENT)
 
@@ -164,44 +160,42 @@ def primes_in(interval: IntervalSpec, budget: int | None = None) -> list[int]:
 
     The base primes up to sqrt(hi - 1) come from the same sieve run on
     [2, sqrt(hi - 1) + 1); they strike every multiple, themselves
-    included, so those in [lo, hi) are put back in front.
+    included, and each segment flags its own again.
     """
-    return list(prime_stream(interval, budget))
-
-
-def prime_stream(interval: IntervalSpec, budget: int | None = None) -> Iterator[int]:
-    """primes_in's values, one striking segment at a time; the budget is checked on the call."""
-    head, segments = prime_segments(interval, budget)
-    return chain(head, _values(segments))
+    return list(_values(prime_segments(interval, budget)))
 
 
 def prime_segments(
     interval: IntervalSpec, budget: int | None = None
-) -> tuple[tuple[int, ...], Iterator[tuple[range, bytearray]]]:
-    """prime_stream as _prime_flags' base primes and segments; the budget is checked on the call."""
+) -> Iterator[tuple[range, bytearray]]:
+    """primes_in as _prime_flags' (range, flags) segments; the budget is checked on the call."""
     check_budget(interval.hi, budget, "prime sieve")
     return _prime_flags(interval.lo, interval.hi)
 
 
 def prime_count(interval: IntervalSpec, budget: int | None = None) -> int:
     """len(primes_in(interval)), read from the striking flags without a Python int per integer."""
-    head, segments = prime_segments(interval, budget)
-    return len(head) + sum(flags.count(1) for _, flags in segments)
+    return sum(flags.count(1) for _, flags in prime_segments(interval, budget))
 
 
-def _primes(lo: int, hi: int) -> Iterator[int]:
-    """prime_stream without the budget check."""
-    head, segments = _prime_flags(lo, hi)
-    return chain(head, _values(segments))
-
-
-def _prime_flags(lo: int, hi: int) -> tuple[tuple[int, ...], Iterator[tuple[range, bytearray]]]:
-    """The base primes in [lo, hi), and _strike's segments of the rest by all of them.
-    Every base prime is at most sqrt(hi - 1) < hi; the recursion stops once that
-    root is below 2."""
+def _base_primes(hi: int) -> list[int]:
+    """The primes up to sqrt(hi - 1), by _prime_flags on [2, sqrt(hi - 1) + 1);
+    the recursion stops once that root is below 2."""
     root = math.isqrt(hi - 1)
-    base = tuple(_primes(2, root + 1)) if root >= 2 else ()
-    return base[bisect_left(base, lo) :], _strike(max(lo, 2), hi, base, _SEGMENT)
+    return list(_values(_prime_flags(2, root + 1))) if root >= 2 else []
+
+
+def _prime_flags(lo: int, hi: int) -> Iterator[tuple[range, bytearray]]:
+    """_strike's segments of [max(lo, 2), hi) by the base primes, each of which
+    (at most sqrt(hi - 1) < hi) is flagged again in the segment that holds it."""
+    base = _base_primes(hi)
+    for seg, flags in _strike(max(lo, 2), hi, base, _SEGMENT):
+        i = bisect_left(base, seg.start)
+        while i < len(base) and base[i] < seg.stop:
+            flags[base[i] - seg.start] = 1
+            i += 1
+        yield seg, flags
+        del flags  # so _strike's next flags are not built beside these
 
 
 def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[bytes]:
@@ -249,7 +243,7 @@ def sieve_segments(
     check_bits((interval.hi - 1).bit_length())
     root = math.isqrt(interval.hi - 1)
     check_budget(max(interval.width, root), budget, "omega sieve")
-    return _sieve(interval, root, list(_primes(2, root + 1)), tuple(moduli))
+    return _sieve(interval, root, _base_primes(interval.hi), tuple(moduli))
 
 
 def check_bits(bits: int) -> None:

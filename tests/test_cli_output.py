@@ -133,3 +133,26 @@ def test_closed_pipe_exits_quietly(argv):
         proc.wait()
         proc.stderr.close()
     assert (code, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--r", "3", "--lo", "1", "--hi", "100000"],
+        ["coeffs", "3"],
+        ["verify", "theorem1", "--r", "3", "--n", "1"],
+    ],
+)
+def test_failed_write_exits_4_with_one_error_line(argv):
+    # gen fails in a write past the buffer; coeffs and verify in the last flush.
+    src = str(Path(primewheel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "primewheel", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("error: cannot write output: ")
+    assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr

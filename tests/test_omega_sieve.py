@@ -115,7 +115,7 @@ def test_omega_sieve_refuses_a_window_past_its_bit_cap(monkeypatch):
     def no_sieve(*args):
         raise AssertionError("sieved the base primes of a window past the cap")
 
-    monkeypatch.setattr(oracle, "_primes", no_sieve)
+    monkeypatch.setattr(oracle, "_base_primes", no_sieve)
     cap = oracle.OMEGA_MAX_BITS
     window = IntervalSpec(2**cap, 2**cap + 2)
     with pytest.raises(BudgetExceeded) as info:

@@ -1,8 +1,11 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from primewheel import oracle
 from primewheel.enumeration import IntervalSpec
 from primewheel.errors import BudgetExceeded
 from primewheel.oracle import (
@@ -118,3 +121,19 @@ def test_rough_sieve_wide_window():
     assert len(values) == 480 * 4
     assert values[0] == 1
     assert all(all(v % p for p in basis.primes) for v in values)
+
+
+def test_oracle_imports_only_its_three_names_from_the_package():
+    # The oracle checks the wheel, so it shares none of the wheel's machinery.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "primewheel"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "primewheel":
+                module = module.removeprefix("primewheel").lstrip(".")
+                imported |= {(module, a.name) for a in node.names}
+    assert imported == {
+        ("enumeration", "IntervalSpec"), ("_record", "Record"), ("errors", "check_budget")
+    }

@@ -1,12 +1,13 @@
-"""primes_in, the base primes put back in front of one striking scan,
-against per-value trial division, and prime_count against its length; the
-Omega = 1 entries of omega_sieve, segment by segment, against primes_in."""
+"""primes_in, one striking scan whose segments flag their own base primes
+again, against per-value trial division, and prime_count against its length;
+the Omega = 1 entries of omega_sieve, segment by segment, against primes_in."""
 
+import io
 import random
 
 import pytest
 
-from primewheel import oracle
+from primewheel import cli, oracle
 from primewheel.enumeration import IntervalSpec
 
 
@@ -39,6 +40,30 @@ def test_prime_count_is_the_length_of_primes_in(monkeypatch, lo, hi):
     monkeypatch.setattr(oracle, "_SEGMENT", 37)
     window = IntervalSpec(lo, hi)
     assert oracle.prime_count(window) == len(oracle.primes_in(window)), (lo, hi)
+
+
+@pytest.mark.parametrize("lo", [0, 1, 2, 3, 60, 61, 62, 122])
+def test_base_primes_are_flagged_in_their_own_segment(monkeypatch, capsys, lo):
+    # Segments of 61 integers: the base primes, up to 67 at hi = 5000, cross
+    # the first seam from lo <= 3, sit in the first segment from 60, 61 and 62,
+    # and lie below the window from 122.
+    monkeypatch.setattr(oracle, "_SEGMENT", 61)
+    for hi in sorted({lo + 1, lo + 2, 62, 63, 124, 184, 3722, 5000} - set(range(lo + 1))):
+        window = IntervalSpec(lo, hi)
+        start = max(lo, 2)
+        for seg, flags in oracle.prime_segments(window):
+            assert seg == range(start, min(start + 61, hi)), (lo, hi)
+            want = [oracle.factor_profile(m).omega == 1 for m in seg]
+            assert list(flags) == want, (lo, hi, seg)
+            start = seg.stop
+        assert start == max(hi, 2), (lo, hi)
+        primes = oracle.primes_in(window)
+        assert oracle.prime_count(window) == len(primes), (lo, hi)
+        assert cli.main(["oracle", "primes", "--lo", str(lo), "--hi", str(hi)]) == 0
+        want = io.StringIO()
+        for p in primes:
+            print(p, file=want)
+        assert capsys.readouterr().out == want.getvalue(), (lo, hi)
 
 
 @pytest.mark.parametrize("segment", [7, 64, 4096])

@@ -194,8 +194,8 @@ def test_each_prime_window_is_sieved_once(monkeypatch, capsys, argv, windows):
 
         return run
 
-    # primes_in lists prime_stream; compare_pi counts its primes with prime_count.
-    monkeypatch.setattr(oracle, "prime_stream", logged(oracle.prime_stream))
+    # corollary2 lists its primes with primes_in; compare_pi counts them with prime_count.
+    monkeypatch.setattr(oracle, "primes_in", logged(oracle.primes_in))
     monkeypatch.setattr(oracle, "prime_count", logged(oracle.prime_count))
     assert cli.main(argv) == 0
     assert sieved == windows

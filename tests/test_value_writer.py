@@ -82,7 +82,7 @@ def test_oracle_scan_equals_per_value_print(capsys, how):
 
 
 def test_oracle_primes_equals_per_value_print(capsys):
-    # The base primes in the window go out first, through the % path.
+    # The base primes in the window are flagged in their segment like any other prime.
     for lo, hi in [w for w in WINDOWS if w[1] <= 2 * 10**6] + [(1, 5000), (990, 3300)]:
         out = _run(capsys, "oracle", "primes", "--lo", lo, "--hi", hi)
         assert _differ(out, _printed(oracle.primes_in(IntervalSpec(lo, hi)))) is None, (lo, hi)
@@ -153,14 +153,24 @@ class _Writes(io.StringIO):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_one_write_per_block(monkeypatch, fmt):
+    # Block 0's values, below BLOCK, take one write as any later block's do;
+    # so do oracle primes' base primes, below 100, with the rest of block 0.
+    def check(write, values, lo):
+        spec = IntervalSpec(lo, lo + 10 * BLOCK)
+        out = _Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        write(spec)
+        blocks = out.calls[1:] if fmt == "csv" else out.calls
+        assert len(blocks) == 10, lo
+        for k, text in enumerate(blocks):
+            block = IntervalSpec(spec.lo + k * BLOCK, spec.lo + (k + 1) * BLOCK)
+            want = _printed(values(block), fmt).removeprefix("z\n")
+            assert _differ(text, want) is None, (lo, k)
+
     form = build_canonical(PrimeBasis.first(3))
-    spec = IntervalSpec(10**6, 10**6 + 10 * BLOCK)
-    out = _Writes()
-    monkeypatch.setattr(sys, "stdout", out)
-    cli.write_values(fmt, "z", value_segments(form, spec))
-    blocks = out.calls[1:] if fmt == "csv" else out.calls
-    assert len(blocks) == 10
-    for k, text in enumerate(blocks):
-        block = IntervalSpec(spec.lo + k * BLOCK, spec.lo + (k + 1) * BLOCK)
-        want = _printed(enumerate_interval(form, block), fmt).removeprefix("z\n")
-        assert _differ(text, want) is None, k
+    for lo in (0, 10**6):
+        check(lambda spec: cli.write_values(fmt, "z", value_segments(form, spec)),
+              lambda block: enumerate_interval(form, block), lo)
+    if fmt == "text":
+        check(lambda spec: main(["oracle", "primes", "--lo", "0", "--hi", str(spec.hi)]),
+              oracle.primes_in, 0)
