@@ -22,8 +22,7 @@ _EXPORTS = {
         "errors": "BudgetExceeded",
         "forms": "RawWheelForm build_raw canonicalize decompose evaluate evaluate_raw "
         "form_from_json form_to_json",
-        "oracle": "FactorProfile coprime_scan factor_profile is_k_almost omega omega_sieve "
-        "primes_in rough_sieve spf",
+        "oracle": "FactorProfile coprime_scan factor_profile omega primes_in sieve_segments",
         "theorems": "Counterexample VerificationReport bertrand_condition check_identity26 "
         "compare_pi pi_approx search_identity25 theorem1_interval verify_corollary2 "
         "verify_theorem1",

@@ -2,27 +2,28 @@
 
 Subcommands: coeffs (print a form), gen (stream values in an interval), count
 (block/interval/prime-count figures), verify (claim checkers), bench (wheel vs sieve
-timing), oracle (brute-force spot checks).
+timing of the window's 0/1 value map), oracle (brute-force spot checks).
 
 Exit codes: 0 success/pass, 1 verification failure or witness not found, 2 usage error,
-3 budget exceeded, 4 stdout write error (one error: line). A reader that closes stdout
-early (as `| head` does) ends the command quietly with exit 0. write_rows holds the format
-rules, and writes a table as chunks of columns, each with one % operation and one call
-(gen --explain decomposes CHUNK_LINES values with one forms.decompose_rows call);
-write_values writes the value streams of gen and oracle scan and primes from their sieve
-masks, one call per block of BLOCK integers, with no int and no % operation per value.
-json-lines fields are decimal strings, except --explain's t and h and a verify report's
-counters; verify --format csv prints the text report. Output is deterministic for fixed
-arguments, but for bench's timings. --budget or PRIMEWHEEL_SCAN_BUDGET, an integer of at
-least 1, overrides the scan budget of coeffs, count, verify, bench and oracle. A
-subcommand imports only what it runs: theorems, oracle, forms (the raw form,
-decompose_rows and the JSON shape) and json load on first use, so gen, coeffs and count
---lo/--hi never load the claim checkers, and gen without --explain and count never load
-forms or the unit-equation solver.
+3 budget exceeded, 4 stdout write error, 130 interrupted (one error: line each). A reader
+that closes stdout early (as `| head` does) ends the command quietly with exit 0.
+write_rows holds the format rules, and writes a table as chunks of columns, each with one %
+operation and one call (gen --explain decomposes CHUNK_LINES values with one
+forms.decompose_rows call); write_values writes the value streams of gen and oracle scan
+and primes from their sieve masks, one call per block of BLOCK integers, with no int and no
+% operation per value. json-lines fields are decimal strings, except --explain's t and h
+and a verify report's counters; verify --format csv prints the text report. Output is
+deterministic for fixed arguments, but for bench's timings. --budget or
+PRIMEWHEEL_SCAN_BUDGET, an integer of at least 1, overrides the scan budget of coeffs,
+count, verify, bench and oracle. A subcommand imports only what it runs: theorems, oracle,
+forms (the raw form, decompose_rows and the JSON shape) and json load on first use, so gen,
+coeffs and count --lo/--hi never load the claim checkers, and gen without --explain and
+count never load forms or the unit-equation solver.
 
 `python -m primewheel`, `python -m primewheel.cli` and the `primewheel` script all end
-through run(), which freezes the collector before exit; main(argv) returns the exit code
-and leaves the collector alone.
+through run(), which freezes the collector before exit and turns Ctrl-C into exit 130;
+main(argv) returns the exit code, leaves the collector alone and lets KeyboardInterrupt
+through, so Ctrl-C still stops an in-process caller.
 """
 
 from __future__ import annotations
@@ -256,23 +257,27 @@ def cmd_bench(args) -> int:
     interval = IntervalSpec(args.lo, args.lo + args.width)
     basis = PrimeBasis.first(args.r)
     form = build_canonical(basis)
-    rough_sieve = oracle.rough_sieve  # imports the oracle here, outside the timed region
-    rows = []
+    coprime_segments = oracle.coprime_segments  # imports the oracle here, outside the timed region
+    lo, rows = interval.lo, []
     for rep in range(args.reps):
-        # The sieve runs first and checks its budget, so a refused window is never enumerated.
+        # The sieve checks its budget on the call and runs first: a refused window is never mapped.
         start = time.perf_counter()
-        sieve_values = rough_sieve(interval, basis, budget=budget)
+        sieve = bytearray()
+        for _, flags in coprime_segments(interval, basis, budget):
+            sieve += flags
         middle = time.perf_counter()
-        wheel_values = list(enumerate_interval(form, interval))
+        wheel = bytearray(interval.width)
+        for candidates, mask in value_segments(form, interval):
+            wheel[candidates.start - lo : candidates.stop - lo : candidates.step] = mask
         end = time.perf_counter()
-        if rep == 0 and wheel_values != sieve_values:
-            wheel_set, sieve_set = set(wheel_values), set(sieve_values)
-            counts = f"{len(wheel_set - sieve_set)} extra, {len(sieve_set - wheel_set)} missing"
+        if rep == 0 and wheel != sieve:
+            w, s = int.from_bytes(wheel, "little"), int.from_bytes(sieve, "little")
+            counts = f"{(w & ~s).bit_count()} extra, {(s & ~w).bit_count()} missing"
             print(f"mismatch between wheel enumeration and rough sieve: {counts}", file=sys.stderr)
             return 1
-        rows.append(("wheel", interval.width, len(wheel_values), f"{end - middle:.6f}"))
-        rows.append(("sieve", interval.width, len(sieve_values), f"{middle - start:.6f}"))
-        del sieve_values, wheel_values  # so no list outlives its repetition
+        rows.append(("wheel", interval.width, wheel.count(1), f"{end - middle:.6f}"))
+        rows.append(("sieve", interval.width, sieve.count(1), f"{middle - start:.6f}"))
+        del sieve, wheel  # so no map outlives its repetition
     header = ("method", "interval_width", "values_emitted", "wall_time")
     write_rows("csv", header, [tuple(zip(*rows))])
     return 0
@@ -287,7 +292,9 @@ def cmd_oracle(args) -> int:
     if args.probe == "omega":
         print(oracle.omega(args.n))
     elif args.probe == "spf":
-        print(oracle.spf(args.n))
+        if args.n < 2:
+            raise ValueError("spf is defined for n >= 2")
+        print(oracle.factor_profile(args.n).spf)
     elif args.probe == "factor":
         p = oracle.factor_profile(args.n)
         factors = [str(f) for f in p.factors]
@@ -408,12 +415,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except OSError as exc:
-        # stdout is the one file a command writes: the reader closed the pipe
-        # (`| head`), or a write failed (a full device). Point stdout at
-        # os.devnull so the interpreter's final flush cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_stdout()  # the reader closed the pipe (`| head`), or a write failed (a full device)
         if isinstance(exc, BrokenPipeError):
             return 0
         print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
@@ -429,9 +431,22 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def _drop_stdout() -> None:
+    """Point stdout, the one file a command writes, at os.devnull, so the interpreter's
+    final flush can neither raise nor write."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def run() -> None:
-    """Exit with main()'s code for the arguments in sys.argv."""
-    code = main()
+    """Exit with main()'s code for sys.argv; 130 on an interrupt, which main leaves to callers."""
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        _drop_stdout()
+        print("error: interrupted", file=sys.stderr)
+        code = 130
     # Exit-time collection would walk every object left alive, and nothing
     # in the package needs it: no module defines __del__ or registers an
     # atexit or weakref callback, and main has flushed stdout. Frozen

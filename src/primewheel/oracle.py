@@ -9,17 +9,17 @@ at a time (Bays & Hudson 1977), each into a bytearray of flags or counts:
 - _strike yields, per segment, the flags of the integers divisible by no
   given modulus. coprime_segments and prime_segments hand out these
   (range, flags) segments, the one shape every value stream here takes:
-  coprime_scan, rough_sieve and primes_in compress them into values,
-  prime_count counts them, and a writer reads them. The primes' moduli are
-  the primes up to sqrt(hi - 1), found by the same scan on [2,
-  sqrt(hi - 1)], and each is flagged again in its own segment;
+  coprime_scan and primes_in compress them into values, prime_count
+  counts them, and the CLI writes them (bench maps them). The primes'
+  moduli are the primes up to sqrt(hi - 1), found by the same scan on
+  [2, sqrt(hi - 1)], and each is flagged again in its own segment;
 - sieve_segments gives, per segment, the same flags for given moduli and
   Omega(m), the prime factors of m counted with multiplicity, for every
   m, in one walk: each modulus strikes its multiples' flags, and each
   prime power p^k strikes its multiples, which gain one factor and a
   byte-wide log weight of p; m's weight sum tells whether a prime above
   sqrt(hi - 1), one more factor, divides it. Its base primes come from
-  primes_in's scan too, and omega_sieve yields its Omega bytes alone.
+  primes_in's scan too, and with no moduli it gives the Omega bytes alone.
 
 factor_profile is the per-value trial division, kept as the single-value
 probe. Every scan is guarded by a budget (default ten million, checked by
@@ -97,18 +97,6 @@ def omega(n: int) -> int:
     return factor_profile(n).omega
 
 
-def spf(n: int) -> int:
-    """Smallest prime factor of n >= 2."""
-    if n < 2:
-        raise ValueError("spf is defined for n >= 2")
-    return factor_profile(n).spf
-
-
-def is_k_almost(n: int, k: int) -> bool:
-    """True when n has exactly k prime factors counted with multiplicity."""
-    return omega(n) == k
-
-
 def coprime_scan(interval: IntervalSpec, basis, budget: int | None = None) -> list[int]:
     """Integers in [lo, hi) divisible by no basis modulus.
 
@@ -125,14 +113,9 @@ def coprime_segments(
     return _strike(interval.lo, interval.hi, tuple(moduli), _SEGMENT)
 
 
-def rough_sieve(interval: IntervalSpec, basis, budget: int | None = None) -> list[int]:
-    """The same list as coprime_scan, by the same striking scan.
-
-    This is the conventional competitor the wheel enumeration is
-    benchmarked against.
-    """
-    check_budget(interval.width, budget, "rough sieve")
-    return list(_values(_strike(interval.lo, interval.hi, tuple(basis), _SEGMENT)))
+# coprime_scan under its old name, not exported. Its last caller is perfbench/tests/
+# test_harness.py::test_inclusion_exclusion_matches_rough_sieve; it goes with ROADMAP item 1.
+rough_sieve = coprime_scan
 
 
 def _strike(
@@ -198,45 +181,33 @@ def _prime_flags(lo: int, hi: int) -> Iterator[tuple[range, bytearray]]:
         del flags  # so _strike's next flags are not built beside these
 
 
-def omega_sieve(interval: IntervalSpec, budget: int | None = None) -> Iterator[bytes]:
-    """Omega(m), prime factors counted with multiplicity, for every m in [lo, hi).
-
-    The iterator yields one bytes per segment of sieve_segments, from lo
-    up; the last may be shorter. The primes up to root =
-    isqrt(hi - 1) are sieved once, by primes_in's striking scan. Each m is
-    s * c, with no prime above root in s and c = 1 or one prime above
-    root. In a segment each multiple of a prime power p^k < hi gains one
-    factor and the weight w_p = bits(p^S) - 1 = floor(S * log2(p)), where
-    b = bits(hi - 1) and S = 255 // b. So the count is Omega(s), and c > 1
-    adds one: the entries equal to 1 are the primes.
-
-    The weight sum W tells c without a division (logarithmic sieving,
-    Crandall & Pomerance, Prime Numbers, 2nd ed., section 6.1). w_2 = S is
-    exact and each of the K odd factors of s loses less than 1 to the
-    floor, so S * log2(s) - K < W <= S * log2(s) < S * b <= 255: no byte
-    wraps. On a piece [x, y) of a segment inside one [2^j, 2^(j+1)), c > 1
-    gives s <= smax = (y - 1) // (root + 1), so W <= U = bits(smax^S) - 1
-    (U = -1 when smax = 0), and c = 1 gives s = m >= x and K <=
-    floor(log3(y - 1)), so W >= L = bits(x^S) - 1 - floor(log3(y - 1)).
-    So W <= U is c > 1 whenever U < L, which holds for b <= OMEGA_MAX_BITS:
-    (root + 1)^2 > 2^(b - 1) and y <= 2^(j + 1) give U < S * (j + 1 -
-    (b - 1) / 2), while L > S * j - 0.631 * b, and S >= 2 closes that gap
-    from b = 9; the tests check every piece for hi < 2^18. At b = 128,
-    S = 1 and the margin fails: sieve_segments, whose checks this shares, refuses it.
-    """
-    return (omegas for _, _, omegas in sieve_segments(interval, (), budget))
-
-
 def sieve_segments(
     interval: IntervalSpec, moduli, budget: int | None = None
 ) -> Iterator[tuple[range, bytearray, bytes]]:
-    """omega_sieve with the striking scan of `moduli`, in one walk of each segment.
+    """Per segment of [lo, hi) from lo up: its range, its _strike flags by `moduli`, and
+    Omega(m), the prime factors of m counted with multiplicity, for each m in it, in one walk.
 
-    Yields, per segment from lo up, its range, its _strike flags by the
-    moduli and its Omega bytes. A segment holds OMEGA_SEGMENT integers per 64 base
-    primes, at least once and at most OMEGA_SEGMENT_MAX. Before the iterator
-    is returned, check_bits takes bits(hi - 1), then the integers walked, the
-    window or 2..root when that is longer, are checked against the budget.
+    A segment holds OMEGA_SEGMENT integers per 64 base primes, at least once and at most
+    OMEGA_SEGMENT_MAX. Before the iterator is returned, check_bits takes bits(hi - 1), then
+    the integers walked, the window or 2..root when that is longer, are checked against the
+    budget. The primes up to root = isqrt(hi - 1) are sieved once, by primes_in's scan.
+
+    Each m is s * c, with no prime above root in s and c = 1 or one prime above root. In a
+    segment each multiple of a prime power p^k < hi gains one factor and the weight w_p =
+    bits(p^S) - 1 = floor(S * log2(p)), where b = bits(hi - 1) and S = 255 // b. So the
+    count is Omega(s), and c > 1 adds one: the entries equal to 1 are the primes.
+
+    The weight sum W tells c without a division (logarithmic sieving, Crandall & Pomerance,
+    Prime Numbers, 2nd ed., section 6.1). w_2 = S is exact and each of the K odd factors of
+    s loses less than 1 to the floor, so S * log2(s) - K < W <= S * log2(s) < S * b <= 255:
+    no byte wraps. On a piece [x, y) of a segment inside one [2^j, 2^(j+1)), c > 1 gives
+    s <= smax = (y - 1) // (root + 1), so W <= U = bits(smax^S) - 1 (U = -1 when smax = 0),
+    and c = 1 gives s = m >= x and K <= floor(log3(y - 1)), so W >= L = bits(x^S) - 1 -
+    floor(log3(y - 1)). So W <= U is c > 1 whenever U < L, which holds for b <=
+    OMEGA_MAX_BITS: (root + 1)^2 > 2^(b - 1) and y <= 2^(j + 1) give U < S * (j + 1 -
+    (b - 1) / 2), while L > S * j - 0.631 * b, and S >= 2 closes that gap from b = 9; the
+    tests check every piece for hi < 2^18. At b = 128, S = 1 and the margin fails:
+    check_bits refuses it.
     """
     if interval.lo < 1:
         raise ValueError("omega is defined for m >= 1")
@@ -253,7 +224,7 @@ def check_bits(bits: int) -> None:
 
 
 def _cut(y: int, root: int, scale: int) -> int:
-    """U + 1 for a piece of omega_sieve's window that ends below y: the
+    """U + 1 for a piece of sieve_segments' window that ends below y: the
     number of weight sums that flag a cofactor above root."""
     return (((y - 1) // (root + 1)) ** scale).bit_length()
 

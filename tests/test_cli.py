@@ -3,7 +3,8 @@ import math
 import os
 import subprocess
 import sys
-import weakref
+import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -258,41 +259,54 @@ def test_bench_csv_shape(capsys):
 
 
 def test_bench_mismatch_exits_1_with_one_stderr_line(capsys, monkeypatch):
-    rough_sieve = oracle.rough_sieve
-    monkeypatch.setattr(oracle, "rough_sieve", lambda *args, **kw: rough_sieve(*args, **kw)[1:])
-    code, out, err = run(capsys, "bench", "--r", "3", "--width", "100", "--reps", "1")
-    assert (code, out) == (1, "")
-    assert err == "mismatch between wheel enumeration and rough sieve: 1 extra, 0 missing\n"
+    # The sieve side, then the wheel side, loses its first value.
+    for module, name, counts in ((oracle, "coprime_segments", "1 extra, 0 missing"),
+                                 (cli, "value_segments", "0 extra, 1 missing")):
+        def first_dropped(*args, make=getattr(module, name)):
+            segments = make(*args)
+            seg, mask = next(segments)
+            mask[mask.index(1)] = 0
+            return chain([(seg, mask)], segments)
+
+        monkeypatch.setattr(module, name, first_dropped)
+        code, out, err = run(capsys, "bench", "--r", "3", "--width", "100", "--reps", "1")
+        monkeypatch.undo()
+        assert (code, out) == (1, "")
+        assert err == f"mismatch between wheel enumeration and rough sieve: {counts}\n"
 
 
 def test_bench_times_each_method_once_per_repetition(capsys, monkeypatch):
-    # The first repetition's two lists are the mismatch check; no run is
-    # untimed, and no sieve list outlives its repetition.
-    calls, earlier = [], []
-    enumerate_interval, rough_sieve = cli.enumerate_interval, oracle.rough_sieve
-
-    class Values(list):
-        """A list that a weak reference can follow."""
+    # The first repetition's two maps are the mismatch check, and no run is untimed.
+    calls = []
+    value_segments, coprime_segments = cli.value_segments, oracle.coprime_segments
 
     def wheel(*args):
         calls.append("wheel")
-        return enumerate_interval(*args)
+        return value_segments(*args)
 
-    def sieve(*args, **kwargs):
+    def sieve(*args):
         calls.append("sieve")
-        assert all(ref() is None for ref in earlier), "an earlier repetition's list is alive"
-        values = Values(rough_sieve(*args, **kwargs))
-        earlier.append(weakref.ref(values))
-        return values
+        return coprime_segments(*args)
 
-    monkeypatch.setattr(cli, "enumerate_interval", wheel)
-    monkeypatch.setattr(oracle, "rough_sieve", sieve)
+    monkeypatch.setattr(cli, "value_segments", wheel)
+    monkeypatch.setattr(oracle, "coprime_segments", sieve)
     code, out, _ = run(capsys, "bench", "--r", "3", "--width", "100", "--reps", "2")
     assert code == 0
     assert calls == ["sieve", "wheel"] * 2
     assert [line.split(",")[:3] for line in out.splitlines()[1:]] == [
         ["wheel", "100", "26"], ["sieve", "100", "26"]
     ] * 2
+    # Each side's map holds a byte per window integer. Two maps of the window and a
+    # segment's masks fit the bound; two more, kept from the first repetition, do not.
+    width = 10**6
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "bench", "--r", "3", "--width", str(width), "--reps", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * width + 4 * (1 << 20), peak
 
 
 def test_bench_rejects_zero_width(capsys):
@@ -351,7 +365,7 @@ def test_bench_checks_its_budget_before_enumerating(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("bench enumerated before the sieve budget was checked")
 
-    monkeypatch.setattr(cli, "enumerate_interval", no_work)
+    monkeypatch.setattr(cli, "value_segments", no_work)
     code, out, err = run(capsys, "bench", "--r", "3", "--width", "1000", "--budget", "10")
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1

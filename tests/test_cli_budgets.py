@@ -98,7 +98,7 @@ def test_trial_division_probes_keep_their_usage_errors(capsys, probe, n):
     [
         (("verify", "theorem1", "--r", "3", "--n", "8"), "omega sieve", None),
         (("oracle", "scan", "--lo", "1", "--hi", "100", "--budget", "5"), "coprime scan", None),
-        (("bench", "--r", "3", "--width", "300000000"), "rough sieve", None),
+        (("bench", "--r", "3", "--width", "300000000"), "coprime scan", None),
         (("count", "--r", "3", "--pi-approx", "--budget", "5"), "prime sieve", None),
         (("oracle", "primes", "--lo", "1", "--hi", "100", "--budget", "5"), "prime sieve", None),
         (("verify", "theorem1", "--r", "3", "--n", "2", "--budget", "100"), "omega sieve", None),

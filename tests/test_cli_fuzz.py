@@ -201,6 +201,7 @@ _FIXED = "no flag or environment variable raises this fixed limit"
     [
         (["gen", "--r", "20000", "--lo", "1", "--hi", "2"], 0, "1\n", None),
         (["bench", "--r", "3000", "--width", "1000", "--reps", "1"], 0, "method,", None),
+        (["bench", "--r", "3", "--width", str(10**30)], 3, "", "--budget"),
         (["coeffs", "100000"], 3, "", "--budget"),
         (["coeffs", "20000", "--raw"], 3, "", "--budget"),
         (["count", "--r", "5000", "--lo", "1", "--hi", "100"], 0, "1\n", None),
@@ -234,6 +235,7 @@ _FIXED = "no flag or environment variable raises this fixed limit"
     ids=[
         "gen",
         "bench",
+        "bench-width1e30",
         "coeffs",
         "coeffs-raw",
         "count",

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import primewheel
-from primewheel import oracle
+from primewheel import cli, oracle
 from primewheel.cli import CHUNK_LINES, main
 from primewheel.enumeration import IntervalSpec, count_interval, enumerate_interval
 from primewheel.forms import decompose
@@ -133,6 +134,38 @@ def test_closed_pipe_exits_quietly(argv):
         proc.wait()
         proc.stderr.close()
     assert (code, err) == (0, b"")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGINT") or os.name != "posix", reason="sends SIGINT")
+def test_interrupt_exits_130_with_one_error_line():
+    # The child is in its stream, or blocked on the full pipe, when SIGINT comes. Its
+    # handler is reset first: a child of a shell's background job inherits SIGINT ignored.
+    src = str(Path(primewheel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "primewheel", "gen", "--r", "3", "--lo", "1", "--hi", str(10**12)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        assert proc.stdout.readline() == b"1\n"
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, err) == (130, b"error: interrupted\n")
+
+
+def test_main_leaves_an_interrupt_to_its_caller(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_coeffs", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["coeffs", "3"])
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")

@@ -202,10 +202,10 @@ ALL = [
     "build_coprime_wheel", "build_raw", "canonicalize", "check_identity26", "compare_pi",
     "coprime_scan", "count_block", "count_interval", "decompose", "diophantine",
     "enumerate_interval", "enumeration", "errors", "evaluate", "evaluate_raw",
-    "factor_profile", "form_from_json", "form_to_json", "forms", "is_k_almost", "nth_solution",
-    "omega", "omega_sieve", "oracle", "pi_approx", "primes_in", "rough_sieve",
-    "search_identity25", "solve_linear", "solve_unit", "sorted_block_residues", "spf",
-    "theorem1_interval", "theorems", "verify_corollary2", "verify_theorem1", "wheel",
+    "factor_profile", "form_from_json", "form_to_json", "forms", "nth_solution", "omega",
+    "oracle", "pi_approx", "primes_in", "search_identity25", "sieve_segments", "solve_linear",
+    "solve_unit", "sorted_block_residues", "theorem1_interval", "theorems",
+    "verify_corollary2", "verify_theorem1", "wheel",
 ]
 
 

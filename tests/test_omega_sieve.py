@@ -1,6 +1,6 @@
-"""The segmented Omega sieve against trial division, and the one striking scan
-behind coprime_scan and rough_sieve against a per-value test; the segment
-size rule, and the flags sieve_segments strikes in the same walk."""
+"""The segmented Omega sieve, sieve_segments with no moduli, against trial
+division, and the one striking scan behind coprime_scan against a per-value
+test; the segment size rule, and the flags sieve_segments strikes in the same walk."""
 
 import math
 import random
@@ -11,12 +11,17 @@ import pytest
 from primewheel import oracle, theorems
 from primewheel.enumeration import IntervalSpec
 from primewheel.errors import BudgetExceeded
-from primewheel.oracle import coprime_scan, factor_profile, omega_sieve, rough_sieve
+from primewheel.oracle import coprime_scan, factor_profile, sieve_segments
 from primewheel.wheel import PrimeBasis
 
 
+def _omegas(interval, budget=None):
+    """The Omega bytes of sieve_segments with no moduli, one bytes per segment."""
+    return [omegas for _, _, omegas in sieve_segments(interval, (), budget)]
+
+
 def _sieved(lo, hi, budget=None):
-    return list(chain.from_iterable(omega_sieve(IntervalSpec(lo, hi), budget)))
+    return list(chain.from_iterable(_omegas(IntervalSpec(lo, hi), budget)))
 
 
 def _assert_matches_trial_division(lo, hi):
@@ -65,7 +70,7 @@ def test_omega_sieve_with_a_cofactor_prime_above_the_root():
 @pytest.mark.parametrize("segment", [1, 2, 7, 64, 1 << 14])
 def test_omega_sieve_across_segment_seams(monkeypatch, segment):
     monkeypatch.setattr(oracle, "OMEGA_SEGMENT", segment)
-    lists = list(omega_sieve(IntervalSpec(95, 420)))
+    lists = _omegas(IntervalSpec(95, 420))
     assert all(len(part) == segment for part in lists[:-1])
     assert 1 <= len(lists[-1]) <= segment
     _assert_matches_trial_division(95, 420)
@@ -97,16 +102,16 @@ def test_omega_sieve_on_theorem1_windows(r, n):
 
 def test_omega_sieve_checks_width_and_root_before_sieving():
     with pytest.raises(BudgetExceeded) as info:
-        omega_sieve(IntervalSpec(1, 1002), budget=1000)
+        sieve_segments(IntervalSpec(1, 1002), (), budget=1000)
     assert info.value.required == 1001
     # A narrow window far out walks the base primes up to its square root.
     with pytest.raises(BudgetExceeded, match="^omega sieve needs ") as info:
-        omega_sieve(IntervalSpec(10**12, 10**12 + 10), budget=10**5)
+        sieve_segments(IntervalSpec(10**12, 10**12 + 10), (), budget=10**5)
     assert info.value.required == math.isqrt(10**12 + 9)
     with pytest.raises(BudgetExceeded, match="^omega sieve needs 100000000 "):
-        omega_sieve(IntervalSpec(10**16, 10**16 + 2))
+        sieve_segments(IntervalSpec(10**16, 10**16 + 2), ())
     with pytest.raises(ValueError):
-        omega_sieve(IntervalSpec(0, 10))
+        sieve_segments(IntervalSpec(0, 10), ())
 
 
 def test_omega_sieve_refuses_a_window_past_its_bit_cap(monkeypatch):
@@ -119,10 +124,10 @@ def test_omega_sieve_refuses_a_window_past_its_bit_cap(monkeypatch):
     cap = oracle.OMEGA_MAX_BITS
     window = IntervalSpec(2**cap, 2**cap + 2)
     with pytest.raises(BudgetExceeded) as info:
-        omega_sieve(window, budget=2**cap)
+        sieve_segments(window, (), budget=2**cap)
     assert str(info.value).startswith(f"omega sieve bits needs {cap + 1} but the budget is {cap}; no flag")
     with pytest.raises(BudgetExceeded, match=f"^omega sieve bits needs {cap + 1} "):
-        omega_sieve(window)
+        sieve_segments(window, ())
 
 
 def _floor_log3(m):
@@ -133,7 +138,7 @@ def _floor_log3(m):
 
 
 def _margins(hi, tops_only=False):
-    """(U, L) of omega_sieve's docstring for the pieces [2^j, min(hi, 2^(j+1)))
+    """(U, L) of sieve_segments' docstring for the pieces [2^j, min(hi, 2^(j+1)))
     of [1, hi), the widest it reads: a piece inside one of them has no
     larger U and no smaller L. With tops_only, only the piece that ends at hi."""
     b = (hi - 1).bit_length()
@@ -167,8 +172,7 @@ def _per_value_scan(interval, moduli):
     return [m for m in range(interval.lo, interval.hi) if all(m % q for q in moduli)]
 
 
-@pytest.mark.parametrize("scan", [coprime_scan, rough_sieve])
-def test_striking_scan_matches_per_value_test(scan):
+def test_striking_scan_matches_per_value_test():
     rng = random.Random(7919)
     cases = [
         (IntervalSpec(0, 10), [4, 9]),
@@ -182,17 +186,17 @@ def test_striking_scan_matches_per_value_test(scan):
         lo = rng.randrange(0, 10**6)
         cases.append((IntervalSpec(lo, lo + rng.randrange(1, 5000)), moduli))
     for interval, moduli in cases:
-        assert scan(interval, moduli) == _per_value_scan(interval, moduli), (interval, moduli)
+        want = _per_value_scan(interval, moduli)
+        assert coprime_scan(interval, moduli) == want, (interval, moduli)
     basis = PrimeBasis.first(4)
     interval = IntervalSpec(0, 2000)
-    assert scan(interval, basis) == _per_value_scan(interval, basis.primes)
+    assert coprime_scan(interval, basis) == _per_value_scan(interval, basis.primes)
 
 
 def test_striking_scan_across_its_segment_seam(monkeypatch):
     monkeypatch.setattr(oracle, "_SEGMENT", 37)
     interval = IntervalSpec(5, 1000)
-    for scan in (coprime_scan, rough_sieve):
-        assert scan(interval, [4, 9, 5]) == _per_value_scan(interval, [4, 9, 5])
+    assert coprime_scan(interval, [4, 9, 5]) == _per_value_scan(interval, [4, 9, 5])
 
 
 def _base_primes_window(count, below, above):
@@ -230,9 +234,9 @@ def test_one_walk_equals_trial_division_and_the_scan_at_every_rule_size(monkeypa
     size = RULE_SIZES[count]
     window = _base_primes_window(count, 2 * size - seam, seam + size + 2)
     for moduli in (PrimeBasis.first(min(count, 5)).primes, (4, 9, 35)):
-        segments = list(oracle.sieve_segments(window, moduli))
+        segments = list(sieve_segments(window, moduli))
         assert [seg.start for seg, _, _ in segments] == list(range(window.lo, window.hi, size))
-        assert list(omega_sieve(window)) == [omegas for _, _, omegas in segments]
+        assert _omegas(window) == [omegas for _, _, omegas in segments]
         for seg, flags, omegas in segments:
             assert isinstance(omegas, bytes)
             assert list(omegas) == [factor_profile(m).omega for m in seg], (count, seam, seg)

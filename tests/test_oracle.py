@@ -8,15 +8,8 @@ import pytest
 from primewheel import oracle
 from primewheel.enumeration import IntervalSpec
 from primewheel.errors import BudgetExceeded
-from primewheel.oracle import (
-    coprime_scan,
-    factor_profile,
-    is_k_almost,
-    omega,
-    primes_in,
-    rough_sieve,
-    spf,
-)
+from primewheel.cli import main
+from primewheel.oracle import coprime_scan, factor_profile, omega, primes_in
 from primewheel.wheel import PrimeBasis
 
 
@@ -28,25 +21,26 @@ def test_omega_frozen():
 
 
 def test_spf_frozen():
-    assert spf(49) == 7
-    assert spf(202) == 2
-    assert spf(143) == 11
-    assert spf(2) == 2
+    assert factor_profile(49).spf == 7
+    assert factor_profile(202).spf == 2
+    assert factor_profile(143).spf == 11
+    assert factor_profile(2).spf == 2
 
 
-def test_spf_rejects_unit():
-    with pytest.raises(ValueError):
-        spf(1)
-    with pytest.raises(ValueError):
-        spf(0)
+def test_spf_rejects_unit(capsys):
+    # The smallest prime factor is defined from 2; the `oracle spf` probe refuses 1 and 0.
+    for n in ("1", "0"):
+        assert main(["oracle", "spf", "--n", n]) == 2
+        assert capsys.readouterr().err == "error: spf is defined for n >= 2\n"
 
 
 def test_is_k_almost():
-    assert is_k_almost(49, 2)
-    assert is_k_almost(30, 3)
-    assert not is_k_almost(30, 2)
-    assert is_k_almost(1, 0)
-    assert not is_k_almost(1, 1)
+    # n is k-almost prime when omega(n) == k.
+    assert omega(49) == 2
+    assert omega(30) == 3
+    assert omega(30) != 2
+    assert omega(1) == 0
+    assert omega(1) != 1
 
 
 def test_factor_profile_small_exhaustive():
@@ -105,19 +99,14 @@ def test_coprime_scan_budget_reports_requirement():
 
 
 def test_rough_sieve_matches_scan():
-    rng = random.Random(104729)
-    for _ in range(50):
-        r = rng.randrange(1, 7)
-        basis = PrimeBasis.first(r)
-        lo = rng.randrange(0, 10**6)
-        spec = IntervalSpec(lo, lo + rng.randrange(1, 20000))
-        assert rough_sieve(spec, basis) == coprime_scan(spec, basis)
+    # The old name, kept for one benchmark test, is the scan itself.
+    assert oracle.rough_sieve is oracle.coprime_scan
 
 
-def test_rough_sieve_wide_window():
+def test_coprime_scan_wide_window():
     basis = PrimeBasis.first(5)
     spec = IntervalSpec(0, 2310 * 4)
-    values = rough_sieve(spec, basis)
+    values = coprime_scan(spec, basis)
     assert len(values) == 480 * 4
     assert values[0] == 1
     assert all(all(v % p for p in basis.primes) for v in values)

@@ -1,6 +1,6 @@
 """primes_in, one striking scan whose segments flag their own base primes
 again, against per-value trial division, and prime_count against its length;
-the Omega = 1 entries of omega_sieve, segment by segment, against primes_in."""
+the Omega = 1 entries of sieve_segments, segment by segment, against primes_in."""
 
 import io
 import random
@@ -79,7 +79,7 @@ def test_omega_sieve_ones_equal_primes_in_over_random_windows(monkeypatch, segme
         windows.append((lo, lo + rng.randrange(1, 5 * segment)))
     for lo, hi in windows:
         seg_lo = lo
-        for omegas in oracle.omega_sieve(IntervalSpec(lo, hi), budget=hi):
+        for _, _, omegas in oracle.sieve_segments(IntervalSpec(lo, hi), (), budget=hi):
             assert omegas, (lo, hi, seg_lo)
             seg = IntervalSpec(seg_lo, seg_lo + len(omegas))
             ones = [m for m, om in zip(range(seg.lo, seg.hi), omegas) if om == 1]

@@ -319,11 +319,7 @@ def test_failing_report_walks_the_sieve_once_to_recount(monkeypatch, fault, r, n
         seen.append("_recount")
         return recount(*args)
 
-    def joined(*args, **kwargs):
-        raise AssertionError("a window report called omega_sieve")
-
     monkeypatch.setattr(oracle, "sieve_segments", watched_segments)
-    monkeypatch.setattr(oracle, "omega_sieve", joined)
     monkeypatch.setattr(theorems, "_recount", watched_recount)
     for gate_all, want in zip((True, False), wants):
         seen.clear()

@@ -7,6 +7,9 @@ its window is 10^6 or 10^7 wide, and a child held to a small address
 space finishes instead of raising MemoryError. A failing window report keeps one byte per window integer
 (its copy count) and reads the Omega bytes one sieve segment at a time,
 so its traced peak is bounded per window integer at two window widths.
+Each subcommand's edge argv, the largest its default budget and fixed
+caps admit or one just past them, ends in an exit code under a small
+address space.
 """
 
 import os
@@ -101,6 +104,31 @@ def test_small_address_space_finishes_without_memory_error(reader):
         code, err, _ = _run(argv, address_space=128 * MB)
         assert code in (0, 3), err
         assert "MemoryError" not in err and "Traceback" not in err
+
+
+# (argv, exit code). bench holds a byte per window integer for each of its two maps.
+# `gen --r 20000 --lo 1 --hi 2 --explain` belongs here once --explain stops building
+# its whole form (ROADMAP item 8): it raises MemoryError at 253 MB.
+EDGE_ARGVS = {
+    "bench": (["bench", "--r", "1", "--width", "10000000", "--reps", "1"], 0),
+    "scan": (["oracle", "scan", "--r", "1", "--lo", "1", "--hi", "10000001"], 0),
+    "primes": (["oracle", "primes", "--lo", "1", "--hi", "10000000"], 0),
+    "theorem1": (["verify", "theorem1", "--r", "2", "--n", "9"], 0),
+    "pi": (["count", "--r", "445", "--pi-approx"], 0),
+    "coeffs": (["coeffs", "927"], 0),
+    "identity26": (["verify", "identity26", "--r", "154", "--e", "2"], 0),
+    "gen": (["gen", "--r", "100000", "--lo", "1", "--hi", "2"], 0),
+    "count": (["count", "--r", "25", "--lo", "1", "--hi", "100000000"], 3),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(EDGE_ARGVS))
+def test_edge_argv_ends_in_its_exit_code_under_a_small_address_space(edge):
+    argv, code = EDGE_ARGVS[edge]
+    got, err, rss = _run(argv, address_space=256 * MB)
+    assert got == code, err
+    assert "Traceback" not in err
+    assert rss < 64, (argv, rss)
 
 
 @pytest.mark.parametrize("n", [6, 8])
