@@ -1,24 +1,22 @@
 """Sorted streaming and counting of wheel-form values over intervals.
 
-A form's values are its residue classes (form.residue_classes()): the x = h1 (mod q1)
-that are 0 mod none of its struck moduli. The stream, the count and the table read only
-those. value_segments sieves them (Bays & Hudson 1977; Pritchard 1983): one byte per
-candidate x, SEGMENT at a time, class 0 struck out per struck modulus, so its memory is
-one mask whatever the form. cli writes the masks as text, and enumerate_interval chains
-one lazy C iterator per mask, so no bytecode runs per value. sorted_block_residues is the
-sieve of one period, returned as a tuple; a form with more than MAX_BLOCK_RESIDUES
-residues per period is refused before it is sieved. Counting is Legendre's
-inclusion-exclusion over the same moduli, skipping each term whose product of moduli
+A form's values are its residue classes (form.residue_classes()): the x = h1 (mod q1) that are
+0 mod none of its struck moduli. The stream, the count and the table read only those.
+value_segments sieves them (Bays & Hudson 1977; Pritchard 1983): one byte per candidate x,
+SEGMENT at a time, class 0 struck out per struck modulus, so its memory is one mask whatever
+the form. gen writes the masks as text, bench maps them, verify lays them on the oracle's flags
+and enumerate_interval (for --explain and the library) compresses each, so no bytecode runs per
+value. sorted_block_residues is the sieve of one period, returned as a tuple; a form with more
+than MAX_BLOCK_RESIDUES residues per period is refused before it is sieved. Counting is
+Legendre's inclusion-exclusion over the same moduli, skipping each term whose product of moduli
 reaches hi; the at most min(2^k, hi) terms it counts are under the caller's work budget.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterator
-from itertools import chain, compress, repeat, starmap
-from operator import add
+from itertools import chain, compress, starmap
 
 from ._record import Record
 from .errors import check_budget
@@ -75,21 +73,12 @@ def enumerate_interval(form, interval: IntervalSpec) -> Iterator[int]:
     It builds no table and holds one mask of at most SEGMENT bytes, so
     any form streams; the caller bounds the window.
     """
-    return chain.from_iterable(starmap(_values, value_segments(form, interval)))
+    return chain.from_iterable(starmap(compress, value_segments(form, interval)))
 
 
 def value_segments(form, interval: IntervalSpec) -> Iterator[tuple[range, bytearray]]:
     """The form's values in [lo, hi) as _sieve's segments; a raw form is refused on the call."""
     return _sieve(*form.residue_classes(), interval)
-
-
-def _values(candidates: range, mask: bytearray) -> Iterator[int]:
-    """The candidates the mask keeps, from one lazy C iterator. Past sys.maxsize, where range steps
-    by generic int arithmetic, it walks the small offsets pin*i and adds the start to survivors."""
-    if candidates.stop <= sys.maxsize:
-        return compress(candidates, mask)
-    seg, pin = candidates.start, candidates.step
-    return map(add, repeat(seg), compress(range(0, len(mask) * pin, pin), mask))
 
 
 def _sieve(h1: int, pin: int, struck: tuple[int, ...], interval: IntervalSpec) -> Iterator:

@@ -19,7 +19,7 @@ from collections import Counter
 
 from . import oracle
 from ._record import Record
-from .enumeration import IntervalSpec, enumerate_interval
+from .enumeration import IntervalSpec, value_segments
 from .errors import DEFAULT_SCAN_BUDGET, SCAN_BUDGET_ENV, BudgetExceeded, check_budget
 from .wheel import PrimeBasis, _prime_bound, build_canonical
 
@@ -165,16 +165,16 @@ def _interval_report(
     With gate_all False only (a) decides the verdict and (b)/(c) are
     reported informationally.
 
-    A correct enumeration is the scan, in order, so the report reads it one
-    segment of oracle.sieve_segments at a time: as many values as the
-    segment's coprime flags hold must equal the flagged integers as a list,
-    and the enumeration must end with the last segment. _check_segment,
-    given the flags as what was enumerated, then finds the segment's faults.
-    So a stream equal to the scan is walked once, in segment-sized memory;
-    one that left it is counted by _recount, which gives _check_segment the
-    enumerated mask. Each fault list holds its smallest values, each once,
-    but out_of_order, in enumeration order. The sieve's bits and budget are
-    checked before the form, as its iterator is built.
+    A correct enumeration is the scan, in order. So the report lays the masks of the wheel's
+    value_segments pieces, cut at segment ends, on a zeroed map of each oracle.sieve_segments
+    segment: the map must equal the segment's coprime flags, and no piece may be left after the
+    last segment, as one below lo or the previous piece's end (a repeat or a step back) or past
+    hi is. _check_segment, given the flags as what was enumerated, then finds the segment's
+    faults. So a stream equal to the scan is walked once, in segment-sized memory and with no
+    int per value; one that left it is counted by _recount, which gives _check_segment the
+    enumerated mask. Each fault list holds its smallest values, each once, but out_of_order, in
+    enumeration order. The sieve's bits and budget are checked before the form, as its iterator
+    is built.
     """
     segments = oracle.sieve_segments(interval, basis.primes, budget)
     form = build_canonical(basis)
@@ -184,16 +184,25 @@ def _interval_report(
     # repeated window values enumerated more than once.
     faults = tuple([] for _ in range(7))
     missing, extra, disorder, omega_bad, pe_missing, pe_extra, repeated = faults
-    checked, clean = 0, False
-    stream = enumerate_interval(form, interval)
+    checked, clean, top = 0, False, interval.lo
+    pieces = value_segments(form, interval)
+    piece = next(pieces, None)  # None, not an empty range, ends the pieces
     for seg, flags, omegas in segments:
-        run = list(itertools.compress(seg, flags))
-        if list(itertools.islice(stream, len(run))) != run:
+        got = bytearray(len(seg))
+        while piece is not None and top <= piece[0].start < seg.stop:
+            candidates, mask = piece
+            part = range(candidates.start, min(candidates.stop, seg.stop), candidates.step)
+            got[part.start - seg.start : part.stop - seg.start : part.step] = mask[: len(part)]
+            if part != candidates:  # the rest lies in the next segments
+                piece = candidates[len(part) :], memoryview(mask)[len(part) :]
+            else:
+                top, piece = candidates.stop, next(pieces, None)
+        if got != flags:
             break
-        checked += len(run)
+        checked += flags.count(1)
         _check_segment(faults, n, outside, seg, flags, omegas, flags)
     else:
-        clean = next(stream, None) is None
+        clean = piece is None
 
     copies_of = lambda v: v not in pe_missing  # the scan: each value once, a prime it lacks never
     if not clean:
@@ -247,16 +256,17 @@ def _interval_report(
 
 
 def _recount(form, basis: PrimeBasis, interval: IntervalSpec, n: int, budget, outside) -> tuple:
-    """Walk a stream that left the scan again, keeping one byte per window integer (its copies,
-    past 255 in a Counter), disorder and a count per value off the window, then check each
-    segment of one oracle.sieve_segments walk against the copies. oracle.omega factors the
-    values off the window in ascending order, below lo first, up to the cap; a window value
-    with two or more copies is repeated. Returns checked, copies_of and the seven fault lists."""
+    """Walk the pieces of a stream that left the scan again, keeping one byte per window integer
+    (its copies, past 255 in a Counter), disorder and a count per value off the window, then check
+    each segment of one oracle.sieve_segments walk against the copies. oracle.omega factors values
+    off the window in ascending order, below lo first, up to the cap; a window value with two or
+    more copies is repeated. Returns checked, copies_of and the seven fault lists."""
     lo, hi, cap = interval.lo, interval.hi, COUNTEREXAMPLE_CAP
     faults = tuple([] for _ in range(7))
     missing, extra, disorder, omega_bad, pe_missing, pe_extra, repeated = faults
     copies, more, off, top = bytearray(hi - lo), Counter(), Counter(), lo
-    for v in enumerate_interval(form, interval):
+    pieces = value_segments(form, interval)
+    for v in itertools.chain.from_iterable(itertools.starmap(itertools.compress, pieces)):
         if lo <= v < hi:
             try:
                 copies[v - lo] += 1

@@ -1,19 +1,22 @@
 """The segment-wise interval report against the list-and-set report it replaced.
 
-theorems.enumerate_interval is replaced by streams with injected faults,
-and every report must equal, in to_json(), the one the old whole-window
-comparison gives for the same stream.
+theorems.value_segments is replaced by streams with injected faults, each
+value a one-candidate piece, or by the wheel's own pieces with a fault in
+their shape, and every report must equal, in to_json(), the one the old
+whole-window comparison gives for the same stream of values.
 """
 
 import random
 from collections import Counter
+from itertools import chain, compress, starmap
 
 import pytest
+from pieces import pieces_of
 
-from primewheel import cli, oracle, theorems
-from primewheel.enumeration import IntervalSpec
+from primewheel import cli, enumeration, oracle, theorems
+from primewheel.enumeration import IntervalSpec, value_segments
 from primewheel.theorems import COUNTEREXAMPLE_CAP, Counterexample, VerificationReport
-from primewheel.wheel import PrimeBasis
+from primewheel.wheel import PrimeBasis, build_canonical
 
 
 def _capped(values, fmt) -> list:
@@ -106,17 +109,22 @@ def _window(r, n, shift):
     return IntervalSpec(q**n, q ** (n + 1))
 
 
-def _streamed(monkeypatch, basis, interval, n, gate_all, stream):
+def _replayed(monkeypatch, basis, interval, n, gate_all, pieces):
+    """The report when each value_segments walk reads the pieces that pieces() gives."""
     walks = []
 
     def replay(form, spec):
         walks.append(spec)
-        return iter(list(stream))
+        return pieces()
 
-    monkeypatch.setattr(theorems, "enumerate_interval", replay)
+    monkeypatch.setattr(theorems, "value_segments", replay)
     report = theorems._interval_report("claim", basis, interval, n, gate_all, None, {"tag": 1})
     assert len(walks) <= 2, (len(walks), report.verdict)
     return report
+
+
+def _streamed(monkeypatch, basis, interval, n, gate_all, stream):
+    return _replayed(monkeypatch, basis, interval, n, gate_all, lambda: pieces_of(stream))
 
 
 def _check_interval(monkeypatch, basis, interval, n, fault):
@@ -201,9 +209,9 @@ def test_fault_free_claim_windows_equal_the_whole_window_report(
 
 def _watch_oracle(monkeypatch):
     """Record the widths of the segments sieve_segments yields, the
-    enumerations made and the values factored by trial division."""
-    seen = {"scan_widths": [], "enumerations": 0, "omega": []}
-    segments, enumerate_interval = oracle.sieve_segments, theorems.enumerate_interval
+    value_segments walks made and the values factored by trial division."""
+    seen = {"scan_widths": [], "walks": 0, "omega": []}
+    segments, pieces = oracle.sieve_segments, theorems.value_segments
     omega = oracle.omega
 
     def watched_segments(interval, moduli, budget=None):
@@ -211,16 +219,16 @@ def _watch_oracle(monkeypatch):
             seen["scan_widths"].append(len(seg))
             yield seg, flags, omegas
 
-    def watched_enumeration(form, spec):
-        seen["enumerations"] += 1
-        return enumerate_interval(form, spec)
+    def watched_pieces(form, spec):
+        seen["walks"] += 1
+        return pieces(form, spec)
 
     def watched_omega(m):
         seen["omega"].append(m)
         return omega(m)
 
     monkeypatch.setattr(oracle, "sieve_segments", watched_segments)
-    monkeypatch.setattr(theorems, "enumerate_interval", watched_enumeration)
+    monkeypatch.setattr(theorems, "value_segments", watched_pieces)
     monkeypatch.setattr(oracle, "omega", watched_omega)
     return seen
 
@@ -242,7 +250,7 @@ def test_passing_report_streams(monkeypatch, check, omega_pass):
     assert report.verdict == "pass" and report.details["set_equality"]["pass"]
     assert report.details["omega_bound"]["pass"] is omega_pass
     assert seen["scan_widths"] and max(seen["scan_widths"]) <= oracle.OMEGA_SEGMENT
-    assert seen["enumerations"] == 1
+    assert seen["walks"] == 1
     assert seen["omega"] == []
 
 
@@ -273,7 +281,7 @@ def test_stream_equal_to_the_scan_is_walked_once_when_a_subcheck_fails(
     monkeypatch.setattr(oracle, "sieve_segments", misread)
     seen = _watch_oracle(monkeypatch)
     report = theorems.verify_theorem1(PrimeBasis.first(3), n)
-    assert seen["enumerations"] == 1
+    assert seen["walks"] == 1
     assert report.verdict == "fail" and report.details["set_equality"]["pass"]
     assert report.details["omega_bound"]["violations"] == [{"value": str(value), "omega": omega}]
     assert [(c.value, c.reason) for c in report.counterexamples] == [(value, r) for r in reasons]
@@ -525,7 +533,7 @@ def test_late_value_leaves_a_full_missing_list(monkeypatch):
 def test_failing_report_prints_its_counterexamples_as_text(monkeypatch, capsys):
     window = IntervalSpec(7, 49)
     stream = FAULTS["missing"](oracle.coprime_scan(window, PrimeBasis.first(3)), window)
-    monkeypatch.setattr(theorems, "enumerate_interval", lambda form, spec: iter(stream))
+    monkeypatch.setattr(theorems, "value_segments", lambda form, spec: pieces_of(stream))
     assert cli.main(["verify", "theorem1", "--r", "3", "--n", "1"]) == 1
     out, err = capsys.readouterr()
     assert err == ""
@@ -555,3 +563,74 @@ def test_repeated_window_value_fails_set_equality(monkeypatch, fault):
     # Every copy of a repeated value is left out of witnesses_pass.
     stream = FAULTS[fault](scan, _window(3, 2, 1))
     assert report.witnesses_pass == sum(1 for v in stream if stream.count(v) == 1 and v in scan)
+
+
+def test_the_report_reads_no_int_stream():
+    assert not hasattr(theorems, "enumerate_interval")
+
+
+def _no_recount(*args):
+    raise AssertionError("a fault-free window was recounted")
+
+
+@pytest.mark.parametrize("segment", [1, 3, 16, oracle.OMEGA_SEGMENT])
+@pytest.mark.parametrize("r,n,shift", WINDOWS)
+def test_wheel_pieces_across_segment_seams_pass_in_one_walk(monkeypatch, segment, r, n, shift):
+    # Seven candidates of step 2 span 14 integers, so pieces straddle the sieve's seams,
+    # or one piece spans many segments.
+    monkeypatch.setattr(enumeration, "SEGMENT", 7)
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", segment)
+    monkeypatch.setattr(theorems, "_recount", _no_recount)
+    basis, interval = PrimeBasis.first(r), _window(r, n, shift)
+    scan = oracle.coprime_scan(interval, basis)
+    for gate_all in (True, False):
+        got = theorems._interval_report("claim", basis, interval, n, gate_all, None, {"tag": 1})
+        want = _reference_report("claim", basis, interval, n, gate_all, scan, {"tag": 1})
+        assert got.to_json() == want.to_json()
+        assert got.details["set_equality"]["pass"]
+
+
+def _overlapping(pieces, w):
+    # The second piece starts two candidates back, inside the first.
+    (_, first), (candidates, mask) = pieces[:2]
+    back = range(candidates.start - 2 * candidates.step, candidates.stop, candidates.step)
+    return [pieces[0], (back, bytes(first[-2:]) + bytes(mask)), *pieces[2:]]
+
+
+def _stepped_back(pieces, w):
+    return [pieces[0], pieces[2], pieces[1], *pieces[3:]]
+
+
+def _below_lo(pieces, w):
+    # The first piece gains a candidate before it, below lo.
+    (candidates, mask), *rest = pieces
+    below = range(candidates.start - candidates.step, candidates.stop, candidates.step)
+    return [(below, b"\x01" + bytes(mask)), *rest]
+
+
+def _empty_then_hi(pieces, w):
+    # A walk that took an empty range for the end would never see hi.
+    return [*pieces, (range(w.hi, w.hi), b""), (range(w.hi, w.hi + 1), b"\x01")]
+
+
+@pytest.mark.parametrize("fault", [_overlapping, _stepped_back, _below_lo, _empty_then_hi])
+@pytest.mark.parametrize("r,n,shift", WINDOWS)
+def test_pieces_that_leave_the_scan_are_recounted(monkeypatch, fault, r, n, shift):
+    monkeypatch.setattr(enumeration, "SEGMENT", 7)
+    monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
+    basis, interval = PrimeBasis.first(r), _window(r, n, shift)
+    pieces = fault(list(value_segments(build_canonical(basis), interval)), interval)
+    stream = list(chain.from_iterable(starmap(compress, pieces)))
+    recounts, recount = [], theorems._recount
+
+    def watched_recount(*args):
+        recounts.append(args)
+        return recount(*args)
+
+    monkeypatch.setattr(theorems, "_recount", watched_recount)
+    for gate_all in (True, False):
+        recounts.clear()
+        got = _replayed(monkeypatch, basis, interval, n, gate_all, lambda: iter(pieces))
+        want = _reference_report("claim", basis, interval, n, gate_all, stream, {"tag": 1})
+        assert len(recounts) == 1
+        assert got.to_json() == want.to_json()

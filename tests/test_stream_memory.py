@@ -4,12 +4,13 @@
 `oracle primes` the striking scan, and `count --pi-approx` counts the
 prime stream, so each command's peak RSS stays under one bound whether
 its window is 10^6 or 10^7 wide, and a child held to a small address
-space finishes instead of raising MemoryError. A failing window report keeps one byte per window integer
-(its copy count) and reads the Omega bytes one sieve segment at a time,
-so its traced peak is bounded per window integer at two window widths.
-Each subcommand's edge argv, the largest its default budget and fixed
-caps admit or one just past them, ends in an exit code under a small
-address space.
+space finishes instead of raising MemoryError. bench holds two byte maps
+of its window, so its peak is bounded per window integer at both widths,
+as is the traced peak of a failing window report, which keeps one byte
+per window integer (its copy count) and reads the Omega bytes one sieve
+segment at a time. Each subcommand's edge argv, the largest its default
+budget and fixed caps admit or one just past them, ends in an exit code
+under a small address space, in each output format where it matters.
 """
 
 import os
@@ -19,9 +20,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from pieces import pieces_of
 
 import primewheel
 from primewheel import oracle, theorems
+from primewheel.enumeration import enumerate_interval
 from primewheel.wheel import PrimeBasis
 
 resource = pytest.importorskip("resource")
@@ -54,31 +57,35 @@ READERS = {
 }
 
 
-def _limits(address_space=None):
-    """A preexec_fn that caps the child's CPU time, and its address space if given."""
+# Linux counts in a child's ru_maxrss the pages it shares, before exec, with the process that
+# forked it, so a command started from pytest would read pytest's own size (perfbench/spawner.py
+# meets the same trap). A small launcher starts each command instead, caps its CPU time and,
+# if given, its address space, and prints its exit code and peak RSS in KiB.
+_LAUNCHER = """
+import os, resource, subprocess, sys
 
-    def apply():
-        resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
-        if address_space:
-            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+address_space = int(sys.argv[1])
 
-    return apply
+def limits():
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+    if address_space:
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+argv = [sys.executable, "-m", "primewheel", *sys.argv[2:]]
+proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, preexec_fn=limits)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 def _run(argv, address_space=None):
     """Exit code, stderr and peak RSS in MB of one primewheel process."""
     env = {**os.environ, "PYTHONPATH": SRC}
     env.pop("PRIMEWHEEL_SCAN_BUDGET", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "primewheel", *argv],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
-        preexec_fn=_limits(address_space),
-    )
-    with proc.stderr:
-        err = proc.stderr.read().decode()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, err, usage.ru_maxrss / 1024
+    launcher = [sys.executable, "-c", _LAUNCHER, str(address_space or 0), *argv]
+    proc = subprocess.run(launcher, capture_output=True, env=env, check=True)
+    code, maxrss_kib = map(int, proc.stdout.split())
+    return code, proc.stderr.decode(), maxrss_kib / 1024
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +126,17 @@ EDGE_ARGVS = {
     "identity26": (["verify", "identity26", "--r", "154", "--e", "2"], 0),
     "gen": (["gen", "--r", "100000", "--lo", "1", "--hi", "2"], 0),
     "count": (["count", "--r", "25", "--lo", "1", "--hi", "100000000"], 3),
+    # identity25's grid: 10^7 rows are exactly the default budget, 11^7 are past it.
+    "identity25": (["verify", "identity25", "--r", "9", "--bound", "9"], 1),
+    "identity25-past": (["verify", "identity25", "--r", "9", "--bound", "10"], 3),
+    "theorem1-json-lines": (
+        ["verify", "theorem1", "--r", "2", "--n", "9", "--format", "json-lines"], 0
+    ),
+    "gen-json-lines": (
+        ["gen", "--r", "100000", "--lo", "1", "--hi", "2", "--format", "json-lines"], 0
+    ),
+    "coeffs-json-lines": (["coeffs", "927", "--format", "json-lines"], 0),
+    "coeffs-csv": (["coeffs", "927", "--format", "csv"], 0),
 }
 
 
@@ -131,20 +149,27 @@ def test_edge_argv_ends_in_its_exit_code_under_a_small_address_space(edge):
     assert rss < 64, (argv, rss)
 
 
+@pytest.mark.parametrize("width", [10**6, 10**7])
+def test_bench_holds_two_bytes_and_a_half_per_window_integer(base_rss, width):
+    # Each side's 0/1 map is a byte per window integer; the 4 MB covers a segment of each sieve.
+    code, err, rss = _run(["bench", "--r", "1", "--width", str(width), "--reps", "1"])
+    assert code == 0, err
+    assert rss < base_rss + 2.5 * width / MB + 4, (width, rss, base_rss)
+
+
 @pytest.mark.parametrize("n", [6, 8])
 def test_failing_report_memory_is_bounded_per_window_integer(monkeypatch, n):
     # The window [5^n, 5^(n + 1)) at r = 2 with its first value dropped:
     # one missing value, found by the second walk.
     basis = PrimeBasis.first(2)
     interval = theorems.theorem1_interval(basis, n)
-    enumerate_interval = theorems.enumerate_interval
 
     def first_dropped(form, spec):
         stream = enumerate_interval(form, spec)
         next(stream)
-        return stream
+        return pieces_of(stream)
 
-    monkeypatch.setattr(theorems, "enumerate_interval", first_dropped)
+    monkeypatch.setattr(theorems, "value_segments", first_dropped)
     tracemalloc.start()
     try:
         report = theorems.verify_theorem1(basis, n)

@@ -7,10 +7,11 @@ import types
 from fractions import Fraction
 
 import pytest
+from pieces import pieces_of
 
 from primewheel import cli, diophantine, oracle, theorems
 from primewheel.diophantine import nth_solution, solve_unit
-from primewheel.enumeration import IntervalSpec
+from primewheel.enumeration import IntervalSpec, enumerate_interval
 from primewheel.errors import BudgetExceeded
 from primewheel.theorems import (
     bertrand_condition,
@@ -400,23 +401,23 @@ def test_scan_budget_refuses_before_enumerating(monkeypatch, verify, claim_args,
     def no_enumeration(*args):
         raise AssertionError("enumerated before the scan budget was checked")
 
-    monkeypatch.setattr(theorems, "enumerate_interval", no_enumeration)
+    monkeypatch.setattr(theorems, "value_segments", no_enumeration)
     with pytest.raises(BudgetExceeded, match="^omega sieve needs ") as info:
         verify(PrimeBasis.first(3), *claim_args)
     assert info.value.required == width
 
 
 def _count_walks(monkeypatch, stream=None):
-    """Patch theorems.enumerate_interval to count its calls; `stream`
-    replaces the enumeration when given."""
+    """Patch theorems.value_segments to count its calls; `stream`'s values
+    replace the enumeration when given."""
     calls = []
-    real = theorems.enumerate_interval
+    real = theorems.value_segments
 
     def counted(form, interval):
         calls.append(interval)
-        return iter(list(stream)) if stream is not None else real(form, interval)
+        return pieces_of(stream) if stream is not None else real(form, interval)
 
-    monkeypatch.setattr(theorems, "enumerate_interval", counted)
+    monkeypatch.setattr(theorems, "value_segments", counted)
     return calls
 
 
@@ -433,7 +434,7 @@ def test_failing_report_walks_the_enumeration_at_most_twice(monkeypatch):
     monkeypatch.setattr(theorems.oracle, "OMEGA_SEGMENT", 16)
     basis = PrimeBasis.first(3)
     interval = theorems.theorem1_interval(basis, 2)
-    values = list(theorems.enumerate_interval(build_canonical(basis), interval))
+    values = list(enumerate_interval(build_canonical(basis), interval))
     calls = _count_walks(monkeypatch, values[:1] + [50] + values[1:] + [50, interval.hi])
     report = verify_theorem1(basis, 2)
     assert report.verdict == "fail"
