@@ -18,7 +18,11 @@ PRIMEWHEEL_SCAN_BUDGET, an integer of at least 1, overrides the scan budget of c
 count, verify, bench and oracle. A subcommand imports only what it runs: theorems, oracle,
 forms (the raw form, decompose_rows and the JSON shape) and json load on first use, so gen,
 coeffs and count --lo/--hi never load the claim checkers, and gen without --explain and
-count never load forms or the unit-equation solver.
+count never load forms or the unit-equation solver. COMMANDS is the one table of every
+subcommand's arguments: read_argv reads a plain command line from it, exact flags each
+followed by its value, into the namespace argparse would give, without importing argparse;
+whatever it declines (help, usage errors, abbreviations, --x=y and any other spelling) goes to
+build_parser's argparse parser of the same table, so argparse loads only then.
 
 `python -m primewheel`, `python -m primewheel.cli` and the `primewheel` script all end
 through run(), which freezes the collector before exit and turns Ctrl-C into exit 130;
@@ -28,7 +32,6 @@ through, so Ctrl-C still stops an in-process caller.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
@@ -37,7 +40,9 @@ import time
 from collections.abc import Iterable, Iterator
 from importlib import import_module
 from itertools import chain, compress, islice
+from types import SimpleNamespace
 
+from ._record import Record
 from .enumeration import IntervalSpec, count_block, count_interval, enumerate_interval
 from .enumeration import value_segments
 from .errors import SCAN_BUDGET_ENV, BudgetExceeded, check_budget
@@ -210,10 +215,13 @@ def cmd_gen(args) -> int:
 def cmd_count(args) -> int:
     budget = _budget(args)
     interval = None
-    if not (args.block or args.pi_approx):
-        # The window is checked before the basis proves its r primes.
-        if args.lo is None or args.hi is None:
-            raise ValueError("count needs --block, --pi-approx, or both --lo and --hi")
+    # The mode and the window are checked before the basis proves its r primes.
+    if args.block or args.pi_approx:
+        if args.lo is not None or args.hi is not None:
+            raise ValueError("count --block and --pi-approx take no --lo or --hi")
+    elif args.lo is None or args.hi is None:
+        raise ValueError("count needs --block, --pi-approx, or both --lo and --hi")
+    else:
         interval = IntervalSpec(args.lo, args.hi)
     basis = PrimeBasis.first(args.r)
     if args.block:
@@ -317,96 +325,193 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default="text")
+# The command line. An option is (flag, kind, default, help): kind int reads its value with
+# int(), str keeps it as given, a tuple lists its choices and bool makes it a switch that stores
+# True; a _REQUIRED default makes the option required. Its field is the flag without its
+# dashes, - read as _, as argparse names it.
+_REQUIRED = object()
+_FORMAT = ("--format", FORMATS, "text", None)
+_BUDGET = ("--budget", int, None, f"work budget (also {SCAN_BUDGET_ENV})")
 
 
-def _add_budget(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help=f"work budget (also {SCAN_BUDGET_ENV})",
-    )
+class Command(Record):
+    """A subcommand: its help, its one positional ((name, kind) or None), its options in the
+    order usage and help list them, and the flags of its mutually exclusive group. Its func is
+    cmd_<name>, looked up when a command line is read, so a patched cmd_<name> is the one run."""
+
+    help: str
+    positional: tuple | None
+    options: tuple
+    group: tuple = ()
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {
+    "coeffs": Command(
+        "print the form for the first r primes",
+        ("r", int),
+        (("--raw", bool, False, "pre-reduction coefficients"), _FORMAT, _BUDGET),
+    ),
+    "gen": Command(
+        "stream wheel values in [lo, hi)",
+        None,
+        (
+            ("--r", int, _REQUIRED, None),
+            ("--lo", int, _REQUIRED, None),
+            ("--hi", int, _REQUIRED, None),
+            ("--explain", bool, False, "print (t, h) per value"),
+            _FORMAT,
+        ),
+    ),
+    "count": Command(
+        "count values per block or interval",
+        None,
+        (
+            ("--r", int, _REQUIRED, None),
+            ("--block", bool, False, None),
+            ("--pi-approx", bool, False, None),
+            ("--lo", int, None, None),
+            ("--hi", int, None, None),
+            _FORMAT,
+            _BUDGET,
+        ),
+        group=("--block", "--pi-approx"),
+    ),
+    "verify": Command(
+        "run a claim checker",
+        ("claim", ("theorem1", "corollary2", "identity25", "identity26")),
+        (
+            ("--r", int, _REQUIRED, None),
+            ("--n", int, 1, None),
+            ("--s", int, 1, None),
+            ("--e", int, 2, None),
+            ("--k", int, 0, "unit-equation representative index"),
+            ("--bound", int, 50, None),
+            _FORMAT,
+            _BUDGET,
+        ),
+    ),
+    "bench": Command(
+        "time wheel enumeration against a rough sieve",
+        None,
+        (
+            ("--r", int, _REQUIRED, None),
+            ("--width", int, _REQUIRED, None),
+            ("--lo", int, 1, None),
+            ("--reps", int, 3, None),
+            _BUDGET,
+        ),
+    ),
+    "oracle": Command(
+        "brute-force spot checks",
+        ("probe", ("omega", "spf", "factor", "primes", "scan")),
+        (
+            ("--n", int, 0, None),
+            ("--lo", int, 1, None),
+            ("--hi", int, 2, None),
+            ("--r", int, 1, None),
+            ("--moduli", str, None, "comma-separated moduli for scan"),
+            _BUDGET,
+        ),
+    ),
+}
+
+
+def _argument(kind, default) -> dict:
+    """add_argument's keywords for an option or positional of this kind and default."""
+    if kind is bool:
+        return {"action": "store_true"}
+    keywords = {"required": True} if default is _REQUIRED else {"default": default}
+    if kind is int:
+        keywords["type"] = int
+    elif kind is not str:
+        keywords["choices"] = kind
+    return keywords
+
+
+def build_parser():
+    """The argparse parser of COMMANDS, each argument added in the table's order. main uses it
+    only for what read_argv declines: help, usage errors and every other spelling."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="primewheel",
         description="Linear wheel forms: construct, stream, count and verify.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("coeffs", help="print the form for the first r primes")
-    p.add_argument("r", type=int)
-    p.add_argument("--raw", action="store_true", help="pre-reduction coefficients")
-    _add_format(p)
-    _add_budget(p)
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("gen", help="stream wheel values in [lo, hi)")
-    for flag in ("--r", "--lo", "--hi"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--explain", action="store_true", help="print (t, h) per value")
-    _add_format(p)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("count", help="count values per block or interval")
-    p.add_argument("--r", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--block", action="store_true")
-    group.add_argument("--pi-approx", dest="pi_approx", action="store_true")
-    p.add_argument("--lo", type=int)
-    p.add_argument("--hi", type=int)
-    _add_format(p)
-    _add_budget(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("verify", help="run a claim checker")
-    p.add_argument("claim", choices=("theorem1", "corollary2", "identity25", "identity26"))
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--e", type=int, default=2)
-    p.add_argument("--k", type=int, default=0, help="unit-equation representative index")
-    p.add_argument("--bound", type=int, default=50)
-    _add_format(p)
-    _add_budget(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="time wheel enumeration against a rough sieve")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--lo", type=int, default=1)
-    p.add_argument("--reps", type=int, default=3)
-    _add_budget(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("oracle", help="brute-force spot checks")
-    p.add_argument("probe", choices=("omega", "spf", "factor", "primes", "scan"))
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--lo", type=int, default=1)
-    p.add_argument("--hi", type=int, default=2)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--moduli", help="comma-separated moduli for scan")
-    _add_budget(p)
-    p.set_defaults(func=cmd_oracle)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.positional:
+            positional, kind = command.positional
+            p.add_argument(positional, **_argument(kind, None))
+        group = p.add_mutually_exclusive_group() if command.group else None
+        for flag, kind, default, text in command.options:
+            target = group if flag in command.group else p
+            target.add_argument(flag, help=text, **_argument(kind, default))
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
+def _value(kind, token: str):
+    """token read as kind's value, or None where argparse might read it otherwise or refuse it."""
+    if token.startswith("-"):
+        return None
+    if kind is int:
+        try:
+            return int(token)
+        except ValueError:
+            return None
+    return token if kind is str or token in kind else None
+
+
+def read_argv(argv) -> SimpleNamespace | None:
+    """The namespace build_parser() would give for argv, read without argparse, or None where
+    argv is not of this one shape: a subcommand, its positional if it has one, then exact flags
+    of its table, each at most once, each value flag followed by a value that does not start
+    with - and that int() reads or its choices hold, every required option given and at most
+    one flag of its group."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    fields = {"command": argv[0], "func": globals()[f"cmd_{argv[0]}"]}
+    tokens = iter(argv[1:])  # a value missing at the end reads as "-", which _value declines
+    if command.positional:
+        name, kind = command.positional
+        if (value := _value(kind, next(tokens, "-"))) is None:
+            return None
+        fields[name] = value
+    options = {flag: kind for flag, kind, _, _ in command.options}
+    given = {}
+    for token in tokens:
+        if token in given or token not in options:
+            return None
+        kind = options[token]
+        if (value := True if kind is bool else _value(kind, next(tokens, "-"))) is None:
+            return None
+        given[token] = value
+    if len(given.keys() & set(command.group)) > 1:
+        return None
+    for flag, _, default, _ in command.options:
+        if (value := given.get(flag, default)) is _REQUIRED:
+            return None
+        fields[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(**fields)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    if not hasattr(args, "func"):
-        parser.print_help()
-        return 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = read_argv(argv)
+    if args is None:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        if not hasattr(args, "func"):
+            parser.print_help()
+            return 2
     # Commands print exact integers of any size, so the interpreter's int-to-str
-    # digit limit (where it has one) is lifted while one runs. Argparse above
-    # still parses under it, and refusals give such sizes by their bit length.
+    # digit limit (where it has one) is lifted while one runs. The command line
+    # above is still read under it, and refusals give such sizes by their bit length.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)

@@ -214,6 +214,16 @@ def test_count_modes_are_exclusive(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode", ["--block", "--pi-approx"])
+@pytest.mark.parametrize("window", [["--lo", "5"], ["--hi", "9"], ["--lo", "5", "--hi", "9"]])
+def test_count_block_and_pi_approx_refuse_a_window(capsys, mode, window):
+    # r = 10^9 is past the basis limit (exit 3), so this exit 2 comes before the basis.
+    for r in ("3", "1000000000"):
+        code, out, err = run(capsys, "count", "--r", r, mode, *window)
+        assert (code, out) == (2, "")
+        assert err == "error: count --block and --pi-approx take no --lo or --hi\n"
+
+
 def test_verify_theorem1_passes(capsys):
     code, out, _ = run(capsys, "verify", "theorem1", "--r", "3", "--n", "1")
     assert code == 0

@@ -81,12 +81,15 @@ def _count(rng):
     # A window below 10^6 skips the terms whose product of struck moduli
     # reaches hi, so up to r = 40 it crosses that boundary.
     argv = ["count", "--r", str(_pick(rng, [1, 2, 3, 5, 8, 12, 16, 20, 25, 30, 35, 40], [-1, 0]))]
-    mode = _pick(rng, ["block", "pi", "window", "window"], ["both", "none"])
-    if mode in ("block", "both"):
+    # The invalid modes: both flags, none, and a flag with a window.
+    mode = _pick(
+        rng, ["block", "pi", "window", "window"], ["block pi", "", "block window", "pi window"]
+    ).split()
+    if "block" in mode:
         argv.append("--block")
-    if mode in ("pi", "both"):
+    if "pi" in mode:
         argv.append("--pi-approx")
-    if mode == "window":
+    if "window" in mode:
         lo = _pick(rng, [1, 2, 97, 10**5], [-10, 0]) + rng.randrange(50)
         hi = lo + _pick(rng, [1, rng.randrange(1, 10**6 - lo)], [-5, 0])
         argv += ["--lo", str(lo), "--hi", str(hi)]

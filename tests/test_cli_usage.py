@@ -78,6 +78,79 @@ USAGE = {
         ),
         "",
     ),
+    ("coeffs", "--help"): (
+        0,
+        (
+            "usage: primewheel coeffs [-h] [--raw] [--format {text,csv,json-lines}]\n"
+            "                         [--budget BUDGET]\n"
+            "                         r\n"
+            "\n"
+            "positional arguments:\n"
+            "  r\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --raw                 pre-reduction coefficients\n"
+            "  --format {text,csv,json-lines}\n"
+            "  --budget BUDGET       work budget (also PRIMEWHEEL_SCAN_BUDGET)\n"
+        ),
+        "",
+    ),
+    ("count", "--help"): (
+        0,
+        (
+            "usage: primewheel count [-h] --r R [--block | --pi-approx] [--lo LO] [--hi HI]\n"
+            "                        [--format {text,csv,json-lines}] [--budget BUDGET]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --r R\n"
+            "  --block\n"
+            "  --pi-approx\n"
+            "  --lo LO\n"
+            "  --hi HI\n"
+            "  --format {text,csv,json-lines}\n"
+            "  --budget BUDGET       work budget (also PRIMEWHEEL_SCAN_BUDGET)\n"
+        ),
+        "",
+    ),
+    ("bench", "--help"): (
+        0,
+        (
+            "usage: primewheel bench [-h] --r R --width WIDTH [--lo LO] [--reps REPS]\n"
+            "                        [--budget BUDGET]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help       show this help message and exit\n"
+            "  --r R\n"
+            "  --width WIDTH\n"
+            "  --lo LO\n"
+            "  --reps REPS\n"
+            "  --budget BUDGET  work budget (also PRIMEWHEEL_SCAN_BUDGET)\n"
+        ),
+        "",
+    ),
+    ("oracle", "--help"): (
+        0,
+        (
+            "usage: primewheel oracle [-h] [--n N] [--lo LO] [--hi HI] [--r R]\n"
+            "                         [--moduli MODULI] [--budget BUDGET]\n"
+            "                         {omega,spf,factor,primes,scan}\n"
+            "\n"
+            "positional arguments:\n"
+            "  {omega,spf,factor,primes,scan}\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --n N\n"
+            "  --lo LO\n"
+            "  --hi HI\n"
+            "  --r R\n"
+            "  --moduli MODULI       comma-separated moduli for scan\n"
+            "  --budget BUDGET       work budget (also PRIMEWHEEL_SCAN_BUDGET)\n"
+        ),
+        "",
+    ),
     (): (2, TOP_HELP, ""),
     ("bogus",): (
         2,
@@ -95,6 +168,26 @@ USAGE = {
             "usage: primewheel gen [-h] --r R --lo LO --hi HI [--explain]\n"
             "                      [--format {text,csv,json-lines}]\n"
             "primewheel gen: error: argument --r: invalid int value: 'x'\n"
+        ),
+    ),
+    ("gen", "--r", "3"): (
+        2,
+        "",
+        (
+            "usage: primewheel gen [-h] --r R --lo LO --hi HI [--explain]\n"
+            "                      [--format {text,csv,json-lines}]\n"
+            "primewheel gen: error: the following arguments are required: --lo, --hi\n"
+        ),
+    ),
+    ("verify", "--r", "3"): (
+        2,
+        "",
+        (
+            "usage: primewheel verify [-h] --r R [--n N] [--s S] [--e E] [--k K]\n"
+            "                         [--bound BOUND] [--format {text,csv,json-lines}]\n"
+            "                         [--budget BUDGET]\n"
+            "                         {theorem1,corollary2,identity25,identity26}\n"
+            "primewheel verify: error: the following arguments are required: claim\n"
         ),
     ),
     ("count", "--r", "3", "--block", "--pi-approx"): (

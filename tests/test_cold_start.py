@@ -128,6 +128,24 @@ def test_gen_without_site_loads_no_typing():
     assert "typing" not in loaded
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--r", "4", "--lo", "1", "--hi", "500", "--explain", "--format", "csv"),
+        ("count", "--r", "5", "--lo", "1", "--hi", "10000"),
+        ("verify", "theorem1", "--r", "3", "--n", "2", "--budget", "1000"),
+        ("oracle", "scan", "--lo", "1", "--hi", "500", "--r", "3"),
+        ("coeffs", "4", "--raw", "--format", "json-lines"),
+        ("bench", "--r", "3", "--width", "1000", "--reps", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_well_formed_command_line_loads_no_argparse(argv):
+    loaded = _run_main(*argv)
+    assert "primewheel.cli" in loaded
+    assert not loaded & {"argparse", "gettext", "locale"}
+
+
 def test_bench_imports_the_oracle_before_its_first_timer():
     # Each time.perf_counter call records whether the oracle is loaded yet,
     # so no timed sieve row includes its import.
