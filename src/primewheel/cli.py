@@ -317,8 +317,6 @@ def cmd_oracle(args) -> int:
             except ValueError:
                 message = f"--moduli must be comma-separated integers, got {args.moduli!r}"
                 raise ValueError(message) from None
-            if any(q < 2 for q in moduli):
-                raise ValueError("every modulus must be at least 2")
         else:
             moduli = PrimeBasis.first(args.r).primes
         write_values("text", "m", oracle.coprime_segments(interval, moduli, budget))

@@ -108,9 +108,18 @@ def coprime_scan(interval: IntervalSpec, basis, budget: int | None = None) -> li
 def coprime_segments(
     interval: IntervalSpec, moduli, budget: int | None = None
 ) -> Iterator[tuple[range, bytearray]]:
-    """coprime_scan as _strike's (range, flags) segments; the budget is checked on the call."""
+    """coprime_scan as _strike's (range, flags) segments; moduli and budget are checked on call."""
+    moduli = _moduli(moduli)
     check_budget(interval.width, budget, "coprime scan")
-    return _strike(interval.lo, interval.hi, tuple(moduli), _SEGMENT)
+    return _strike(interval.lo, interval.hi, moduli, _SEGMENT)
+
+
+def _moduli(moduli) -> tuple[int, ...]:
+    """`moduli` as a tuple, each at least 2: a step of 0 or less breaks _strike's slices."""
+    moduli = tuple(moduli)
+    if any(q < 2 for q in moduli):
+        raise ValueError("every modulus must be at least 2")
+    return moduli
 
 
 # coprime_scan under its old name, not exported. Its last caller is perfbench/tests/
@@ -188,9 +197,9 @@ def sieve_segments(
     Omega(m), the prime factors of m counted with multiplicity, for each m in it, in one walk.
 
     A segment holds OMEGA_SEGMENT integers per 64 base primes, at least once and at most
-    OMEGA_SEGMENT_MAX. Before the iterator is returned, check_bits takes bits(hi - 1), then
-    the integers walked, the window or 2..root when that is longer, are checked against the
-    budget. The primes up to root = isqrt(hi - 1) are sieved once, by primes_in's scan.
+    OMEGA_SEGMENT_MAX. Before the iterator is returned, _moduli checks the moduli, check_bits
+    bits(hi - 1), and the budget the integers walked, the window or 2..root when longer. The
+    primes up to root = isqrt(hi - 1) are sieved once, by primes_in's scan.
 
     Each m is s * c, with no prime above root in s and c = 1 or one prime above root. In a
     segment each multiple of a prime power p^k < hi gains one factor and the weight w_p =
@@ -209,12 +218,13 @@ def sieve_segments(
     tests check every piece for hi < 2^18. At b = 128, S = 1 and the margin fails:
     check_bits refuses it.
     """
+    moduli = _moduli(moduli)
     if interval.lo < 1:
         raise ValueError("omega is defined for m >= 1")
     check_bits((interval.hi - 1).bit_length())
     root = math.isqrt(interval.hi - 1)
     check_budget(max(interval.width, root), budget, "omega sieve")
-    return _sieve(interval, root, _base_primes(interval.hi), tuple(moduli))
+    return _sieve(interval, root, _base_primes(interval.hi), moduli)
 
 
 def check_bits(bits: int) -> None:

@@ -100,9 +100,7 @@ def check_claim_args(
         if claim == "corollary2" and s < 1:
             raise ValueError("s must be at least 1")
         if n < 1:
-            raise ValueError(
-                "n must be at least 1" if claim == "theorem1" else "r, s and n must be at least 1"
-            )
+            raise ValueError("n must be at least 1")
 
 
 def theorem1_interval(basis: PrimeBasis, n: int, budget: int | None = None) -> IntervalSpec:
@@ -120,6 +118,14 @@ def _claim_window(basis: PrimeBasis, n: int, budget: int | None, s: int) -> tupl
     primes = _primes_after(basis, s, budget)
     low = primes[-1] ** n
     return primes[0], IntervalSpec(low, low * primes[-1])
+
+
+def _pieces(form, interval: IntervalSpec):
+    """value_segments' pieces as gen writes them: candidate i of a piece is start + step * i for
+    each byte i of its mask, however long the mask is."""
+    for candidates, mask in value_segments(form, interval):
+        start, step = candidates.start, candidates.step
+        yield range(start, start + step * len(mask), step), mask
 
 
 def _differ(missing: list, extra: list, seg: range, want, got) -> None:
@@ -166,7 +172,7 @@ def _interval_report(
     reported informationally.
 
     A correct enumeration is the scan, in order. So the report lays the masks of the wheel's
-    value_segments pieces, cut at segment ends, on a zeroed map of each oracle.sieve_segments
+    pieces, read by _pieces and cut at segment ends, on a zeroed map of each oracle.sieve_segments
     segment: the map must equal the segment's coprime flags, and no piece may be left after the
     last segment, as one below lo or the previous piece's end (a repeat or a step back) or past
     hi is. _check_segment, given the flags as what was enumerated, then finds the segment's
@@ -185,7 +191,7 @@ def _interval_report(
     faults = tuple([] for _ in range(7))
     missing, extra, disorder, omega_bad, pe_missing, pe_extra, repeated = faults
     checked, clean, top = 0, False, interval.lo
-    pieces = value_segments(form, interval)
+    pieces = _pieces(form, interval)
     piece = next(pieces, None)  # None, not an empty range, ends the pieces
     for seg, flags, omegas in segments:
         got = bytearray(len(seg))
@@ -265,7 +271,7 @@ def _recount(form, basis: PrimeBasis, interval: IntervalSpec, n: int, budget, ou
     faults = tuple([] for _ in range(7))
     missing, extra, disorder, omega_bad, pe_missing, pe_extra, repeated = faults
     copies, more, off, top = bytearray(hi - lo), Counter(), Counter(), lo
-    pieces = value_segments(form, interval)
+    pieces = _pieces(form, interval)
     for v in itertools.chain.from_iterable(itertools.starmap(itertools.compress, pieces)):
         if lo <= v < hi:
             try:

@@ -4,16 +4,14 @@ Raw forms are stored by their unit-equation solutions and derive their
 coefficients once; JSON that disagrees with its solutions is refused.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from primewheel import forms, oracle, theorems, wheel
 from primewheel.enumeration import IntervalSpec
-from primewheel.errors import SCAN_BUDGET_ENV, BudgetExceeded
+from primewheel.errors import BudgetExceeded
 from primewheel.forms import build_raw, form_from_json, form_to_json
 from primewheel.wheel import PrimeBasis
 
@@ -83,11 +81,9 @@ def test_a_basis_past_the_fixed_limit_is_refused_before_sieving(monkeypatch, r):
 
 
 def test_gen_past_the_basis_limit_exits_3_with_one_error_line():
-    env = {**os.environ, "PYTHONPATH": str(Path(wheel.__file__).resolve().parents[1])}
-    env.pop(SCAN_BUDGET_ENV, None)
     done = subprocess.run(
         [sys.executable, "-m", "primewheel", "gen", "--r", "700000", "--lo", "1", "--hi", "2"],
-        env=env, capture_output=True, text=True, timeout=20,
+        capture_output=True, text=True, timeout=20,
     )
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr.startswith("error: basis prime sieve needs ")

@@ -1,11 +1,9 @@
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
 from itertools import chain
-from pathlib import Path
 
 import pytest
 
@@ -172,11 +170,9 @@ def test_gen_refuses_large_r_before_any_output(capsys, fmt):
     [("theorem1", "--r", "100", "--n", "1"), ("corollary2", "--r", "20", "--s", "2", "--n", "1")],
 )
 def test_claims_past_the_table_cap_pass_end_to_end(argv):
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    env.pop(SCAN_BUDGET_ENV, None)
     done = subprocess.run(
         [sys.executable, "-m", "primewheel", "verify", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert "verdict: pass" in done.stdout.splitlines()
@@ -348,6 +344,12 @@ def test_oracle_scan_rejects_moduli_below_two(capsys, moduli):
     code, out, err = run(capsys, "oracle", "scan", "--lo", "0", "--hi", "10", "--moduli", moduli)
     assert (code, out) == (2, "")
     assert err == "error: every modulus must be at least 2\n"
+
+
+@pytest.mark.parametrize("claim", ["theorem1", "corollary2"])
+def test_window_claims_name_n_when_they_refuse_it(capsys, claim):
+    code, out, err = run(capsys, "verify", claim, "--r", "3", "--n", "0")
+    assert (code, out, err) == (2, "", "error: n must be at least 1\n")
 
 
 @pytest.mark.parametrize("moduli", ["3,,", "x", "4,9.5", ""])

@@ -4,7 +4,6 @@ probes, count's inclusion-exclusion terms and coeffs' coefficient bits."""
 import ast
 import json
 import math
-import os
 import random
 import re
 import shlex
@@ -155,8 +154,7 @@ def _cap_table_examples():
                 yield label, example
 
 
-def test_every_cli_example_in_the_readme_cap_table_is_refused_by_its_row(capsys, monkeypatch):
-    monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)
+def test_every_cli_example_in_the_readme_cap_table_is_refused_by_its_row(capsys):
     examples = list(_cap_table_examples())
     assert len(examples) >= 13
     for label, example in examples:
@@ -175,10 +173,9 @@ def test_refusal_past_the_int_string_limit_names_its_knob(capsys):
     assert err.startswith("error: identity25 grid needs a number of 15946 bits but the budget is ")
 
 
-def test_a_large_identity25_grid_is_refused_before_it_is_built(capsys, monkeypatch):
+def test_a_large_identity25_grid_is_refused_before_it_is_built(capsys):
     # (10^999 + 1)^5998 rows would be a number of 19,905,000 bits, about 5 s and
     # 12 MB to build; the lower bound on its bits refuses it first.
-    monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)
     run(capsys, "verify", "identity25", "--r", "3", "--bound", "1")  # imports, outside the trace
     tracemalloc.start()
     try:
@@ -227,11 +224,9 @@ def test_a_claim_window_past_the_bit_cap_is_refused_before_it_is_built(argv):
     def one_gigabyte():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    env = {**os.environ, "PYTHONPATH": str(Path(theorems.__file__).resolve().parents[1])}
-    env.pop(SCAN_BUDGET_ENV, None)
     done = subprocess.run(
         [sys.executable, "-m", "primewheel", "verify", *argv, "--budget", str(10**12)],
-        env=env, capture_output=True, text=True, timeout=5, preexec_fn=one_gigabyte,
+        capture_output=True, text=True, timeout=5, preexec_fn=one_gigabyte,
     )
     assert (done.returncode, done.stdout) == (3, ""), done.stderr
     assert done.stderr.startswith("error: omega sieve bits needs ") and done.stderr.count("\n") == 1
@@ -330,12 +325,10 @@ def test_cheap_arguments_are_checked_before_the_basis(capsys, monkeypatch, argv)
 def test_corollary2_with_a_large_shift_finds_its_primes_with_one_sieve():
     # p_{r+s} comes from one sieve up to about 2.9M, well inside the
     # default budget; the window [p, p^2) past it is then refused.
-    env = {**os.environ, "PYTHONPATH": str(Path(theorems.__file__).resolve().parents[1])}
-    env.pop(SCAN_BUDGET_ENV, None)
     argv = ["verify", "corollary2", "--r", "3", "--s", "200000", "--n", "1"]
     done = subprocess.run(
         [sys.executable, "-m", "primewheel", *argv],
-        env=env, capture_output=True, text=True, timeout=20,
+        capture_output=True, text=True, timeout=20,
     )
     assert (done.returncode, done.stdout) == (3, "")
     _assert_one_knob_error(done.stderr)
@@ -349,10 +342,9 @@ def test_corollary2_with_a_large_shift_finds_its_primes_with_one_sieve():
         ("verify", "corollary2", "--r", "3", "--s", "2", "--n", "1", "--budget", "110"),
     ],
 )
-def test_n1_report_needs_only_its_window_and_omega_sieve_budgets(capsys, monkeypatch, argv):
+def test_n1_report_needs_only_its_window_and_omega_sieve_budgets(capsys, argv):
     # The n = 1 primes are read from the Omega sieve, so a budget below hi
     # that covers the window's width is enough.
-    monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert (code, out) == run(capsys, *argv[:-2])[:2]

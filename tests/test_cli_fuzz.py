@@ -28,7 +28,6 @@ import time
 import pytest
 
 from primewheel import cli
-from primewheel.errors import SCAN_BUDGET_ENV
 
 SEED = 14
 CASES_PER_COMMAND = 80
@@ -179,8 +178,7 @@ def _violations(command, code, out, err, seconds):
 
 
 @pytest.mark.parametrize("command", sorted(MAKERS))
-def test_random_argvs_keep_the_exit_code_contract(monkeypatch, command):
-    monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)
+def test_random_argvs_keep_the_exit_code_contract(command):
     rng = random.Random(f"{SEED}-{command}")
     found = []
     for _ in range(CASES_PER_COMMAND):
@@ -255,8 +253,7 @@ _FIXED = "no flag or environment variable raises this fixed limit"
         "theorem1-n3e6",
     ],
 )
-def test_large_r_commands_finish_within_the_alarm(monkeypatch, argv, code, out, knob):
-    monkeypatch.delenv(SCAN_BUDGET_ENV, raising=False)
+def test_large_r_commands_finish_within_the_alarm(argv, code, out, knob):
     got, stdout, err, seconds = _run(argv)
     assert (got, stdout[: len(out)]) == (code, out), err
     assert not list(_violations(argv[0], got, stdout, err, seconds))

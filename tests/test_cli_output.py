@@ -6,11 +6,9 @@ import os
 import signal
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import primewheel
 from primewheel import cli, oracle
 from primewheel.cli import CHUNK_LINES, main
 from primewheel.enumeration import IntervalSpec, count_interval, enumerate_interval
@@ -116,13 +114,10 @@ def test_oracle_scan_matches_per_value_print(capsys, how):
     ],
 )
 def test_closed_pipe_exits_quietly(argv):
-    src = str(Path(primewheel.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "primewheel", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
     )
     try:
         assert proc.stdout.readline().strip().isdigit()
@@ -140,13 +135,10 @@ def test_closed_pipe_exits_quietly(argv):
 def test_interrupt_exits_130_with_one_error_line():
     # The child is in its stream, or blocked on the full pipe, when SIGINT comes. Its
     # handler is reset first: a child of a shell's background job inherits SIGINT ignored.
-    src = str(Path(primewheel.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "primewheel", "gen", "--r", "3", "--lo", "1", "--hi", str(10**12)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
@@ -179,12 +171,10 @@ def test_main_leaves_an_interrupt_to_its_caller(monkeypatch):
 )
 def test_failed_write_exits_4_with_one_error_line(argv):
     # gen fails in a write past the buffer; coeffs and verify in the last flush.
-    src = str(Path(primewheel.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     with open("/dev/full", "wb") as full:
         done = subprocess.run(
             [sys.executable, "-m", "primewheel", *argv],
-            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
         )
     assert done.returncode == 4, done.stderr
     assert done.stderr.startswith("error: cannot write output: ")

@@ -38,7 +38,6 @@ from primewheel import (
     sorted_block_residues,
 )
 
-SRC = str(Path(primewheel.__file__).resolve().parents[1])
 
 # Runs {body} and prints the modules it newly loaded, one per line, on stderr.
 _REPORT = """import sys
@@ -49,11 +48,9 @@ sys.stderr.write("\\n".join(sorted(set(sys.modules) - before)))
 
 
 def _loaded(body: str, *argv: str, flags: tuple[str, ...] = ()) -> set[str]:
-    env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("PRIMEWHEEL_SCAN_BUDGET", None)
     done = subprocess.run(
         [sys.executable, *flags, "-c", _REPORT.format(body=body), *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     return set(done.stderr.split("\n"))
@@ -167,11 +164,9 @@ def test_python_m_primewheel_exits_with_the_collector_frozen():
         "atexit.register(lambda: sys.stderr.write('frozen %d' % gc.get_freeze_count()))\n"
         "runpy.run_module('primewheel', run_name='__main__', alter_sys=True)"
     )
-    env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("PRIMEWHEEL_SCAN_BUDGET", None)
     done = subprocess.run(
         [sys.executable, "-c", body, "count", "--r", "3", "--block"],
-        env=env, capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "phi=8 interior=7\n")
     label, count = done.stderr.split()
@@ -242,11 +237,20 @@ def test_public_names():
 
 def test_dir_of_a_fresh_package():
     body = "import primewheel\nprint([n for n in dir(primewheel) if not n.startswith('_')])"
-    env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run(
-        [sys.executable, "-c", body], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", body], capture_output=True, text=True, timeout=60
     ).stdout
     assert out == f"{ALL}\n"
+
+
+def test_the_suite_and_its_children_see_no_primewheel_variable_and_import_this_checkout():
+    # tests/conftest.py clears PRIMEWHEEL_* and sets PYTHONPATH for the whole session.
+    assert not [k for k in os.environ if k.startswith("PRIMEWHEEL_")]
+    body = "import os, primewheel\nprint([k for k in os.environ if 'PRIMEWHEEL_' in k])\n"
+    body += "print(primewheel.__file__)"
+    done = subprocess.run([sys.executable, "-c", body], capture_output=True, text=True, timeout=60)
+    init = Path(__file__).resolve().parents[1] / "src" / "primewheel" / "__init__.py"
+    assert (done.stdout, done.stderr) == (f"[]\n{init}\n", "")
 
 
 BASIS = PrimeBasis.first(3)

@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,15 @@ def test_coprime_scan_budget_reports_requirement():
         coprime_scan(IntervalSpec(0, 1000), PrimeBasis.first(2), budget=100)
     assert info.value.required == 1000
     assert info.value.budget == 100
+
+
+@pytest.mark.parametrize("segments", [oracle.coprime_segments, oracle.sieve_segments])
+@pytest.mark.parametrize("moduli", [[-3], [0], [1]])
+def test_segments_refuse_moduli_below_two_before_the_budget(segments, moduli):
+    with pytest.raises(ValueError, match="^every modulus must be at least 2$"):
+        segments(IntervalSpec(1, 20), moduli, budget=1)
+    [(seg, flags, *_)] = segments(IntervalSpec(1, 20), PrimeBasis.first(3))
+    assert list(compress(seg, flags)) == [1, 7, 11, 13, 17, 19]
 
 
 def test_rough_sieve_matches_scan():

@@ -8,7 +8,6 @@ whole-window comparison gives for the same stream of values.
 
 import random
 from collections import Counter
-from itertools import chain, compress, starmap
 
 import pytest
 from pieces import pieces_of
@@ -613,14 +612,30 @@ def _empty_then_hi(pieces, w):
     return [*pieces, (range(w.hi, w.hi), b""), (range(w.hi, w.hi + 1), b"\x01")]
 
 
-@pytest.mark.parametrize("fault", [_overlapping, _stepped_back, _below_lo, _empty_then_hi])
+def _short_mask(pieces, w):
+    # The first piece whose last candidate is kept loses that byte: gen writes no such value.
+    i = next(i for i, (_, mask) in enumerate(pieces) if mask[-1])
+    candidates, mask = pieces[i]
+    return [*pieces[:i], (candidates, mask[:-1]), *pieces[i + 1 :]]
+
+
+def _long_mask(pieces, w):
+    # The first piece's mask gains two 1-bytes: gen writes two candidates past its range.
+    (candidates, mask), *rest = pieces
+    return [(candidates, mask + b"\x01\x01"), *rest]
+
+
+@pytest.mark.parametrize(
+    "fault", [_overlapping, _stepped_back, _below_lo, _empty_then_hi, _short_mask, _long_mask]
+)
 @pytest.mark.parametrize("r,n,shift", WINDOWS)
 def test_pieces_that_leave_the_scan_are_recounted(monkeypatch, fault, r, n, shift):
     monkeypatch.setattr(enumeration, "SEGMENT", 7)
     monkeypatch.setattr(oracle, "OMEGA_SEGMENT", 16)
     basis, interval = PrimeBasis.first(r), _window(r, n, shift)
     pieces = fault(list(value_segments(build_canonical(basis), interval)), interval)
-    stream = list(chain.from_iterable(starmap(compress, pieces)))
+    # The values gen writes: candidate i of a piece for each byte i of its mask.
+    stream = [c.start + c.step * i for c, mask in pieces for i, kept in enumerate(mask) if kept]
     recounts, recount = [], theorems._recount
 
     def watched_recount(*args):

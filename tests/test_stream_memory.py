@@ -13,16 +13,13 @@ budget and fixed caps admit or one just past them, ends in an exit code
 under a small address space, in each output format where it matters.
 """
 
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from pieces import pieces_of
 
-import primewheel
 from primewheel import oracle, theorems
 from primewheel.enumeration import enumerate_interval
 from primewheel.wheel import PrimeBasis
@@ -30,7 +27,6 @@ from primewheel.wheel import PrimeBasis
 resource = pytest.importorskip("resource")
 pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux's")
 
-SRC = str(Path(primewheel.__file__).resolve().parents[1])
 MB = 1 << 20
 
 # (small argv, large argv, MB allowed above a trivial command's peak at both).
@@ -80,10 +76,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 def _run(argv, address_space=None):
     """Exit code, stderr and peak RSS in MB of one primewheel process."""
-    env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("PRIMEWHEEL_SCAN_BUDGET", None)
     launcher = [sys.executable, "-c", _LAUNCHER, str(address_space or 0), *argv]
-    proc = subprocess.run(launcher, capture_output=True, env=env, check=True)
+    proc = subprocess.run(launcher, capture_output=True, check=True)
     code, maxrss_kib = map(int, proc.stdout.split())
     return code, proc.stderr.decode(), maxrss_kib / 1024
 
